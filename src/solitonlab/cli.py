@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ from .dispersion import BranchKind, DispersionBranch, group_velocity, omega
 from .grid import Grid1D, PacketKind, PacketSpec, build_packet
 from .kinematics import electron_constants, kinematic_state
 from .madelung import continuity_residual, decompose, hj_residual, quantum_potential
-from .report import RunReport, Snapshot, write_report, write_snapshot_csv
+from .report import RunReport, Snapshot, write_report, write_snapshots
 from .solvers import (
     Scheme,
     SolverConfig,
@@ -366,9 +367,8 @@ def _run_madelung(config: dict) -> tuple[dict, list[RunReport]]:
         raise ConfigurationError("madelung needs solver.snapshot_every >= 1")
     node_threshold = float(config.get("node_threshold", 1e-6))
     potential = solver_config.potential if solver_config.potential is not None else 0.0
-    from dataclasses import replace as _replace
-    pair_config = _replace(solver_config, t_final=2.0 * solver_config.dt,
-                           snapshot_every=0, observe_every=0, probe_index=None)
+    pair_config = replace(solver_config, t_final=2.0 * solver_config.dt,
+                          snapshot_every=0, observe_every=0, probe_index=None)
     residual_rows = []
     enriched = []
     for snap in report.snapshots:
@@ -518,45 +518,37 @@ def _emit(config: dict, result: dict, reports: list[RunReport],
           out_dir: Path | None, started: str) -> None:
     if out_dir is None:
         return
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        outputs: list[Path] = []
-        report_path = out_dir / "report.json"
-        with open(report_path, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        outputs.append(report_path)
-        if len(reports) == 1:
-            # the run summary is already embedded in report.json; emit snapshots only
-            snap_dir = out_dir / "snapshots"
-            snap_dir.mkdir(exist_ok=True)
-            for i, snap in enumerate(reports[0].snapshots):
-                p = snap_dir / f"snapshot-{i:04d}.csv"
-                write_snapshot_csv(p, snap)
-                outputs.append(p)
-        else:
-            for i, run in enumerate(reports):
-                outputs.extend(write_report(run, out_dir / f"run-{i}-{run.scheme}"))
-        finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        manifest = {
-            "tool_version": __version__,
-            "experiment": config.get("experiment"),
-            "config": config,
-            "config_digest": config_digest(config),
-            "seed": config.get("seed"),
-            "started_utc": started,
-            "finished_utc": finished,
-            "outputs": [
-                {"path": str(p.relative_to(out_dir)), "sha256": _sha256_file(p)}
-                for p in sorted(set(outputs))
-            ],
-        }
-        with open(out_dir / "manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {len(outputs)} output file(s) + manifest to {out_dir}")
-    except OSError as err:
-        raise err
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs: list[Path] = []
+    report_path = out_dir / "report.json"
+    with open(report_path, "w") as fh:
+        json.dump(result, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    outputs.append(report_path)
+    if len(reports) == 1:
+        # the run summary is already embedded in report.json; emit snapshots only
+        outputs.extend(write_snapshots(reports[0].snapshots, out_dir / "snapshots"))
+    else:
+        for i, run in enumerate(reports):
+            outputs.extend(write_report(run, out_dir / f"run-{i}-{run.scheme}"))
+    finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    manifest = {
+        "tool_version": __version__,
+        "experiment": config.get("experiment"),
+        "config": config,
+        "config_digest": config_digest(config),
+        "seed": config.get("seed"),
+        "started_utc": started,
+        "finished_utc": finished,
+        "outputs": [
+            {"path": str(p.relative_to(out_dir)), "sha256": _sha256_file(p)}
+            for p in sorted(set(outputs))
+        ],
+    }
+    with open(out_dir / "manifest.json", "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(outputs)} output file(s) + manifest to {out_dir}")
 
 
 # ---------------------------------------------------------------------------

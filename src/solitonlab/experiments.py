@@ -25,7 +25,7 @@ import numpy as np
 
 from .dispersion import evanescent_kappa
 from .errors import ConfigurationError, DomainError
-from .grid import Grid1D, PacketKind, PacketSpec, build_packet
+from .grid import Grid1D, PacketKind, PacketSpec, build_packet, observables
 from .kinematics import KinematicState, PhysicalConstants, electron_constants, kinematic_state
 from .madelung import DispersionlessConfig, dispersionless_initial, evolve_dispersionless
 from .report import RunReport
@@ -113,7 +113,6 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
     if s.t_final == 0.0:
         ratios = {"linear": 1.0, "nls": 1.0, "transport": 1.0}
         verdicts = {k: "no evolution requested" for k in ratios}
-        from .grid import observables
         w0 = observables(psi0)["rms_width"]
         widths = {k: np.array([w0]) for k in ratios}
         return DichotomyReport(s, np.array([0.0]), widths, ratios, verdicts)

@@ -5,7 +5,8 @@ c = 1 where a light speed appears); :class:`UnitScaling` is the explicit
 record mapping normalized values back to SI.  Grids are periodic with a
 power-of-two point count so spectral transforms are cheap and the
 wavenumber ladder is unambiguous (the Nyquist mode is zeroed on
-odd-order differentiation to keep fields real-compatible).
+odd-order differentiation to keep fields real-compatible).  Grid arrays
+are computed once, at construction, and are read-only.
 """
 
 from __future__ import annotations
@@ -37,6 +38,15 @@ class Grid1D:
             raise ConfigurationError(f"n must be a power of two >= 16, got {self.n}")
         if not self.z_max > self.z_min:
             raise ConfigurationError("z_max must exceed z_min")
+        # cached outside the dataclass fields, so eq/hash/repr ignore them;
+        # _ik_half is i k on the real-FFT half spectrum, Nyquist zeroed
+        z = self.z_min + self.dz * np.arange(self.n)
+        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dz)
+        ik_half = 1j * k[: self.n // 2 + 1]
+        ik_half[-1] = 0.0
+        for name, arr in (("_z", z), ("_k", k), ("_ik_half", ik_half)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dz(self) -> float:
@@ -48,13 +58,13 @@ class Grid1D:
 
     @property
     def z(self) -> np.ndarray:
-        """Grid points z_min + j dz, j = 0..n-1 (z_max excluded, periodic)."""
-        return self.z_min + self.dz * np.arange(self.n)
+        """Grid points z_min + j dz, j = 0..n-1 (z_max excluded, periodic); read-only."""
+        return self._z
 
     @property
     def k(self) -> np.ndarray:
-        """Angular wavenumber ladder matching numpy FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dz)
+        """Angular wavenumber ladder matching numpy FFT ordering; read-only."""
+        return self._k
 
 
 def spectral_derivative(values: np.ndarray, grid: Grid1D, order: int = 1) -> np.ndarray:
@@ -68,6 +78,12 @@ def spectral_derivative(values: np.ndarray, grid: Grid1D, order: int = 1) -> np.
     if order % 2 == 1:
         mult[grid.n // 2] = 0.0
     return np.fft.ifft(mult * np.fft.fft(values))
+
+
+def real_spectral_derivative(values: np.ndarray, grid: Grid1D) -> np.ndarray:
+    """spectral_derivative(values, grid, 1).real, up to roundoff, of a real
+    field through real FFTs (about half the transform cost)."""
+    return np.fft.irfft(grid._ik_half * np.fft.rfft(values), grid.n)
 
 
 @dataclass(frozen=True)

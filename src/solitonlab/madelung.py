@@ -33,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NodeError, NumericalError
-from .grid import ComplexField, Grid1D, UnitScaling, observables, spectral_derivative
+from .grid import ComplexField, Grid1D, UnitScaling, real_spectral_derivative, spectral_derivative
 from .kinematics import PhysicalConstants, electron_constants
-from .report import RunReport, Snapshot
+from .report import RunReport
+from .solvers import _Recorder, step_count
 
 DEFAULT_NODE_THRESHOLD = 1e-6
 
@@ -299,12 +300,20 @@ class DispersionlessConfig:
             raise ConfigurationError("mass and hbar must be positive")
 
     def n_steps(self) -> int:
-        steps = int(round(self.t_final / self.dt))
-        if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-6 * max(self.t_final, self.dt):
-            raise ConfigurationError(
-                f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}"
-            )
-        return steps
+        return step_count(self.dt, self.t_final)
+
+    def config_echo(self, grid: Grid1D) -> dict:
+        return {
+            "scheme": "dispersionless_transport",
+            "convention": "dS/dt = -[(S_z)^2/(2m) + V]; d(R^2)/dt = -d_z(R^2 S_z / m)",
+            "dt": self.dt,
+            "t_final": self.t_final,
+            "mass": self.mass,
+            "hbar": self.hbar,
+            "potential_slope": self.potential_slope,
+            "potential": "zero" if self.potential is None else "tabulated",
+            "grid": {"n": grid.n, "z_min": grid.z_min, "z_max": grid.z_max, "dz": grid.dz},
+        }
 
 
 def dispersionless_initial(config: DispersionlessConfig, grid: Grid1D,
@@ -358,7 +367,7 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
     d s/dt    = -[(kappa + s_z)^2 / (2m) + V_periodic] (periodic action part)
     d kappa/dt = -potential_slope                      (linear action slope)
 
-    All spatial derivatives are spectral on periodic quantities.  By
+    All spatial derivatives are spectral (real FFTs) on periodic quantities.  By
     construction there is no curvature term, so any node-free envelope is
     transported by the classical flow; with a uniform action slope it
     translates rigidly.  A mid-run CFL violation (possible: the classical
@@ -386,9 +395,9 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
 
     def rhs(state):
         rho_c, s_c, kappa_c = state
-        s_z = kappa_c + spectral_derivative(s_c, grid, order=1).real
+        s_z = kappa_c + real_spectral_derivative(s_c, grid)
         flux = rho_c * s_z / mass
-        drho = -spectral_derivative(flux, grid, order=1).real
+        drho = -real_spectral_derivative(flux, grid)
         ds = -(s_z**2 / (2.0 * mass) + v_per)
         return drho, ds, -config.potential_slope, s_z
 
@@ -401,35 +410,17 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
                 "the classical flow may be forming a shock"
             )
 
-    times: list[float] = []
-    series: dict[str, list[float]] = {}
-    snapshots: list[Snapshot] = []
-    rho_integrals: list[float] = []
-
-    def observe_now(step):
-        return step == 0 or step == n_steps or (
-            config.observe_every > 0 and step % config.observe_every == 0)
-
-    def snapshot_now(step):
-        return step == 0 or step == n_steps or (
-            config.snapshot_every > 0 and step % config.snapshot_every == 0)
+    rec = _Recorder(config, n_steps)
 
     def record(step, rho_c, s_c, kappa_c):
         r_now = np.sqrt(np.clip(rho_c, 0.0, None))
         s_full = kappa_c * z + s_c
         support_now = r_now >= DEFAULT_NODE_THRESHOLD * float(r_now.max())
         fld = MadelungField(grid, r_now, s_full, hbar=config.hbar, support=support_now)
-        psi = recompose(fld)
-        if observe_now(step):
-            times.append(step * dt)
-            obs = observables(psi)
-            obs["rho_integral"] = float(np.sum(rho_c) * grid.dz)
-            rho_integrals.append(obs["rho_integral"])
-            for key, value in obs.items():
-                series.setdefault(key, []).append(value)
-        if snapshot_now(step):
-            q = quantum_potential(fld, mass)
-            snapshots.append(Snapshot(step * dt, psi, {"R": r_now, "S": s_full, "Q": q}))
+        columns = ({"R": r_now, "S": s_full, "Q": quantum_potential(fld, mass)}
+                   if rec.snapshot_now(step) else None)
+        rec.record(step, recompose(fld), extra={"rho_integral": float(np.sum(rho_c) * grid.dz)},
+                   snapshot_extra=columns)
 
     record(0, rho, s_tilde, kappa0)
     state = (rho, s_tilde, kappa0)
@@ -451,34 +442,17 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         )
         if not np.all(np.isfinite(state[0])) or not np.all(np.isfinite(state[1])):
             raise NumericalError(f"transport state blew up at step {step}")
-        if observe_now(step) or snapshot_now(step):
+        if rec.observe_now(step) or rec.snapshot_now(step):
             record(step, *state)
 
-    arr = np.array(rho_integrals)
-    conservation = {
+    report = rec.build("dispersionless_transport", grid, {})
+    arr = report.observable("rho_integral")
+    report.conservation = {
         "rho_integral_initial": float(arr[0]),
         "rho_integral_final": float(arr[-1]),
         "max_relative_rho_drift": float(np.max(np.abs(arr - arr[0])) / arr[0]),
     }
-    config_echo = {
-        "scheme": "dispersionless_transport",
-        "convention": "dS/dt = -[(S_z)^2/(2m) + V]; d(R^2)/dt = -d_z(R^2 S_z / m)",
-        "dt": dt,
-        "t_final": config.t_final,
-        "mass": mass,
-        "hbar": config.hbar,
-        "potential_slope": config.potential_slope,
-        "potential": "zero" if config.potential is None else "tabulated",
-        "grid": {"n": grid.n, "z_min": grid.z_min, "z_max": grid.z_max, "dz": grid.dz},
-    }
-    return RunReport(
-        scheme="dispersionless_transport",
-        config=config_echo,
-        times=np.array(times),
-        observables={k: np.array(v) for k, v in series.items()},
-        snapshots=snapshots,
-        conservation=conservation,
-    )
+    return report
 
 
 @dataclass(frozen=True)

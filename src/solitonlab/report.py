@@ -107,10 +107,16 @@ def write_report(report: RunReport, out_dir: Path) -> list[Path]:
         fh.write("\n")
     paths.append(report_path)
     if report.snapshots:
-        snap_dir = out_dir / "snapshots"
-        snap_dir.mkdir(exist_ok=True)
-        for i, snap in enumerate(report.snapshots):
-            p = snap_dir / f"snapshot-{i:04d}.csv"
-            write_snapshot_csv(p, snap)
-            paths.append(p)
+        paths.extend(write_snapshots(report.snapshots, out_dir / "snapshots"))
+    return paths
+
+
+def write_snapshots(snapshots: list[Snapshot], snap_dir: Path) -> list[Path]:
+    """Write snap_dir/snapshot-NNNN.csv, one per snapshot; returns the paths."""
+    snap_dir.mkdir(exist_ok=True)
+    paths = []
+    for i, snap in enumerate(snapshots):
+        p = snap_dir / f"snapshot-{i:04d}.csv"
+        write_snapshot_csv(p, snap)
+        paths.append(p)
     return paths

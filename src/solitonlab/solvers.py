@@ -7,9 +7,11 @@ factor of two in the kinetic term):
 * cubic NLS (as-printed normalization): i phi_t + phi_zz + 2|phi|^2 phi = 0
 * second-order (Klein-Gordon form):     psi_tt = c^2 psi_zz - omega0^2 psi
 
-The Schrodinger-type equations use Strang split-step Fourier: a half
-potential (or nonlinear) phase, a full spectral kinetic step, and a
-second half phase.  Every sub-step is a pointwise or diagonal phase
+The Schrodinger-type equations use Strang split-step Fourier: half
+sub-steps of the potential (linear) or kinetic (cubic) part around a full
+step of the other.  The cubic scheme merges each closing kinetic half
+step with the next opening one (Weideman & Herbst 1986), so a step costs
+one FFT pair.  Every sub-step is a pointwise or diagonal phase
 multiplication, so the scheme is exactly unitary up to roundoff, and the
 nonlinear sub-flow of the cubic equation integrates exactly (|phi| is
 invariant under it).  The second-order equation is integrated by
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +45,16 @@ CONVENTIONS = {
     "nls": "i phi_t + phi_zz + 2|phi|^2 phi = 0  (kinetic coefficient 1, not 1/2)",
     "klein_gordon": "psi_tt = c^2 psi_zz - omega0^2 psi",
 }
+
+
+def step_count(dt: float, t_final: float) -> int:
+    """Number of steps dt spanning t_final; rejects a non-integer ratio."""
+    steps = int(round(t_final / dt))
+    if steps < 1 or abs(steps * dt - t_final) > 1e-6 * max(t_final, dt):
+        raise ConfigurationError(
+            f"t_final = {t_final} is not an integer multiple of dt = {dt}"
+        )
+    return steps
 
 
 class Scheme(enum.Enum):
@@ -72,12 +84,7 @@ class SolverConfig:
     probe_index: int | None = None
 
     def n_steps(self) -> int:
-        steps = int(round(self.t_final / self.dt))
-        if steps < 1 or abs(steps * self.dt - self.t_final) > 1e-6 * max(self.t_final, self.dt):
-            raise ConfigurationError(
-                f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}"
-            )
-        return steps
+        return step_count(self.dt, self.t_final)
 
     def config_echo(self, grid: Grid1D) -> dict:
         return {
@@ -148,11 +155,16 @@ def _require_valid(config: SolverConfig, grid: Grid1D, scheme: Scheme) -> None:
 
 
 class _Recorder:
-    """Accumulates the observable series and snapshots on the set cadence."""
+    """Accumulates the observable series and snapshots on the set cadence.
 
-    def __init__(self, config: SolverConfig, n_steps: int):
+    config is a SolverConfig or a madelung.DispersionlessConfig: both give
+    dt, the two cadences and config_echo; only the former has a probe.
+    """
+
+    def __init__(self, config, n_steps: int):
         self.config = config
         self.n_steps = n_steps
+        self.probe_index = getattr(config, "probe_index", None)
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {}
         self.snapshots: list[Snapshot] = []
@@ -175,8 +187,8 @@ class _Recorder:
             obs = observables(field)
             if extra:
                 obs = {**obs, **extra}
-            if self.config.probe_index is not None:
-                probe = field.values[self.config.probe_index]
+            if self.probe_index is not None:
+                probe = field.values[self.probe_index]
                 obs["probe_re"] = float(probe.real)
                 obs["probe_im"] = float(probe.imag)
             for key, value in obs.items():
@@ -237,22 +249,28 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
 
     Half spectral kinetic step exp(-i k^2 dt / 2), full nonlinear phase
     exp(2 i |phi|^2 dt) -- exact for its sub-flow since |phi| is
-    invariant under it -- then the second kinetic half step.
+    invariant under it -- then the second kinetic half step.  The closing
+    and opening half steps of consecutive steps are applied as one full
+    multiplier exp(-i k^2 dt); a record step reads its state off the same
+    spectrum with one more inverse FFT and does not perturb the run.
     """
     grid = psi0.grid
     _require_valid(config, grid, Scheme.NLS)
     n_steps = config.n_steps()
-    half_kinetic = np.exp(-0.5j * grid.k**2 * config.dt)
+    k2 = grid.k**2
+    half_kinetic = np.exp(-0.5j * k2 * config.dt)
+    kinetic = np.exp(-1j * k2 * config.dt)
 
     rec = _Recorder(config, n_steps)
-    psi = psi0.values.copy()
     rec.record(0, psi0)
+    psi = np.fft.ifft(half_kinetic * np.fft.fft(psi0.values))
     for step in range(1, n_steps + 1):
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
         psi = psi * np.exp(2j * config.dt * np.abs(psi) ** 2)
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        spectrum = np.fft.fft(psi)
         if rec.observe_now(step) or rec.snapshot_now(step):
-            rec.record(step, ComplexField(grid, psi))
+            rec.record(step, ComplexField(grid, np.fft.ifft(half_kinetic * spectrum)))
+        if step < n_steps:
+            psi = np.fft.ifft(kinetic * spectrum)
     report = rec.build("nls", grid, {})
     report.conservation = _norm_drift(report.observables)
     return report
@@ -365,12 +383,3 @@ def nls_residual(grid: Grid1D, t: float, a: float, v: float, z0: float = 0.0) ->
     phi_zz = np.fft.ifft(-(grid.k**2) * np.fft.fft(phi))
     return 1j * phi_t + phi_zz + 2.0 * np.abs(phi) ** 2 * phi
 
-
-def breather_solver_config(dt: float = 1e-3, t_final: float = 10.0, **kwargs) -> SolverConfig:
-    """Convenience config for cubic-scheme breather runs."""
-    return SolverConfig(scheme=Scheme.NLS, dt=dt, t_final=t_final, **kwargs)
-
-
-def with_scheme(config: SolverConfig, scheme: Scheme) -> SolverConfig:
-    """Same settings, different scheme (for side-by-side comparisons)."""
-    return replace(config, scheme=scheme)

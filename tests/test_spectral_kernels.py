@@ -1,0 +1,216 @@
+"""The FFT-bound step kernels: cached grid arrays, the real-FFT transport
+derivative, the merged NLS Strang step, and how many FFTs each step makes.
+
+The references here are written out in the tests (the unmerged Strang
+loop, the complex-FFT derivative) so the kernels are checked against
+the straightforward form of the same arithmetic.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from solitonlab import (
+    ComplexField,
+    DispersionlessConfig,
+    Grid1D,
+    Scheme,
+    SolverConfig,
+    dispersionless_initial,
+    evolve_dispersionless,
+    evolve_nls,
+    nls_breather_exact,
+    observables,
+    spectral_derivative,
+)
+from solitonlab import madelung
+from solitonlab.grid import real_spectral_derivative
+
+COMPLEX_FFTS = ("fft", "ifft")
+REAL_FFTS = ("rfft", "irfft")
+
+
+def _count_ffts(monkeypatch) -> Counter:
+    """Count calls of the numpy.fft functions the package modules use."""
+    counts = Counter()
+    for name in COMPLEX_FFTS + REAL_FFTS:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+# ---------------------------------------------------------------------------
+# cached grid arrays
+# ---------------------------------------------------------------------------
+
+class TestCachedGridArrays:
+    @pytest.mark.parametrize("n,z_min,z_max", [(16, -1.0, 1.0), (512, -25.6, 25.6),
+                                               (1024, -51.2, 51.2), (64, 0.0, 2 * np.pi)])
+    def test_equal_to_the_formulas(self, n, z_min, z_max):
+        g = Grid1D(n, z_min, z_max)
+        assert np.array_equal(g.z, z_min + g.dz * np.arange(n))
+        assert np.array_equal(g.k, 2.0 * np.pi * np.fft.fftfreq(n, d=g.dz))
+
+    def test_read_only(self, grid512):
+        for arr in (grid512.z, grid512.k):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_same_object_on_every_access(self, grid512):
+        assert grid512.z is grid512.z
+        assert grid512.k is grid512.k
+
+    def test_equality_and_hash_use_the_bounds_only(self):
+        a, b = Grid1D(64, -8.0, 8.0), Grid1D(64, -8.0, 8.0)
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash((64, -8.0, 8.0))
+        assert len({a, b}) == 1
+        assert a != Grid1D(64, -8.0, 8.5)
+        assert repr(a) == "Grid1D(n=64, z_min=-8.0, z_max=8.0)"
+
+    def test_arrays_stay_plain_properties(self):
+        # instrumentation wraps the getter of Grid1D.k / Grid1D.z
+        assert isinstance(vars(Grid1D)["k"], property)
+        assert isinstance(vars(Grid1D)["z"], property)
+
+
+# ---------------------------------------------------------------------------
+# real-FFT first derivative
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [16, 512, 1024])
+def test_real_derivative_matches_complex(n, rng):
+    grid = Grid1D(n, -0.05 * n, 0.05 * n)
+    for _ in range(3):
+        values = rng.normal(size=n)
+        got = real_spectral_derivative(values, grid)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        ref = spectral_derivative(values, grid, 1).real
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_real_derivative_zeroes_nyquist():
+    grid = Grid1D(32, 0.0, 32.0)
+    nyquist = np.cos(np.pi * np.arange(32))
+    assert np.max(np.abs(real_spectral_derivative(nyquist, grid))) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# merged NLS Strang step
+# ---------------------------------------------------------------------------
+
+def _unmerged_nls_states(psi0: np.ndarray, grid: Grid1D, dt: float, n_steps: int):
+    """Every state of the plain Strang loop: half kinetic, nonlinear, half kinetic."""
+    half_kinetic = np.exp(-0.5j * grid.k**2 * dt)
+    psi = psi0.copy()
+    states = [psi.copy()]
+    for _ in range(n_steps):
+        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        psi = psi * np.exp(2j * dt * np.abs(psi) ** 2)
+        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        states.append(psi)
+    return states
+
+
+@pytest.mark.parametrize("n_steps,observe_every,snapshot_every", [
+    (30, 0, 0),
+    (30, 1, 0),
+    (30, 7, 0),
+    (30, 0, 7),  # 7 does not divide 30
+    (30, 7, 4),
+    (1, 0, 0),
+    (1, 1, 1),
+])
+def test_merged_nls_matches_unmerged_loop(grid512, n_steps, observe_every, snapshot_every):
+    dt = 1e-3
+    psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 1.0, z0=-5.0))
+    config = SolverConfig(scheme=Scheme.NLS, dt=dt, t_final=n_steps * dt,
+                          observe_every=observe_every, snapshot_every=snapshot_every)
+    report = evolve_nls(psi0, config)
+    states = _unmerged_nls_states(psi0.values, grid512, dt, n_steps)
+
+    def cadence(every):
+        return [s for s in range(n_steps + 1)
+                if s in (0, n_steps) or (every > 0 and s % every == 0)]
+
+    observed, snapped = cadence(observe_every), cadence(snapshot_every)
+    assert np.allclose(report.times, np.array(observed) * dt, rtol=0.0, atol=1e-15)
+    for i, step in enumerate(observed):
+        expected = observables(ComplexField(grid512, states[step]))
+        for key, value in expected.items():
+            assert abs(report.observable(key)[i] - value) <= 1e-10
+    assert [s.t for s in report.snapshots] == [step * dt for step in snapped]
+    for snap, step in zip(report.snapshots, snapped):
+        assert np.max(np.abs(snap.field.values - states[step])) <= 1e-10
+
+
+def test_nls_fft_count_with_recording_off(monkeypatch, grid512):
+    counts = _count_ffts(monkeypatch)
+    psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 0.0))
+    for n_steps in (1, 2, 25):
+        counts.clear()
+        evolve_nls(psi0, SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=n_steps * 1e-3,
+                                      observe_every=0, snapshot_every=0))
+        assert counts["fft"] + counts["ifft"] == 2 * n_steps + 2
+        assert counts["rfft"] + counts["irfft"] == 0
+
+
+# ---------------------------------------------------------------------------
+# real-FFT transport
+# ---------------------------------------------------------------------------
+
+def _moving_packet_run(grid: Grid1D, n_steps: int):
+    v = 0.05 * np.cos(2 * np.pi * grid.z / grid.length)
+    config = DispersionlessConfig(dt=1e-3, t_final=n_steps * 1e-3, velocity=1.0,
+                                  potential=v, observe_every=10, snapshot_every=50)
+    return evolve_dispersionless(dispersionless_initial(config, grid, center=-5.0), config)
+
+
+def test_real_fft_transport_matches_complex_reference(monkeypatch, grid512):
+    report = _moving_packet_run(grid512, 200)
+    monkeypatch.setattr(madelung, "real_spectral_derivative",
+                        lambda values, grid: spectral_derivative(values, grid, 1).real)
+    reference = _moving_packet_run(grid512, 200)
+
+    assert np.array_equal(report.times, reference.times)
+    for key, values in reference.observables.items():
+        assert np.max(np.abs(report.observable(key) - values)) <= 1e-10
+    assert len(report.snapshots) == len(reference.snapshots) == 5
+    for got, ref in zip(report.snapshots, reference.snapshots):
+        # the evolved state is (R^2, S).  R = sqrt(R^2) turns roundoff-level
+        # density in the far tails into ~1e-9, so the field is compared on
+        # the support.  Q = -R''/(2R) is left out: dividing the spectral
+        # R'' of that tail noise by a small R amplifies roundoff to ~1e-3
+        # at the support edge, in either transform.
+        support = ref.extra["R"] >= 1e-6 * np.max(ref.extra["R"])
+        assert np.max(np.abs(got.extra["R"] ** 2 - ref.extra["R"] ** 2)) <= 1e-10
+        assert np.max(np.abs(got.extra["S"] - ref.extra["S"])) <= 1e-10
+        assert np.max(np.abs(got.field.values - ref.field.values)[support]) <= 1e-10
+    # the packet really moved
+    centroid = report.observable("centroid")
+    assert centroid[-1] - centroid[0] == pytest.approx(0.2, abs=1e-3)
+
+
+def test_transport_steps_make_no_complex_ffts(monkeypatch, grid512):
+    counts = _count_ffts(monkeypatch)
+
+    def run(n_steps):
+        counts.clear()
+        _moving_packet_run(grid512, n_steps)
+        return dict(counts)
+
+    short, long = run(50), run(100)
+    # complex FFTs come only from the quantum-potential column of each
+    # snapshot (steps 0, 50 and 0, 50, 100), never from a step
+    assert short["fft"] == short["ifft"] == 2
+    assert long["fft"] == long["ifft"] == 3
+    # four RK4 stages, two real derivatives each, one rfft/irfft pair per derivative
+    assert short["rfft"] == short["irfft"] == 8 * 50
+    assert long["rfft"] == long["irfft"] == 8 * 100
