@@ -15,7 +15,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
+import enum
 import hashlib
 import json
 import os
@@ -43,30 +45,31 @@ from .experiments import (
     run_dispersion_vs_soliton,
 )
 from .dispersion import BranchKind, DispersionBranch, group_velocity, omega
-from .grid import Grid1D, PacketKind, PacketSpec, build_packet
-from .kinematics import electron_constants, kinematic_state
-from .madelung import continuity_residual, decompose, hj_residual, quantum_potential
+from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet
+from .kinematics import KinematicState, electron_constants, kinematic_state
+from .madelung import (
+    DEFAULT_NODE_THRESHOLD,
+    check_node_threshold,
+    continuity_residual,
+    decompose,
+    hj_residual,
+    quantum_potential,
+)
 from .report import RunReport, Snapshot, write_report, write_snapshots
 from .solvers import (
     Scheme,
     SolverConfig,
+    _require_valid,
     evolve_klein_gordon,
     evolve_linear_schrodinger,
     evolve_nls,
     one_branch_time_derivative,
-    validate_solver_config,
 )
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-EXPERIMENTS = (
-    "kinematics", "dispersion", "evolve", "madelung",
-    "soliton-vs-dispersion", "barrier", "bohr", "photon",
-)
-
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -108,169 +111,85 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
     return config
 
 
-def _require(config: dict, key: str, kind, context: str):
-    if key not in config:
-        raise ConfigurationError(f"{context}: missing required field {key!r}")
-    value = config[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, kind):
-        raise ConfigurationError(
-            f"{context}: field {key!r} must be {kind.__name__}, got {type(value).__name__}"
-        )
+_REQUIRED = object()
+#: dataclass field annotations (strings, postponed evaluation) the reader
+#: takes a kind from; other fields (enums, arrays) are read by hand
+_KINDS = {"int": int, "float": float, "int | None": int, "float | None": float}
+
+
+def _check(value, kind, name: str, lo=None):
+    """value as kind, or a ConfigurationError naming the field.
+
+    Floats must be finite (ints are accepted, bools are not); ints must be
+    integral (2.0 reads as 2, 2.5 is rejected); an enum kind takes the
+    member whose value is named; lo is an inclusive bound.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number and abs(value) <= sys.float_info.max:
+        value = float(value)
+    elif kind is int and number and (isinstance(value, int) or value.is_integer()):
+        value = int(value)
+    elif issubclass(kind, enum.Enum):
+        names = sorted(member.value for member in kind)
+        if value not in names:
+            raise ConfigurationError(f"{name} must be one of {names}, got {value!r}")
+        return kind(value)
+    elif kind in (int, float) or not isinstance(value, kind):
+        finite = "a finite " if kind is float else ""
+        raise ConfigurationError(f"{name} must be {finite}{kind.__name__}, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
     return value
+
+
+def _get(section: dict, key: str, kind, default=_REQUIRED, where: str = "", lo=None):
+    """section[key] checked by _check; null is accepted only where the
+    default is None, and a missing field without a default is an error."""
+    name = f"{where}.{key}" if where else key
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigurationError(f"missing required field {name!r}")
+        return default
+    if section[key] is None and default is None:
+        return None
+    return _check(section[key], kind, name, lo)
+
+
+def _fields(cls, section: dict, where: str = "", keys: dict | None = None) -> dict:
+    """Keyword arguments for cls's plain int and float fields, read with the
+    kind and default the dataclass declares; keys renames config keys."""
+    keys = keys or {}
+    return {
+        f.name: _get(section, keys.get(f.name, f.name), _KINDS[f.type],
+                     _REQUIRED if f.default is dataclasses.MISSING else f.default, where)
+        for f in dataclasses.fields(cls) if f.type in _KINDS
+    }
 
 
 def _parse_velocity(text) -> float:
     """Velocities are plain m/s numbers or multiples of c like '0.6c'."""
-    if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return float(text)
-    s = str(text).strip()
-    if s.endswith("c"):
-        return float(s[:-1]) * electron_constants().c
-    return float(s)
-
-
-# ---------------------------------------------------------------------------
-# evolve/madelung config assembly
-# ---------------------------------------------------------------------------
-
-_SCHEMES = {
-    "linear_schrodinger": Scheme.LINEAR_SCHRODINGER,
-    "nls": Scheme.NLS,
-    "klein_gordon": Scheme.KLEIN_GORDON,
-}
-_PACKETS = {
-    "sech_breather": PacketKind.SECH_BREATHER,
-    "gaussian": PacketKind.GAUSSIAN,
-    "plane_wave": PacketKind.PLANE_WAVE,
-}
-
-
-def _build_grid(config: dict) -> Grid1D:
-    section = _require(config, "grid", dict, "config")
-    return Grid1D(
-        n=_require(section, "n", int, "grid"),
-        z_min=_require(section, "z_min", float, "grid"),
-        z_max=_require(section, "z_max", float, "grid"),
-    )
-
-
-def _build_packet_spec(config: dict) -> PacketSpec:
-    section = _require(config, "packet", dict, "config")
-    kind_name = _require(section, "kind", str, "packet")
-    if kind_name not in _PACKETS:
-        raise ConfigurationError(
-            f"packet.kind must be one of {sorted(_PACKETS)}, got {kind_name!r}"
-        )
-    scale = section.get("scale")
-    return PacketSpec(
-        kind=_PACKETS[kind_name],
-        amplitude=float(section.get("amplitude", 1.0)),
-        center=float(section.get("center", 0.0)),
-        velocity=float(section.get("velocity", 0.0)),
-        sigma=float(section.get("sigma", 1.0)),
-        k0=float(section.get("k0", 0.0)),
-        scale=None if scale is None else float(scale),
-    )
-
-
-def _build_potential(config: dict, grid: Grid1D) -> np.ndarray | None:
-    section = config.get("potential")
-    if section is None or section.get("kind", "zero") == "zero":
-        return None
-    kind = section["kind"]
-    z = grid.z
-    if kind == "barrier":
-        height = _require(section, "height", float, "potential")
-        start = _require(section, "start", float, "potential")
-        length = _require(section, "length", float, "potential")
-        return np.where((z >= start) & (z < start + length), height, 0.0)
-    if kind == "linear":
-        return _require(section, "slope", float, "potential") * z
-    if kind == "tabulated":
-        values = np.asarray(_require(section, "values", list, "potential"), dtype=float)
-        if values.shape != (grid.n,):
-            raise ConfigurationError(
-                f"potential.values must have grid length {grid.n}, got {values.shape}"
-            )
-        return values
-    raise ConfigurationError(f"unknown potential.kind {kind!r}")
-
-
-def _build_solver_config(config: dict, grid: Grid1D) -> SolverConfig:
-    section = _require(config, "solver", dict, "config")
-    scheme_name = _require(config, "scheme", str, "config")
-    if scheme_name not in _SCHEMES:
-        raise ConfigurationError(
-            f"scheme must be one of {sorted(_SCHEMES)}, got {scheme_name!r}"
-        )
-    return SolverConfig(
-        scheme=_SCHEMES[scheme_name],
-        dt=_require(section, "dt", float, "solver"),
-        t_final=_require(section, "t_final", float, "solver"),
-        snapshot_every=int(section.get("snapshot_every", 0)),
-        observe_every=int(section.get("observe_every", 10)),
-        potential=_build_potential(config, grid),
-        omega0=float(section.get("omega0", 1.0)),
-        c=float(section.get("c", 1.0)),
-        probe_index=section.get("probe_index"),
-    )
-
-
-def validate(config: dict) -> list[str]:
-    """Schema plus physics-guard validation without running anything."""
-    problems: list[str] = []
-    experiment = config.get("experiment")
-    if experiment not in EXPERIMENTS:
-        return [f"experiment must be one of {EXPERIMENTS}, got {experiment!r}"]
+    if not isinstance(text, str):
+        return _check(text, float, "v")
+    s = text.strip()
     try:
-        if experiment in ("evolve", "madelung"):
-            grid = _build_grid(config)
-            solver_config = _build_solver_config(config, grid)
-            problems.extend(validate_solver_config(solver_config, grid))
-            packet = _build_packet_spec(config)
-            try:
-                build_packet(packet, grid)
-            except ConfigurationError as err:
-                problems.append(str(err))
-            if experiment == "madelung" and solver_config.snapshot_every < 1:
-                problems.append("madelung needs solver.snapshot_every >= 1 for residual pairs")
-        elif experiment == "barrier":
-            _barrier_spec_from_config(config)
-        elif experiment == "kinematics":
-            v = _parse_velocity(_require(config, "v", object, "config"))
-            if not 0.0 <= v < electron_constants().c:
-                problems.append(f"velocity must satisfy 0 <= v < c, got {v}")
-        elif experiment == "bohr":
-            n_max = int(config.get("n_max", 20))
-            if n_max < 1:
-                problems.append("n_max must be >= 1")
-        elif experiment == "photon":
-            if _require(config, "f_hz", float, "config") <= 0:
-                problems.append("f_hz must be positive")
-            if _require(config, "f0_hz", float, "config") <= 0:
-                problems.append("f0_hz must be positive")
-        elif experiment == "dispersion":
-            if _require(config, "branch", str, "config") not in (
-                    "klein_gordon", "schrodinger_approx"):
-                problems.append("branch must be klein_gordon or schrodinger_approx")
-        elif experiment == "soliton-vs-dispersion":
-            _dichotomy_settings(config)
-    except (ConfigurationError, DomainError) as err:
-        problems.append(str(err))
-    return problems
+        return float(s[:-1]) * electron_constants().c if s.endswith("c") else float(s)
+    except ValueError:
+        raise ConfigurationError(
+            f"v must be m/s or a multiple of c like '0.6c', got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
-# experiment runners (each returns a JSON-ready dict, plus optional RunReports)
+# experiments: prepare(config) reads and checks every field and returns the
+# run's inputs without stepping anything; run(inputs, args) returns a
+# JSON-ready dict plus the RunReports to emit.  validate and main share the
+# prepare step, so they cannot disagree on whether a config runs.
 # ---------------------------------------------------------------------------
 
-def _run_kinematics(config: dict) -> tuple[dict, list[RunReport]]:
-    v = _parse_velocity(_require(config, "v", object, "config"))
-    state = kinematic_state(v)
+def _prepare_kinematics(config: dict) -> KinematicState:
+    return kinematic_state(_parse_velocity(_get(config, "v", object)))
+
+
+def _run_kinematics(state: KinematicState, args) -> tuple[dict, list[RunReport]]:
     k = electron_constants()
     rows = {
         "v_m_per_s": state.v,
@@ -289,23 +208,23 @@ def _run_kinematics(config: dict) -> tuple[dict, list[RunReport]]:
         "t_zigzag_s": state.t_zigzag,
         "l_zigzag_m": state.l_zigzag,
     }
-    print(f"kinematic state at v = {v:.6e} m/s (beta = {state.beta:.6f})")
+    print(f"kinematic state at v = {state.v:.6e} m/s (beta = {state.beta:.6f})")
     for key, value in rows.items():
         print(f"  {key:22s} {'unbounded' if value is None else format(value, '.9e')}")
     return {"experiment": "kinematics", "state": rows}, []
 
 
-def _run_dispersion(config: dict) -> tuple[dict, list[RunReport]]:
-    branch = DispersionBranch(
-        kind=BranchKind(_require(config, "branch", str, "config")),
-        f0=float(config.get("f0", 1.0)),
-        potential_V=float(config.get("potential_V", 0.0)),
-        c=float(config.get("c", 1.0)),
-        hbar=float(config.get("hbar", 1.0)),
-    )
-    ks = config.get("k_values")
+def _prepare_dispersion(config: dict) -> tuple[DispersionBranch, list]:
+    branch = DispersionBranch(kind=_get(config, "branch", BranchKind),
+                              **_fields(DispersionBranch, config))
+    ks = _get(config, "k_values", list, None)
     if ks is None:
-        ks = list(np.linspace(0.0, 3.0 * branch.omega0 / branch.c, 31))
+        return branch, list(np.linspace(0.0, 3.0 * branch.omega0 / branch.c, 31))
+    return branch, [_check(k, float, "k_values[]") for k in ks]
+
+
+def _run_dispersion(inputs, args) -> tuple[dict, list[RunReport]]:
+    branch, ks = inputs
     table = [
         {"k": float(k), "omega": omega(branch, float(k)),
          "group_velocity": group_velocity(branch, float(k))}
@@ -320,11 +239,43 @@ def _run_dispersion(config: dict) -> tuple[dict, list[RunReport]]:
             "f0": branch.f0, "table": table}, []
 
 
-def _evolve_from_config(config: dict) -> tuple[RunReport, SolverConfig, Grid1D]:
-    grid = _build_grid(config)
-    solver_config = _build_solver_config(config, grid)
-    packet = _build_packet_spec(config)
-    psi0 = build_packet(packet, grid)
+def _potential(config: dict, grid: Grid1D) -> np.ndarray | None:
+    section = _get(config, "potential", dict, None)
+    kind = "zero" if section is None else _get(section, "kind", str, "zero", "potential")
+    z = grid.z
+    if kind == "zero":
+        return None
+    if kind == "barrier":
+        height, start, length = (_get(section, key, float, where="potential")
+                                 for key in ("height", "start", "length"))
+        return np.where((z >= start) & (z < start + length), height, 0.0)
+    if kind == "linear":
+        return _get(section, "slope", float, where="potential") * z
+    if kind == "tabulated":
+        values = np.array([_check(v, float, "potential.values[]")
+                           for v in _get(section, "values", list, where="potential")])
+        if values.shape != (grid.n,):
+            raise ConfigurationError(
+                f"potential.values must have grid length {grid.n}, got {values.shape}"
+            )
+        return values
+    raise ConfigurationError(f"unknown potential.kind {kind!r}")
+
+
+def _prepare_evolve(config: dict) -> tuple[SolverConfig, PacketSpec, ComplexField]:
+    grid = Grid1D(**_fields(Grid1D, _get(config, "grid", dict), "grid"))
+    solver_config = SolverConfig(
+        scheme=_get(config, "scheme", Scheme), potential=_potential(config, grid),
+        **_fields(SolverConfig, _get(config, "solver", dict), "solver"))
+    _require_valid(solver_config, grid, solver_config.scheme)
+    section = _get(config, "packet", dict)
+    packet = PacketSpec(kind=_get(section, "kind", PacketKind, where="packet"),
+                        **_fields(PacketSpec, section, "packet"))
+    return solver_config, packet, build_packet(packet, grid)
+
+
+def _evolve(inputs) -> RunReport:
+    solver_config, packet, psi0 = inputs
     if solver_config.scheme is Scheme.LINEAR_SCHRODINGER:
         report = evolve_linear_schrodinger(psi0, solver_config)
     elif solver_config.scheme is Scheme.NLS:
@@ -341,11 +292,11 @@ def _evolve_from_config(config: dict) -> tuple[RunReport, SolverConfig, Grid1D]:
     }
     if solver_config.scheme is Scheme.KLEIN_GORDON:
         report.config["initial_time_derivative"] = "one_branch"
-    return report, solver_config, grid
+    return report
 
 
-def _run_evolve(config: dict) -> tuple[dict, list[RunReport]]:
-    report, _, _ = _evolve_from_config(config)
+def _run_evolve(inputs, args) -> tuple[dict, list[RunReport]]:
+    report = _evolve(inputs)
     print(f"evolved {report.scheme} to t = {report.times[-1]}; "
           f"final rms width {report.observable('rms_width')[-1]:.6f}")
     for key, value in report.conservation.items():
@@ -353,19 +304,26 @@ def _run_evolve(config: dict) -> tuple[dict, list[RunReport]]:
     return {"experiment": "evolve", **report.summary_dict()}, [report]
 
 
-def _run_madelung(config: dict) -> tuple[dict, list[RunReport]]:
+def _prepare_madelung(config: dict) -> tuple[tuple, float]:
+    inputs = _prepare_evolve(config)
+    if inputs[0].scheme is not Scheme.LINEAR_SCHRODINGER:
+        raise ConfigurationError("madelung diagnostics apply to scheme = linear_schrodinger")
+    if inputs[0].snapshot_every < 1:
+        raise ConfigurationError("madelung needs solver.snapshot_every >= 1 for residual pairs")
+    return inputs, check_node_threshold(
+        _get(config, "node_threshold", float, DEFAULT_NODE_THRESHOLD))
+
+
+def _run_madelung(inputs, args) -> tuple[dict, list[RunReport]]:
     """Linear evolution plus polar-form diagnostics on its snapshots.
 
     At each snapshot time the field is advanced two more steps so the
     residuals use a tight centered pair (gap 2 dt, the same order as the
     scheme) instead of the coarse snapshot cadence.
     """
-    if config.get("scheme") != "linear_schrodinger":
-        raise ConfigurationError("madelung diagnostics apply to scheme = linear_schrodinger")
-    report, solver_config, grid = _evolve_from_config(config)
-    if len(report.snapshots) < 2:
-        raise ConfigurationError("madelung needs solver.snapshot_every >= 1")
-    node_threshold = float(config.get("node_threshold", 1e-6))
+    evolve_inputs, node_threshold = inputs
+    solver_config = evolve_inputs[0]
+    report = _evolve(evolve_inputs)
     potential = solver_config.potential if solver_config.potential is not None else 0.0
     pair_config = replace(solver_config, t_final=2.0 * solver_config.dt,
                           snapshot_every=0, observe_every=0, probe_index=None)
@@ -396,43 +354,33 @@ def _run_madelung(config: dict) -> tuple[dict, list[RunReport]]:
             **report.summary_dict()}, [report]
 
 
-def _dichotomy_settings(config: dict) -> DichotomySettings:
-    scale = config.get("scale")
-    return DichotomySettings(
-        n=int(config.get("n", 1024)),
-        z_min=float(config.get("z_min", -51.2)),
-        z_max=float(config.get("z_max", 51.2)),
-        amplitude=float(config.get("amplitude", 1.0)),
-        scale=None if scale is None else float(scale),
-        dt=float(config.get("dt", 1e-3)),
-        t_final=float(config.get("t_final", 10.0)),
-        observe_every=int(config.get("observe_every", 100)),
-    )
+def _prepare_dichotomy(config: dict) -> DichotomySettings:
+    settings = DichotomySettings(**_fields(DichotomySettings, config))
+    settings.initial_field()
+    return settings
 
 
-def _run_dichotomy(config: dict) -> tuple[dict, list[RunReport]]:
-    result = run_dispersion_vs_soliton(_dichotomy_settings(config))
+def _run_dichotomy(settings: DichotomySettings, args) -> tuple[dict, list[RunReport]]:
+    result = run_dispersion_vs_soliton(settings)
     print("width ratios at t_final:")
     for name in ("linear", "nls", "transport"):
         print(f"  {name:10s} {result.ratios[name]:.6f}  -> {result.verdicts[name]}")
     return result.to_dict(), list(result.runs.values())
 
 
-def _barrier_spec_from_config(config: dict) -> BarrierSpec:
+def _prepare_barrier(config: dict) -> BarrierSpec:
+    fields = _fields(BarrierSpec, config, keys={
+        "height": "height_eV", "length": "length_m", "energy": "energy_eV",
+        "gap_offset": "gap_offset_m"})
     eV = electron_constants().eV
-    return BarrierSpec(
-        height=_require(config, "height_eV", float, "config") * eV,
-        length=_require(config, "length_m", float, "config"),
-        energy=_require(config, "energy_eV", float, "config") * eV,
-        trials=_require(config, "trials", int, "config"),
-        seed=_require(config, "seed", int, "config"),
-        gap_offset=float(config.get("gap_offset_m", 0.0)),
-    )
+    spec = BarrierSpec(**{**fields, "height": fields["height"] * eV,
+                          "energy": fields["energy"] * eV})
+    spec.geometry()
+    return spec
 
 
-def _run_barrier(config: dict, parallel_trials: int = 1) -> tuple[dict, list[RunReport]]:
-    spec = _barrier_spec_from_config(config)
-    report = run_barrier_monte_carlo(spec, parallel_trials=parallel_trials)
+def _run_barrier(spec: BarrierSpec, args) -> tuple[dict, list[RunReport]]:
+    report = run_barrier_monte_carlo(spec, parallel_trials=args.parallel_trials)
     print(f"barrier Monte Carlo ({spec.trials} trials, seed {spec.seed}):")
     print(f"  transmitted {report.transmitted}  tunneled {report.tunneled}  "
           f"reflected {report.reflected}")
@@ -443,13 +391,18 @@ def _run_barrier(config: dict, parallel_trials: int = 1) -> tuple[dict, list[Run
     return report.to_dict(), []
 
 
-def _run_bohr(config: dict) -> tuple[dict, list[RunReport]]:
-    n_values = config.get("n_values") or list(range(1, int(config.get("n_max", 20)) + 1))
+def _prepare_bohr(config: dict) -> list[int]:
+    n_max = _get(config, "n_max", int, 20, lo=1)
+    n_values = _get(config, "n_values", list, None) or range(1, n_max + 1)
+    return [_check(n, int, "n_values[]", lo=1) for n in n_values]
+
+
+def _run_bohr(n_values: list[int], args) -> tuple[dict, list[RunReport]]:
     k = electron_constants()
     rows = []
     for n in n_values:
-        orbit = bohr_orbit(int(n))
-        accord = bohr_phase_accordance(int(n))
+        orbit = bohr_orbit(n)
+        accord = bohr_phase_accordance(n)
         rows.append({
             "N": orbit.N,
             "radius_m": orbit.radius,
@@ -471,9 +424,16 @@ def _run_bohr(config: dict) -> tuple[dict, list[RunReport]]:
     return {"experiment": "bohr", "orbits": rows}, []
 
 
-def _run_photon(config: dict) -> tuple[dict, list[RunReport]]:
-    f = _require(config, "f_hz", float, "config")
-    f0 = _require(config, "f0_hz", float, "config")
+def _prepare_photon(config: dict) -> tuple[float, float]:
+    f, f0 = (_get(config, key, float) for key in ("f_hz", "f0_hz"))
+    for key, value in (("f_hz", f), ("f0_hz", f0)):
+        if value <= 0.0:
+            raise ConfigurationError(f"{key} must be positive")
+    return f, f0
+
+
+def _run_photon(inputs, args) -> tuple[dict, list[RunReport]]:
+    f, f0 = inputs
     rel = photon_relations(f, f0)
     print(f"photon relations at f = {f:.6e} Hz, mode cutoff f0 = {f0:.6e} Hz:")
     print(f"  bounce frequency {rel.f_zigzag:.6e} Hz, energy {rel.E_zigzag:.6e} J")
@@ -481,15 +441,29 @@ def _run_photon(config: dict) -> tuple[dict, list[RunReport]]:
             "f_zigzag_hz": rel.f_zigzag, "E_zigzag_J": rel.E_zigzag}, []
 
 
-_RUNNERS = {
-    "kinematics": _run_kinematics,
-    "dispersion": _run_dispersion,
-    "evolve": _run_evolve,
-    "madelung": _run_madelung,
-    "soliton-vs-dispersion": _run_dichotomy,
-    "bohr": _run_bohr,
-    "photon": _run_photon,
+#: experiment name -> (prepare, run)
+_EXPERIMENTS = {
+    "kinematics": (_prepare_kinematics, _run_kinematics),
+    "dispersion": (_prepare_dispersion, _run_dispersion),
+    "evolve": (_prepare_evolve, _run_evolve),
+    "madelung": (_prepare_madelung, _run_madelung),
+    "soliton-vs-dispersion": (_prepare_dichotomy, _run_dichotomy),
+    "barrier": (_prepare_barrier, _run_barrier),
+    "bohr": (_prepare_bohr, _run_bohr),
+    "photon": (_prepare_photon, _run_photon),
 }
+
+
+def validate(config: dict) -> list[str]:
+    """Every check a run makes before stepping: the run's own prepare step."""
+    experiment = config.get("experiment")
+    if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
+        return [f"experiment must be one of {tuple(_EXPERIMENTS)}, got {experiment!r}"]
+    try:
+        _EXPERIMENTS[experiment][0](config)
+    except (ConfigurationError, DomainError) as err:
+        return [str(err)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +529,17 @@ def _emit(config: dict, result: dict, reports: list[RunReport],
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _number_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",")]
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solitonlab",
@@ -576,13 +561,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dispersion", help="dispersion relation table")
     common(p)
     p.add_argument("--branch", choices=["klein_gordon", "schrodinger_approx"])
-    p.add_argument("--k", help="comma-separated wavenumbers")
+    p.add_argument("--k", type=_number_list, help="comma-separated wavenumbers")
 
     for name in ("evolve", "madelung"):
         p = sub.add_parser(name, help=f"{name} run from a config file")
         common(p)
         if name == "evolve":
-            p.add_argument("--scheme", choices=sorted(_SCHEMES))
+            p.add_argument("--scheme", choices=sorted(s.value for s in Scheme))
             p.add_argument("--packet", metavar="KIND,KEY=VAL,...",
                            help="e.g. breather,amplitude=1,velocity=0")
             p.add_argument("--t-final", type=float, dest="t_final")
@@ -599,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--energy-ev", type=float)
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--parallel-trials", type=int, default=1,
+    p.add_argument("--parallel-trials", type=_positive_int, default=1,
                    help="worker count for Monte Carlo blocks (results identical)")
 
     p = sub.add_parser("bohr", help="orbit ladder and phase accordance")
@@ -618,26 +603,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PACKET_ALIASES = {"breather": "sech_breather"}
-
-
 def _packet_from_flag(text: str) -> dict:
-    parts = text.split(",")
-    kind = parts[0].strip()
-    section = {"kind": _PACKET_ALIASES.get(kind, kind)}
-    for item in parts[1:]:
-        if "=" not in item:
-            raise ConfigurationError(f"packet item {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        section[key.strip()] = float(value)
+    kind, *items = (part.strip() for part in text.split(","))
+    section = {"kind": {"breather": "sech_breather"}.get(kind, kind)}
+    for item in items:
+        key, _, value = item.partition("=")
+        try:
+            section[key.strip()] = float(value)
+        except ValueError:
+            raise ConfigurationError(f"packet item {item!r} is not key=number") from None
     return section
 
 
 def _config_from_args(args) -> dict:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = {}
+    config = load_config(args.config) if args.config else {}
     if args.command == "evolve" and not args.config:
         # quick one-liner form; the assembled config (grid included) is
         # echoed in full through report.json and the manifest
@@ -654,7 +633,7 @@ def _config_from_args(args) -> dict:
             solver["dt"] = args.dt
     flags = {
         "kinematics": [("v", "v")],
-        "dispersion": [("branch", "branch")],
+        "dispersion": [("branch", "branch"), ("k", "k_values")],
         "barrier": [("height_ev", "height_eV"), ("length_m", "length_m"),
                     ("energy_ev", "energy_eV"), ("trials", "trials"), ("seed", "seed")],
         "bohr": [("n_max", "n_max")],
@@ -664,8 +643,6 @@ def _config_from_args(args) -> dict:
         value = getattr(args, attr, None)
         if value is not None:
             config[key] = value
-    if args.command == "dispersion" and getattr(args, "k", None):
-        config["k_values"] = [float(x) for x in args.k.split(",")]
     config.setdefault("experiment", args.command)
     apply_overrides(config, args.overrides)
     if config["experiment"] != args.command:
@@ -679,27 +656,19 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            config = load_config(args.config)
-            apply_overrides(config, args.overrides)
-            problems = validate(config)
+            problems = validate(apply_overrides(load_config(args.config), args.overrides))
+            for problem in problems:
+                print(f"invalid: {problem}", file=sys.stderr)
             if problems:
-                for problem in problems:
-                    print(f"invalid: {problem}", file=sys.stderr)
                 return EXIT_CONFIG
             print("config is runnable")
             return EXIT_OK
 
         config = _config_from_args(args)
-        problems = validate(config)
-        if problems:
-            for problem in problems:
-                print(f"invalid: {problem}", file=sys.stderr)
-            return EXIT_CONFIG
+        prepare, run = _EXPERIMENTS[args.command]
+        inputs = prepare(config)
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        if args.command == "barrier":
-            result, reports = _run_barrier(config, parallel_trials=args.parallel_trials)
-        else:
-            result, reports = _RUNNERS[args.command](config)
+        result, reports = run(inputs, args)
         out_dir = _resolve_out_dir(args.out, config["experiment"], config.get("seed", 0))
         _emit(config, result, reports, out_dir, started)
         return EXIT_OK

@@ -45,7 +45,7 @@ class DispersionBranch:
     """
 
     kind: BranchKind
-    f0: float
+    f0: float = 1.0
     potential_V: float = 0.0
     c: float = 1.0
     hbar: float = 1.0

@@ -25,11 +25,11 @@ import numpy as np
 
 from .dispersion import evanescent_kappa
 from .errors import ConfigurationError, DomainError
-from .grid import Grid1D, PacketKind, PacketSpec, build_packet, observables
+from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet, observables
 from .kinematics import KinematicState, PhysicalConstants, electron_constants, kinematic_state
 from .madelung import DispersionlessConfig, dispersionless_initial, evolve_dispersionless
 from .report import RunReport
-from .solvers import Scheme, SolverConfig, evolve_linear_schrodinger, evolve_nls
+from .solvers import Scheme, SolverConfig, evolve_linear_schrodinger, evolve_nls, step_count
 
 #: draws consumed per Monte Carlo trial (position phase, tunneling coin)
 _DRAWS_PER_TRIAL = 2
@@ -64,9 +64,21 @@ class DichotomySettings:
     t_final: float = 10.0
     observe_every: int = 100
 
+    def __post_init__(self):
+        if self.observe_every < 0:
+            raise ConfigurationError(f"observe_every must be >= 0, got {self.observe_every}")
+        if self.t_final != 0.0:
+            step_count(self.dt, self.t_final)
+
     @property
     def sech_scale(self) -> float:
         return self.amplitude if self.scale is None else self.scale
+
+    def initial_field(self) -> ComplexField:
+        """The sech packet all three schemes start from."""
+        packet = PacketSpec(kind=PacketKind.SECH_BREATHER, amplitude=self.amplitude,
+                            scale=self.sech_scale)
+        return build_packet(packet, Grid1D(self.n, self.z_min, self.z_max))
 
 
 @dataclass
@@ -105,10 +117,7 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
     is transported rigidly by the curvature-cancelled solver.
     """
     s = settings or DichotomySettings()
-    grid = Grid1D(s.n, s.z_min, s.z_max)
-    packet = PacketSpec(kind=PacketKind.SECH_BREATHER, amplitude=s.amplitude,
-                        scale=s.sech_scale)
-    psi0 = build_packet(packet, grid)
+    psi0 = s.initial_field()
 
     if s.t_final == 0.0:
         ratios = {"linear": 1.0, "nls": 1.0, "transport": 1.0}
@@ -126,7 +135,7 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
         dt=s.dt, t_final=s.t_final, amplitude=s.amplitude, scale=s.sech_scale,
         velocity=0.0, observe_every=s.observe_every)
     transport = evolve_dispersionless(
-        dispersionless_initial(transport_config, grid), transport_config)
+        dispersionless_initial(transport_config, psi0.grid), transport_config)
 
     runs = {"linear": lin, "nls": nls, "transport": transport}
     widths = {k: r.observable("rms_width") for k, r in runs.items()}
@@ -170,6 +179,22 @@ class BarrierSpec:
             raise ConfigurationError("need at least one trial")
         if not (0 <= self.seed < 2**64):
             raise ConfigurationError("seed must fit in 64 bits")
+
+    def geometry(self, constants: PhysicalConstants | None = None) -> tuple[float, ...]:
+        """(shifted cutoff f0', guide width w, narrowed width w', gap_lo, gap_hi);
+        ConfigurationError when the gap does not fit inside the guide."""
+        k = constants or electron_constants()
+        f0 = k.cutoff_frequency
+        f0_shifted = f0 + self.height / k.h
+        width = k.c / (2.0 * f0)
+        width_narrowed = k.c / (2.0 * f0_shifted)
+        gap_lo = 0.5 * width + self.gap_offset - 0.5 * width_narrowed
+        gap_hi = 0.5 * width + self.gap_offset + 0.5 * width_narrowed
+        if gap_lo < 0.0 or gap_hi > width:
+            raise ConfigurationError(
+                f"gap [{gap_lo:.3e}, {gap_hi:.3e}] does not fit inside the guide width {width:.3e}"
+            )
+        return f0_shifted, width, width_narrowed, gap_lo, gap_hi
 
 
 @dataclass(frozen=True)
@@ -234,16 +259,7 @@ def run_barrier_monte_carlo(spec: BarrierSpec,
     rectangular barrier rides along as the comparator.
     """
     k = constants or electron_constants()
-    f0 = k.cutoff_frequency
-    f0_shifted = f0 + spec.height / k.h
-    width = k.c / (2.0 * f0)
-    width_narrowed = k.c / (2.0 * f0_shifted)
-    gap_lo = 0.5 * width + spec.gap_offset - 0.5 * width_narrowed
-    gap_hi = 0.5 * width + spec.gap_offset + 0.5 * width_narrowed
-    if gap_lo < 0.0 or gap_hi > width:
-        raise ConfigurationError(
-            f"gap [{gap_lo:.3e}, {gap_hi:.3e}] does not fit inside the guide width {width:.3e}"
-        )
+    f0_shifted, width, width_narrowed, gap_lo, gap_hi = spec.geometry(k)
     f_wave = (k.rest_energy + spec.energy) / k.h
     above_cutoff = f_wave >= f0_shifted
     p_tunnel = 0.0

@@ -41,6 +41,13 @@ from .solvers import _Recorder, step_count
 DEFAULT_NODE_THRESHOLD = 1e-6
 
 
+def check_node_threshold(node_threshold: float) -> float:
+    """node_threshold if it lies in (0, 1), where a support can be defined."""
+    if not 0.0 < node_threshold < 1.0:
+        raise DomainError(f"node_threshold must lie in (0, 1), got {node_threshold}")
+    return node_threshold
+
+
 @dataclass(frozen=True)
 class MadelungField:
     """Polar form of a wavefunction: amplitude R >= 0 and unwrapped action S.
@@ -125,7 +132,7 @@ def decompose(psi: ComplexField, node_threshold: float = DEFAULT_NODE_THRESHOLD,
     peak = float(r.max())
     if peak == 0.0:
         raise NodeError("field is identically zero", psi.grid.z)
-    mask = r >= node_threshold * peak
+    mask = r >= check_node_threshold(node_threshold) * peak
     support, start, gaps = _support_segments(mask)
     if gaps.size:
         raise NodeError(

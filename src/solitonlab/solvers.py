@@ -48,8 +48,12 @@ CONVENTIONS = {
 
 
 def step_count(dt: float, t_final: float) -> int:
-    """Number of steps dt spanning t_final; rejects a non-integer ratio."""
-    steps = int(round(t_final / dt))
+    """Number of steps dt spanning t_final; rejects a non-integer ratio
+    and a dt that is not positive and finite."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    ratio = t_final / dt
+    steps = int(round(ratio)) if math.isfinite(ratio) else 0
     if steps < 1 or abs(steps * dt - t_final) > 1e-6 * max(t_final, dt):
         raise ConfigurationError(
             f"t_final = {t_final} is not an integer multiple of dt = {dt}"
@@ -104,11 +108,9 @@ class SolverConfig:
 def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
     """All guard violations for this config on this grid (empty = runnable)."""
     problems = []
-    if config.dt <= 0.0:
-        problems.append(f"dt must be positive, got {config.dt}")
-        return problems
-    if config.t_final < config.dt:
-        problems.append(f"t_final = {config.t_final} is below one step dt = {config.dt}")
+    for name in ("snapshot_every", "observe_every"):
+        if getattr(config, name) < 0:
+            problems.append(f"{name} must be >= 0, got {getattr(config, name)}")
     try:
         config.n_steps()
     except ConfigurationError as err:
@@ -126,7 +128,9 @@ def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
                 f"dt * max|V| = {config.dt * float(np.max(np.abs(pot))):.3g} exceeds the "
                 f"accuracy guard {MAX_POTENTIAL_PHASE_PER_STEP}"
             )
-    if config.scheme is Scheme.KLEIN_GORDON:
+    if config.scheme is Scheme.KLEIN_GORDON and not config.c > 0.0:
+        problems.append(f"c must be positive, got {config.c}")
+    elif config.scheme is Scheme.KLEIN_GORDON:
         bound_cfl = LEAPFROG_SAFETY * grid.dz / config.c
         k_max = math.pi / grid.dz
         bound_spectral = LEAPFROG_SAFETY * 2.0 / math.hypot(config.omega0, config.c * k_max)

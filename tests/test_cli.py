@@ -3,8 +3,19 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from solitonlab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main, validate
+from solitonlab.cli import (
+    EXIT_CONFIG,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    apply_overrides,
+    load_config,
+    main,
+    validate,
+)
+from solitonlab.errors import ConfigurationError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
@@ -178,3 +189,105 @@ def test_dotted_override_crosses_scalar(tmp_path, capsys):
     code = main(["validate", "--config", str(CONFIG_DIR / "gaussian-linear.json"),
                  "--set", "scheme.sub=1"])
     assert code == EXIT_CONFIG
+
+
+# ---------------------------------------------------------------------------
+# validate and a run read a config through the same prepare step
+# ---------------------------------------------------------------------------
+
+def _argv(config: str, overrides: list[str]) -> list[str]:
+    path = CONFIG_DIR / config
+    experiment = json.loads(path.read_text())["experiment"]
+    return [experiment, "--config", str(path)] + [f"--set={o}" for o in overrides]
+
+
+@pytest.mark.parametrize("config, overrides, field", [
+    ("gaussian-linear.json", ["solver.dt=NaN"], "solver.dt"),
+    ("gaussian-linear.json", ["solver.t_final=Infinity"], "solver.t_final"),
+    ("gaussian-linear.json", ["potential=5"], "potential"),
+    ("gaussian-linear.json", ["solver.observe_every=-1"], "observe_every"),
+    ("gaussian-linear.json", ["solver.dt=0"], "dt"),
+    ("gaussian-linear.json", ["potential.kind=tabulated", 'potential.values=["a"]'],
+     "potential.values"),
+    ("kg-plane-wave.json", ["solver.probe_index=1.5"], "solver.probe_index"),
+    ("kg-plane-wave.json", ["solver.c=0"], "c"),
+    ("dichotomy.json", ["n=abc"], "n"),
+    ("dichotomy.json", ["n=1000"], "n"),
+    ("dichotomy.json", ["observe_every=1.5"], "observe_every"),
+    ("dichotomy.json", ["t_final=0.0105"], "t_final"),
+    ("madelung-gaussian.json", ["node_threshold=-1"], "node_threshold"),
+    ("madelung-gaussian.json", ["scheme=nls"], "scheme"),
+    ("barrier-gap08.json", ["gap_offset_m=1e-12"], "gap"),
+    ("barrier-gap08.json", ["trials=1.5"], "trials"),
+    ("gaussian-linear.json", ["solver.t_final=0.01"], None),
+    ("barrier-gap08.json", ["trials=1000"], None),
+])
+def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
+    monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
+    problems = validate(apply_overrides(load_config(CONFIG_DIR / config), overrides))
+    code = main(_argv(config, overrides))
+    assert code == (EXIT_CONFIG if problems else EXIT_OK)
+    if field is None:
+        assert problems == []
+    else:
+        assert len(problems) == 1 and field in problems[0]
+        assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["evolve", "--packet", "breather,amplitude=x"], "amplitude=x"),
+    (["evolve", "--packet", "breather,amplitude"], "amplitude"),
+    (["kinematics", "--v", "abcc"], "v"),
+    (["bohr", "--n-max", "0"], "n_max"),
+])
+def test_flag_forms_fail_as_config_errors(argv, field, capsys):
+    assert main(argv) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_parallel_trials_below_one_rejected(workers, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["barrier", "--config", str(CONFIG_DIR / "barrier-gap08.json"),
+              "--parallel-trials", workers])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--parallel-trials" in capsys.readouterr().err
+
+
+def _field_paths(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        if key != "experiment":
+            yield prefix + key
+            if isinstance(value, dict):
+                yield from _field_paths(value, f"{prefix}{key}.")
+
+
+FUZZ_FIELDS = [(config.name, path) for config in SHIPPED
+               for path in _field_paths(json.loads(config.read_text()))]
+FUZZ_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "1.5", '"x"', "[]", "{}",
+               "null", "true", "3", "1e-3", "[1,2]"]
+# runs stay a few hundred steps and trials at most 1e4; applied after the
+# drawn override, so they win where both set the same field
+RUN_PINS = {"dichotomy.json": ["t_final=0.05"], "barrier-gap08.json": ["trials=1000"]}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
+def test_validate_exit_code_property(field, value):
+    config, path = field
+    code = main(["validate", "--config", str(CONFIG_DIR / config), "--set", f"{path}={value}"])
+    assert code in (EXIT_OK, EXIT_CONFIG)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
+def test_run_agrees_with_validate_property(field, value, monkeypatch):
+    monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
+    config, path = field
+    overrides = [f"{path}={value}"] + RUN_PINS.get(config, ["solver.t_final=0.05"])
+    try:
+        problems = validate(apply_overrides(load_config(CONFIG_DIR / config), overrides))
+    except ConfigurationError:  # an override path crosses a non-object
+        problems = ["override"]
+    assert main(_argv(config, overrides)) == (EXIT_CONFIG if problems else EXIT_OK)

@@ -58,6 +58,15 @@ class TestDichotomy:
         assert not 0.99 <= result.ratios["nls"] <= 1.01
         assert result.verdicts["nls"].startswith("not a soliton")
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"observe_every": -1}, "observe_every"),
+        ({"t_final": 0.0105}, "integer multiple"),
+        ({"dt": 0.0}, "dt"),
+    ])
+    def test_settings_checked_at_construction(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            DichotomySettings(**kwargs)
+
     def test_report_dict_shape(self):
         result = run_dispersion_vs_soliton(
             DichotomySettings(n=512, z_min=-25.6, z_max=25.6, t_final=0.5))
@@ -132,6 +141,8 @@ class TestBarrierMonteCarlo:
                            gap_offset=0.5 * w)
         with pytest.raises(ConfigurationError):
             run_barrier_monte_carlo(spec)
+        with pytest.raises(ConfigurationError):
+            spec.geometry()
 
     def test_offset_shifts_statistics_not_fraction(self):
         # a centered triangle-wave phase is uniform in position, so a

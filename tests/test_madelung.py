@@ -76,6 +76,12 @@ class TestDecompose:
             decompose(ComplexField(grid512, vals))
         assert np.min(np.abs(err.value.locations)) < 0.2
 
+    @pytest.mark.parametrize("threshold", [-1.0, 0.0, 1.0, 2.0])
+    def test_node_threshold_outside_unit_interval_rejected(self, grid512, threshold):
+        psi = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0), grid512)
+        with pytest.raises(DomainError, match="node_threshold"):
+            decompose(psi, node_threshold=threshold)
+
     def test_support_excludes_far_tails(self, grid512):
         psi = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0), grid512)
         m = decompose(psi)

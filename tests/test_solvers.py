@@ -20,6 +20,7 @@ from solitonlab import (
     one_branch_time_derivative,
     validate_solver_config,
 )
+from solitonlab.solvers import step_count
 
 
 def l2_error(field: ComplexField, exact: np.ndarray) -> float:
@@ -257,3 +258,27 @@ def test_t_final_must_be_step_multiple(grid512):
     with pytest.raises(ConfigurationError):
         evolve_linear_schrodinger(psi0, SolverConfig(
             scheme=Scheme.LINEAR_SCHRODINGER, dt=3e-3, t_final=1.0))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, math.nan, math.inf])
+def test_step_count_rejects_dt_not_positive_and_finite(dt):
+    with pytest.raises(ConfigurationError, match="dt"):
+        step_count(dt, 1.0)
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf])
+def test_step_count_rejects_t_final_not_finite(t_final):
+    with pytest.raises(ConfigurationError, match="t_final"):
+        step_count(1e-3, t_final)
+
+
+@pytest.mark.parametrize("cadence", ["snapshot_every", "observe_every"])
+def test_negative_cadence_rejected(grid512, cadence):
+    config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.1,
+                          **{cadence: -1})
+    assert any(cadence in p for p in validate_solver_config(config, grid512))
+
+
+def test_klein_gordon_needs_positive_c(grid512):
+    config = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=1e-3, t_final=0.1, c=0.0)
+    assert validate_solver_config(config, grid512) == ["c must be positive, got 0.0"]
