@@ -387,6 +387,8 @@ def _run_barrier(spec: BarrierSpec, args) -> tuple[dict, list[RunReport]]:
     print(f"  transmission fraction {report.transmission_fraction:.6f} "
           f"+/- {report.standard_error:.6f}")
     print(f"  geometric gap fraction {report.geometric_gap_fraction:.6f}")
+    z = "undefined" if report.z_score is None else f"{report.z_score:+.2f}"
+    print(f"  expected fraction {report.expected_fraction:.6f}  z-score {z}")
     print(f"  linear-equation transmission {report.linear_transmission:.6f}")
     return report.to_dict(), []
 

@@ -205,6 +205,8 @@ class MonteCarloReport:
     transmission_fraction: float
     standard_error: float
     geometric_gap_fraction: float
+    expected_fraction: float
+    z_score: float | None
     linear_transmission: float
     trials: int
     seed: int
@@ -219,6 +221,8 @@ class MonteCarloReport:
             "transmission_fraction": self.transmission_fraction,
             "standard_error": self.standard_error,
             "geometric_gap_fraction": self.geometric_gap_fraction,
+            "expected_fraction": self.expected_fraction,
+            "z_score": self.z_score,
             "linear_transmission": self.linear_transmission,
             "trials": self.trials,
             "seed": self.seed,
@@ -291,13 +295,20 @@ def run_barrier_monte_carlo(spec: BarrierSpec,
     tunneled = sum(r[1] for r in results)
     reflected = spec.trials - transmitted - tunneled
     p_hat = (transmitted + tunneled) / spec.trials
+    gap_fraction = width_narrowed / width
+    # the triangle-wave image of a uniform phase is uniform on [0, w], so a
+    # trial lands in the gap with probability exactly w'/w
+    expected = gap_fraction if above_cutoff else gap_fraction * p_tunnel
+    variance = expected * (1.0 - expected) / spec.trials
     return MonteCarloReport(
         transmitted=transmitted,
         reflected=reflected,
         tunneled=tunneled,
         transmission_fraction=p_hat,
         standard_error=math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / spec.trials),
-        geometric_gap_fraction=width_narrowed / width,
+        geometric_gap_fraction=gap_fraction,
+        expected_fraction=expected,
+        z_score=(p_hat - expected) / math.sqrt(variance) if variance > 0.0 else None,
         linear_transmission=linear_barrier_transmission(spec, k),
         trials=spec.trials,
         seed=spec.seed,

@@ -374,7 +374,12 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
     d s/dt    = -[(kappa + s_z)^2 / (2m) + V_periodic] (periodic action part)
     d kappa/dt = -potential_slope                      (linear action slope)
 
-    All spatial derivatives are spectral (real FFTs) on periodic quantities.  By
+    All spatial derivatives are spectral (real FFTs) on periodic quantities.
+    The state carries u = ds/dz as a third row next to (R^2, s): the
+    derivative is linear and commutes with the RK4 combination, so u
+    equals the derivative of s at every stage up to roundoff, and each
+    stage takes d/dz of the flux and of (kappa + u)^2/(2m) + V together
+    in one batched rfft/irfft pair (u_t = -d/dz of the latter).  By
     construction there is no curvature term, so any node-free envelope is
     transported by the classical flow; with a uniform action slope it
     translates rigidly.  A mid-run CFL violation (possible: the classical
@@ -395,20 +400,38 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
     n_steps = config.n_steps()
     dt = config.dt
     mass = config.mass
-    kappa0, s_tilde = _extract_linear_slope(initial)
-    rho = initial.R.astype(float) ** 2
+    n = grid.n
+    minus_ik = -grid._ik_half  # real-FFT half spectrum of -d/dz, Nyquist zeroed
+    kappa, s_tilde = _extract_linear_slope(initial)
     z = grid.z
     cfl_limit = config.cfl * grid.dz
+    dkappa = -config.potential_slope
+    # y = (rho, s, u = d s/dz); k holds the four stage derivatives of y
+    y = np.empty((3, n))
+    y[0] = initial.R ** 2
+    y[1] = s_tilde
+    y[2] = real_spectral_derivative(s_tilde, grid)
+    k = np.empty((4, 3, n))
+    tmp = np.empty((3, n))
+    acc = np.empty((3, n))
+    s_z = np.empty(n)
+    pair = np.empty((2, n))
+    spec = np.empty((2, n // 2 + 1), dtype=complex)
 
-    def rhs(state):
-        rho_c, s_c, kappa_c = state
-        s_z = kappa_c + real_spectral_derivative(s_c, grid)
-        flux = rho_c * s_z / mass
-        drho = -real_spectral_derivative(flux, grid)
-        ds = -(s_z**2 / (2.0 * mass) + v_per)
-        return drho, ds, -config.potential_slope, s_z
+    def rhs(y_c, kappa_c, out):
+        """Write d/dt (rho, s, u) at (y_c, kappa_c) into out; s_z holds kappa_c + u."""
+        np.add(y_c[2], kappa_c, out=s_z)
+        np.multiply(y_c[0], s_z, out=pair[0])
+        pair[0] /= mass
+        np.square(s_z, out=pair[1])
+        pair[1] /= 2.0 * mass
+        pair[1] += v_per
+        np.fft.rfft(pair, out=spec)
+        np.multiply(spec, minus_ik, out=spec)
+        np.fft.irfft(spec, n, out=out[::2])  # rho_t and u_t
+        np.negative(pair[1], out=out[1])
 
-    def check_cfl(step, s_z):
+    def check_cfl(step):
         u_max = float(np.max(np.abs(s_z))) / mass
         if u_max * dt > cfl_limit:
             raise NumericalError(
@@ -429,28 +452,27 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         rec.record(step, recompose(fld), extra={"rho_integral": float(np.sum(rho_c) * grid.dz)},
                    snapshot_extra=columns)
 
-    record(0, rho, s_tilde, kappa0)
-    state = (rho, s_tilde, kappa0)
+    record(0, y[0], y[1], kappa)
     for step in range(1, n_steps + 1):
-        k1 = rhs(state)
-        check_cfl(step, k1[3])
-        s1 = (state[0] + 0.5 * dt * k1[0], state[1] + 0.5 * dt * k1[1],
-              state[2] + 0.5 * dt * k1[2])
-        k2 = rhs(s1)
-        s2 = (state[0] + 0.5 * dt * k2[0], state[1] + 0.5 * dt * k2[1],
-              state[2] + 0.5 * dt * k2[2])
-        k3 = rhs(s2)
-        s3 = (state[0] + dt * k3[0], state[1] + dt * k3[1], state[2] + dt * k3[2])
-        k4 = rhs(s3)
-        state = (
-            state[0] + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-            state[1] + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            state[2] + dt / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        )
-        if not np.all(np.isfinite(state[0])) or not np.all(np.isfinite(state[1])):
+        rhs(y, kappa, k[0])
+        check_cfl(step)
+        for j, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+            np.multiply(k[j - 1], h, out=tmp)
+            tmp += y
+            rhs(tmp, kappa + h * dkappa, k[j])
+        # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        np.multiply(k[1], 2.0, out=acc)
+        acc += k[0]
+        np.multiply(k[2], 2.0, out=tmp)
+        acc += tmp
+        acc += k[3]
+        acc *= dt / 6.0
+        y += acc
+        kappa = kappa + dt / 6.0 * (dkappa + 2.0 * dkappa + 2.0 * dkappa + dkappa)
+        if not np.all(np.isfinite(y)):
             raise NumericalError(f"transport state blew up at step {step}")
         if rec.observe_now(step) or rec.snapshot_now(step):
-            record(step, *state)
+            record(step, y[0], y[1], kappa)
 
     report = rec.build("dispersionless_transport", grid, {})
     arr = report.observable("rho_integral")

@@ -64,23 +64,20 @@ def write_snapshot_csv(path: Path, snapshot: Snapshot) -> None:
     """CSV with columns (z, re, im, abs2) plus any extra columns.
 
     Grid metadata and the snapshot time ride in '#' comment lines before
-    the header row.
+    the header row.  Values are written as repr(float) and rows end in
+    "\r\n", as csv.writer writes them; a float repr never needs quoting.
     """
     grid = snapshot.field.grid
     vals = snapshot.field.values
     extra_names = sorted(snapshot.extra)
+    columns = [grid.z, vals.real, vals.imag, np.abs(vals) ** 2]
+    columns += [np.asarray(snapshot.extra[name], dtype=float) for name in extra_names]
+    rows = zip(*(map(repr, col.tolist()) for col in columns))
     with open(path, "w", newline="") as fh:
         fh.write(f"# t = {snapshot.t!r}\n")
         fh.write(f"# n = {grid.n} z_min = {grid.z_min!r} z_max = {grid.z_max!r} dz = {grid.dz!r}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["z", "re", "im", "abs2"] + extra_names)
-        z = grid.z
-        abs2 = np.abs(vals) ** 2
-        for j in range(grid.n):
-            row = [repr(float(z[j])), repr(float(vals[j].real)),
-                   repr(float(vals[j].imag)), repr(float(abs2[j]))]
-            row += [repr(float(snapshot.extra[name][j])) for name in extra_names]
-            writer.writerow(row)
+        csv.writer(fh).writerow(["z", "re", "im", "abs2"] + extra_names)
+        fh.write("".join(",".join(row) + "\r\n" for row in rows))
 
 
 def read_snapshot_csv(path: Path) -> tuple[float, dict[str, np.ndarray]]:

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -133,6 +134,45 @@ class TestBarrierMonteCarlo:
         expected = report.geometric_gap_fraction * report.model["tunnel_probability"]
         sigma = math.sqrt(expected * (1 - expected) / spec.trials)
         assert abs(report.transmission_fraction - expected) <= 4 * sigma
+
+    def test_expected_fraction_and_z_score(self):
+        # the criterion-12 spec: above cutoff, the expectation is w'/w
+        spec = _spec_gap_08(trials=10**6, seed=20240817)
+        report = run_barrier_monte_carlo(spec)
+        assert report.transmitted == 800198  # the RNG stream is unchanged
+        assert report.expected_fraction == report.geometric_gap_fraction
+        sigma = math.sqrt(0.8 * 0.2 / spec.trials)
+        assert report.z_score == pytest.approx(
+            (report.transmission_fraction - report.expected_fraction) / sigma, rel=1e-9)
+        assert abs(report.z_score) <= 4
+        d = report.to_dict()
+        assert d["expected_fraction"] == report.expected_fraction
+        assert d["z_score"] == report.z_score
+
+    def test_below_cutoff_expected_fraction(self):
+        spec = BarrierSpec(height=0.5 * K.rest_energy, length=2e-13,
+                           energy=0.1 * K.rest_energy, trials=200_000, seed=7)
+        report = run_barrier_monte_carlo(spec)
+        p_tunnel = report.model["tunnel_probability"]
+        assert 0.0 < p_tunnel < 1.0
+        assert report.expected_fraction == pytest.approx(
+            report.geometric_gap_fraction * p_tunnel, rel=1e-15)
+        expected = report.expected_fraction
+        sigma = math.sqrt(expected * (1 - expected) / spec.trials)
+        assert report.z_score == pytest.approx(
+            (report.transmission_fraction - expected) / sigma, rel=1e-9)
+        assert abs(report.z_score) <= 4
+
+    def test_z_score_null_without_variance(self):
+        # a long barrier far below cutoff: the tunnel probability underflows
+        # to 0, so the expectation has no variance and no z-score
+        spec = BarrierSpec(height=0.5 * K.rest_energy, length=1e-9,
+                           energy=0.1 * K.rest_energy, trials=1000, seed=7)
+        report = run_barrier_monte_carlo(spec)
+        assert report.expected_fraction == 0.0
+        assert report.transmission_fraction == 0.0
+        assert report.z_score is None
+        assert json.loads(json.dumps(report.to_dict()))["z_score"] is None
 
     def test_gap_offset_must_fit(self):
         w = K.c / (2 * K.cutoff_frequency)

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -184,3 +185,41 @@ def test_snapshot_csv_round_trip(tmp_path, grid512):
     assert np.allclose(cols["re"] + 1j * cols["im"], f.values)
     assert np.allclose(cols["abs2"], np.abs(f.values) ** 2)
     assert np.allclose(cols["R"], extra["R"])
+
+
+def _row_loop_csv(path, snapshot):
+    """The snapshot CSV written the straightforward way: csv.writer, one row
+    of repr(float) values per grid point."""
+    grid = snapshot.field.grid
+    vals = snapshot.field.values
+    names = sorted(snapshot.extra)
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# t = {snapshot.t!r}\n")
+        fh.write(f"# n = {grid.n} z_min = {grid.z_min!r} z_max = {grid.z_max!r} dz = {grid.dz!r}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["z", "re", "im", "abs2"] + names)
+        abs2 = np.abs(vals) ** 2
+        for j in range(grid.n):
+            row = [repr(float(grid.z[j])), repr(float(vals[j].real)),
+                   repr(float(vals[j].imag)), repr(float(abs2[j]))]
+            writer.writerow(row + [repr(float(snapshot.extra[name][j])) for name in names])
+
+
+def test_snapshot_csv_bytes_match_row_loop(tmp_path):
+    grid = Grid1D(32, -1.6, 1.6)
+    rng = np.random.default_rng(5)
+    special = np.array([-0.0, 5e-324, 1e20, 1e-5, -1e-300, 1.0 / 3.0, 0.0, -7.0])
+    values = rng.normal(size=32) * 10.0 ** rng.integers(-12, 12, 32)
+    values[:8] = special
+    psi = ComplexField(grid, values + 1j * np.roll(special.repeat(4), 3))
+    extra = {
+        "Q": np.roll(values, 5),
+        "S": special.repeat(4),
+        "R": np.arange(32),  # integer column, written as floats
+        "V2": rng.random(32).astype(np.float32),
+    }
+    for t, cols in ((0.1 + 0.2, extra), (0.0, {})):
+        snapshot = Snapshot(t, psi, cols)
+        write_snapshot_csv(tmp_path / "fast.csv", snapshot)
+        _row_loop_csv(tmp_path / "loop.csv", snapshot)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()

@@ -1,11 +1,14 @@
-"""The FFT-bound step kernels: cached grid arrays, the real-FFT transport
-derivative, the merged NLS Strang step, and how many FFTs each step makes.
+"""The FFT-bound step kernels: cached grid arrays, the real-FFT derivative,
+the batched transport RK4, the merged NLS Strang step, and how many FFTs
+each step makes.
 
 The references here are written out in the tests (the unmerged Strang
-loop, the complex-FFT derivative) so the kernels are checked against
-the straightforward form of the same arithmetic.
+loop, the tuple-form transport RK4 with complex-FFT derivatives) so the
+kernels are checked against the straightforward form of the same
+arithmetic.
 """
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -167,35 +170,99 @@ def test_nls_fft_count_with_recording_off(monkeypatch, grid512):
 # ---------------------------------------------------------------------------
 
 def _moving_packet_run(grid: Grid1D, n_steps: int):
+    """(report, config, initial state) of a v = 1 packet in a cosine potential."""
     v = 0.05 * np.cos(2 * np.pi * grid.z / grid.length)
     config = DispersionlessConfig(dt=1e-3, t_final=n_steps * 1e-3, velocity=1.0,
                                   potential=v, observe_every=10, snapshot_every=50)
-    return evolve_dispersionless(dispersionless_initial(config, grid, center=-5.0), config)
+    initial = dispersionless_initial(config, grid, center=-5.0)
+    return evolve_dispersionless(initial, config), config, initial
 
 
-def test_real_fft_transport_matches_complex_reference(monkeypatch, grid512):
-    report = _moving_packet_run(grid512, 200)
-    monkeypatch.setattr(madelung, "real_spectral_derivative",
-                        lambda values, grid: spectral_derivative(values, grid, 1).real)
-    reference = _moving_packet_run(grid512, 200)
+def _tuple_rk4_reference(initial, config: DispersionlessConfig, grid: Grid1D):
+    """The transport RK4 in its straightforward form: (R^2, s, kappa) as a
+    tuple, s_z recomputed from s at every stage with the complex-FFT
+    derivative.  Returns {step: (R^2, s, kappa)} for every step."""
+    v = config.potential
+    mass, dt = config.mass, config.dt
+    kappa0, s0 = madelung._extract_linear_slope(initial)
 
-    assert np.array_equal(report.times, reference.times)
-    for key, values in reference.observables.items():
-        assert np.max(np.abs(report.observable(key) - values)) <= 1e-10
-    assert len(report.snapshots) == len(reference.snapshots) == 5
-    for got, ref in zip(report.snapshots, reference.snapshots):
+    def rhs(state):
+        rho, s, kappa = state
+        s_z = kappa + spectral_derivative(s, grid, 1).real
+        drho = -spectral_derivative(rho * s_z / mass, grid, 1).real
+        return drho, -(s_z**2 / (2.0 * mass) + v), -config.potential_slope
+
+    def axpy(state, h, k):
+        return tuple(a + h * b for a, b in zip(state, k))
+
+    state = (initial.R ** 2, s0, kappa0)
+    states = {0: state}
+    for step in range(1, config.n_steps() + 1):
+        k1 = rhs(state)
+        k2 = rhs(axpy(state, 0.5 * dt, k1))
+        k3 = rhs(axpy(state, 0.5 * dt, k2))
+        k4 = rhs(axpy(state, dt, k3))
+        state = tuple(a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                      for a, b1, b2, b3, b4 in zip(state, k1, k2, k3, k4))
+        states[step] = state
+    return states
+
+
+def test_real_fft_transport_matches_complex_reference(grid512):
+    report, config, initial = _moving_packet_run(grid512, 200)
+    states = _tuple_rk4_reference(initial, config, grid512)
+
+    steps = [round(t / config.dt) for t in report.times]
+    assert steps == [0, *range(10, 201, 10)]
+    for i, step in enumerate(steps):
+        rho, s, kappa = states[step]
+        r = np.sqrt(np.clip(rho, 0.0, None))
+        expected = observables(ComplexField(grid512, r * np.exp(1j * (kappa * grid512.z + s))))
+        expected["rho_integral"] = float(np.sum(rho) * grid512.dz)
+        for key, value in expected.items():
+            assert abs(report.observable(key)[i] - value) <= 1e-10
+    assert len(report.snapshots) == 5
+    for snap in report.snapshots:
+        rho, s, kappa = states[round(snap.t / config.dt)]
         # the evolved state is (R^2, S).  R = sqrt(R^2) turns roundoff-level
         # density in the far tails into ~1e-9, so the field is compared on
         # the support.  Q = -R''/(2R) is left out: dividing the spectral
         # R'' of that tail noise by a small R amplifies roundoff to ~1e-3
         # at the support edge, in either transform.
-        support = ref.extra["R"] >= 1e-6 * np.max(ref.extra["R"])
-        assert np.max(np.abs(got.extra["R"] ** 2 - ref.extra["R"] ** 2)) <= 1e-10
-        assert np.max(np.abs(got.extra["S"] - ref.extra["S"])) <= 1e-10
-        assert np.max(np.abs(got.field.values - ref.field.values)[support]) <= 1e-10
+        r = np.sqrt(np.clip(rho, 0.0, None))
+        support = r >= 1e-6 * np.max(r)
+        psi = r * np.exp(1j * (kappa * grid512.z + s))
+        assert np.max(np.abs(snap.extra["R"] ** 2 - rho)) <= 1e-10
+        assert np.max(np.abs(snap.extra["S"] - (kappa * grid512.z + s))) <= 1e-10
+        assert np.max(np.abs(snap.field.values - psi)[support]) <= 1e-10
     # the packet really moved
     centroid = report.observable("centroid")
     assert centroid[-1] - centroid[0] == pytest.approx(0.2, abs=1e-3)
+
+
+def test_carried_slope_tracks_the_action_derivative(monkeypatch, grid512):
+    # u = ds/dz rides in the RK4 state; at each record step it must still
+    # equal the derivative of the carried s, with a potential and a slope g
+    carried = []
+    original = madelung.MadelungField
+
+    def capture(grid, R, S, **kwargs):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "record":
+            y = frame.f_back.f_locals["y"]
+            carried.append((y[1].copy(), y[2].copy()))
+        return original(grid, R, S, **kwargs)
+
+    monkeypatch.setattr(madelung, "MadelungField", capture)
+    v = 0.05 * np.cos(2 * np.pi * grid512.z / grid512.length)
+    config = DispersionlessConfig(dt=1e-3, t_final=2.0, velocity=1.0, potential=v,
+                                  potential_slope=0.4, observe_every=100)
+    evolve_dispersionless(dispersionless_initial(config, grid512, center=-5.0), config)
+    assert len(carried) == 21
+    worst = max(np.max(np.abs(u - real_spectral_derivative(s, grid512))) for s, u in carried)
+    assert worst <= 1e-10
+    # the run is not trivial: s moved away from its initial value
+    assert np.max(np.abs(carried[-1][1] - carried[0][1])) > 1e-2
 
 
 def test_transport_steps_make_no_complex_ffts(monkeypatch, grid512):
@@ -211,6 +278,7 @@ def test_transport_steps_make_no_complex_ffts(monkeypatch, grid512):
     # snapshot (steps 0, 50 and 0, 50, 100), never from a step
     assert short["fft"] == short["ifft"] == 2
     assert long["fft"] == long["ifft"] == 3
-    # four RK4 stages, two real derivatives each, one rfft/irfft pair per derivative
-    assert short["rfft"] == short["irfft"] == 8 * 50
-    assert long["rfft"] == long["irfft"] == 8 * 100
+    # four RK4 stages, one batched rfft/irfft pair each, plus one pair for
+    # the initial ds/dz
+    assert short["rfft"] == short["irfft"] == 4 * 50 + 1
+    assert long["rfft"] == long["irfft"] == 4 * 100 + 1
