@@ -23,19 +23,23 @@ from .kinematics import PhysicalConstants, electron_constants
 #: localized packets must stay below this fraction of their peak at the
 #: periodic boundary, otherwise wrap-around contaminates the run
 BOUNDARY_AMPLITUDE_FRACTION = 1e-8
+#: largest grid: 2^20 points keep a field at 16 MiB and a step in milliseconds
+MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid of n points on [z_min, z_max), n a power of two."""
+    """Uniform periodic grid of n points on [z_min, z_max), n a power of two
+    between 16 and MAX_GRID_POINTS."""
 
     n: int
     z_min: float
     z_max: float
 
     def __post_init__(self):
-        if self.n < 16 or (self.n & (self.n - 1)) != 0:
-            raise ConfigurationError(f"n must be a power of two >= 16, got {self.n}")
+        if not 16 <= self.n <= MAX_GRID_POINTS or (self.n & (self.n - 1)) != 0:
+            raise ConfigurationError(
+                f"n must be a power of two between 16 and {MAX_GRID_POINTS}, got {self.n}")
         if not self.z_max > self.z_min:
             raise ConfigurationError("z_max must exceed z_min")
         # cached outside the dataclass fields, so eq/hash/repr ignore them;

@@ -440,7 +440,7 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
                 "the classical flow may be forming a shock"
             )
 
-    rec = _Recorder(config, n_steps)
+    rec = _Recorder(config, n_steps, grid)
 
     def record(step, rho_c, s_c, kappa_c):
         r_now = np.sqrt(np.clip(rho_c, 0.0, None))
@@ -449,7 +449,8 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         fld = MadelungField(grid, r_now, s_full, hbar=config.hbar, support=support_now)
         columns = ({"R": r_now, "S": s_full, "Q": quantum_potential(fld, mass)}
                    if rec.snapshot_now(step) else None)
-        rec.record(step, recompose(fld), extra={"rho_integral": float(np.sum(rho_c) * grid.dz)},
+        rec.record(step, recompose(fld).values,
+                   extra={"rho_integral": float(np.sum(rho_c) * grid.dz)},
                    snapshot_extra=columns)
 
     record(0, y[0], y[1], kappa)
@@ -474,7 +475,7 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         if rec.observe_now(step) or rec.snapshot_now(step):
             record(step, y[0], y[1], kappa)
 
-    report = rec.build("dispersionless_transport", grid, {})
+    report = rec.build("dispersionless_transport", {})
     arr = report.observable("rho_integral")
     report.conservation = {
         "rho_integral_initial": float(arr[0]),

@@ -9,18 +9,24 @@ factor of two in the kinetic term):
 
 The Schrodinger-type equations use Strang split-step Fourier: half
 sub-steps of the potential (linear) or kinetic (cubic) part around a full
-step of the other.  The cubic scheme merges each closing kinetic half
-step with the next opening one (Weideman & Herbst 1986), so a step costs
-one FFT pair.  Every sub-step is a pointwise or diagonal phase
-multiplication, so the scheme is exactly unitary up to roundoff, and the
-nonlinear sub-flow of the cubic equation integrates exactly (|phi| is
-invariant under it).  The second-order equation is integrated by
-leapfrog with a spectral Laplacian; its initial time derivative is
-caller-supplied because the equation genuinely needs two Cauchy data.
+step of the other.  Each scheme merges the closing half step of one step
+with the opening one of the next (Weideman & Herbst 1986).  The cubic
+scheme then costs one FFT pair per step.  The linear scheme holds its
+state as a spectrum between steps: with a potential a step costs one FFT
+pair, without one the step is a single diagonal multiplication.  Every
+sub-step is a pointwise or diagonal phase multiplication, so the scheme
+is exactly unitary up to roundoff, and the nonlinear sub-flow of the
+cubic equation integrates exactly (|phi| is invariant under it).  The
+second-order equation is integrated by leapfrog with a spectral
+Laplacian.  It has constant coefficients, so the leapfrog steps the
+spectra mode by mode and makes no FFT per step.  Its initial time
+derivative is caller-supplied because the equation genuinely needs two
+Cauchy data.
 
-Solver kernels keep the hot loop allocation-light; observable extraction
-and snapshot recording run on a configurable cadence decoupled from
-stepping.
+Observable extraction and snapshot recording run on a configurable
+cadence decoupled from stepping; only a record step transforms a
+spectral state back to z.  A record step whose field or recorded
+quantity is not finite raises NumericalError.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .grid import ComplexField, Grid1D, observables
 from .report import RunReport, Snapshot
 
@@ -158,16 +164,26 @@ def _require_valid(config: SolverConfig, grid: Grid1D, scheme: Scheme) -> None:
         raise ConfigurationError("; ".join(problems))
 
 
+def _require_finite(quantities: dict, step: int, t: float) -> None:
+    """Raise NumericalError naming the first quantity (float or array) that is not finite."""
+    for name, value in quantities.items():
+        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+            raise NumericalError(f"{name} is not finite at step {step} (t = {t:.6g})")
+
+
 class _Recorder:
     """Accumulates the observable series and snapshots on the set cadence.
 
     config is a SolverConfig or a madelung.DispersionlessConfig: both give
     dt, the two cadences and config_echo; only the former has a probe.
+    A record step whose field or recorded quantity is not finite raises
+    NumericalError, so a run that blew up cannot report success.
     """
 
-    def __init__(self, config, n_steps: int):
+    def __init__(self, config, n_steps: int, grid: Grid1D):
         self.config = config
         self.n_steps = n_steps
+        self.grid = grid
         self.probe_index = getattr(config, "probe_index", None)
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {}
@@ -183,27 +199,30 @@ class _Recorder:
             return True
         return self.config.snapshot_every > 0 and step % self.config.snapshot_every == 0
 
-    def record(self, step: int, field: ComplexField, extra: dict[str, float] | None = None,
+    def record(self, step: int, values: np.ndarray, extra: dict[str, float] | None = None,
                snapshot_extra: dict[str, np.ndarray] | None = None) -> None:
         t = step * self.config.dt
+        extra = extra or {}
+        _require_finite({"field": values, **extra}, step, t)
+        field = ComplexField(self.grid, values)
         if self.observe_now(step):
-            self.times.append(t)
-            obs = observables(field)
-            if extra:
-                obs = {**obs, **extra}
+            obs = {**observables(field), **extra}
             if self.probe_index is not None:
                 probe = field.values[self.probe_index]
                 obs["probe_re"] = float(probe.real)
                 obs["probe_im"] = float(probe.imag)
+            # the observables of a finite field can still overflow
+            _require_finite(obs, step, t)
+            self.times.append(t)
             for key, value in obs.items():
                 self.series.setdefault(key, []).append(value)
         if self.snapshot_now(step):
             self.snapshots.append(Snapshot(t, field, snapshot_extra or {}))
 
-    def build(self, scheme: str, grid: Grid1D, conservation: dict[str, float]) -> RunReport:
+    def build(self, scheme: str, conservation: dict[str, float]) -> RunReport:
         return RunReport(
             scheme=scheme,
-            config=self.config.config_echo(grid),
+            config=self.config.config_echo(self.grid),
             times=np.array(self.times),
             observables={k: np.array(v) for k, v in self.series.items()},
             snapshots=self.snapshots,
@@ -224,26 +243,41 @@ def _norm_drift(series: dict[str, np.ndarray]) -> dict[str, float]:
 def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunReport:
     """Strang split-step for i psi_t = -(1/2) psi_zz + V psi.
 
-    Half potential phase, full spectral kinetic step exp(-i k^2 dt / 2),
-    half potential phase.  Exactly norm-preserving up to roundoff.
+    Half potential phase H = exp(-i V dt / 2), full spectral kinetic step
+    exp(-i k^2 dt / 2), half potential phase.  The state is held as its
+    spectrum between steps, and the closing half phase of one step and the
+    opening one of the next are applied as one full phase exp(-i V dt).  A
+    record step reads H ifft(spectrum) and does not perturb the run.  Without
+    a potential every phase is the identity, so only record steps make an
+    FFT; with one, a step makes one FFT pair.  Exactly norm-preserving up to
+    roundoff.
     """
     grid = psi0.grid
     _require_valid(config, grid, Scheme.LINEAR_SCHRODINGER)
     n_steps = config.n_steps()
-    v = np.zeros(grid.n) if config.potential is None else np.asarray(config.potential, float)
-    half_pot = np.exp(-0.5j * v * config.dt)
     kinetic = np.exp(-0.5j * grid.k**2 * config.dt)
+    if config.potential is None:
+        half_pot = full_pot = None
+    else:
+        v = np.asarray(config.potential, float)
+        half_pot = np.exp(-0.5j * v * config.dt)
+        full_pot = np.exp(-1j * v * config.dt)
 
-    rec = _Recorder(config, n_steps)
-    psi = psi0.values.copy()
-    rec.record(0, psi0)
+    rec = _Recorder(config, n_steps, grid)
+    rec.record(0, psi0.values)
+    spec = np.fft.fft(psi0.values if half_pot is None else half_pot * psi0.values)
     for step in range(1, n_steps + 1):
-        psi *= half_pot
-        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
-        psi *= half_pot
-        if rec.observe_now(step) or rec.snapshot_now(step):
-            rec.record(step, ComplexField(grid, psi))
-    report = rec.build("linear_schrodinger", grid, {})
+        spec *= kinetic
+        recording = rec.observe_now(step) or rec.snapshot_now(step)
+        kick = full_pot is not None and step < n_steps
+        if recording or kick:
+            psi = np.fft.ifft(spec)
+        if recording:
+            rec.record(step, psi if half_pot is None else half_pot * psi)
+        if kick:
+            psi *= full_pot
+            spec = np.fft.fft(psi)
+    report = rec.build("linear_schrodinger", {})
     report.conservation = _norm_drift(report.observables)
     return report
 
@@ -265,17 +299,17 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
     half_kinetic = np.exp(-0.5j * k2 * config.dt)
     kinetic = np.exp(-1j * k2 * config.dt)
 
-    rec = _Recorder(config, n_steps)
-    rec.record(0, psi0)
+    rec = _Recorder(config, n_steps, grid)
+    rec.record(0, psi0.values)
     psi = np.fft.ifft(half_kinetic * np.fft.fft(psi0.values))
     for step in range(1, n_steps + 1):
         psi = psi * np.exp(2j * config.dt * np.abs(psi) ** 2)
         spectrum = np.fft.fft(psi)
         if rec.observe_now(step) or rec.snapshot_now(step):
-            rec.record(step, ComplexField(grid, np.fft.ifft(half_kinetic * spectrum)))
+            rec.record(step, np.fft.ifft(half_kinetic * spectrum))
         if step < n_steps:
             psi = np.fft.ifft(kinetic * spectrum)
-    report = rec.build("nls", grid, {})
+    report = rec.build("nls", {})
     report.conservation = _norm_drift(report.observables)
     return report
 
@@ -304,9 +338,13 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
                         config: SolverConfig) -> RunReport:
     """Leapfrog for psi_tt = c^2 psi_zz - omega0^2 psi with spectral Laplacian.
 
-    The reported "energy" observable uses the centered-difference time
-    derivative, so it is available on interior observation steps and at
-    the endpoints via the supplied/extended derivative.
+    The equation is diagonal in k, psi_tt = -lambda(k) psi with
+    lambda = omega0^2 + c^2 k^2, so the leapfrog recursion is stepped on the
+    spectra: the same scheme mode by mode, with no FFT per step.  Only a
+    record step transforms back, for the field and its centered-difference
+    time derivative; the reported "energy" observable uses that derivative,
+    so it is available on interior observation steps and at the endpoints
+    via the supplied/extended derivative.
     """
     grid = psi0.grid
     _require_valid(config, grid, Scheme.KLEIN_GORDON)
@@ -316,33 +354,29 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
     dt = config.dt
     # eigenvalues of -(c^2 d_zz - omega0^2) on the Fourier ladder
     lam = config.omega0**2 + (config.c * grid.k) ** 2
+    lam_dt2 = dt**2 * lam
 
-    def accel(values: np.ndarray) -> np.ndarray:
-        return -np.fft.ifft(lam * np.fft.fft(values))
-
-    rec = _Recorder(config, n_steps)
+    rec = _Recorder(config, n_steps, grid)
     energies: list[float] = []
-    energy_times: list[float] = []
 
-    prev = psi0.values.copy()
-    vel0 = dpsi0_dt.values
+    prev = np.fft.fft(psi0.values)
+    vel0 = np.fft.fft(dpsi0_dt.values)
     # third-order Taylor start keeps the startup error below the scheme order
-    cur = prev + dt * vel0 + (dt**2 / 2.0) * accel(prev) + (dt**3 / 6.0) * accel(vel0)
+    cur = prev + dt * vel0 - (dt**2 / 2.0) * lam * prev - (dt**3 / 6.0) * lam * vel0
 
-    e0 = kg_energy(prev, vel0, grid, config.omega0, config.c)
+    e0 = kg_energy(psi0.values, dpsi0_dt.values, grid, config.omega0, config.c)
     energies.append(e0)
-    energy_times.append(0.0)
-    rec.record(0, psi0, extra={"energy": e0})
+    rec.record(0, psi0.values, extra={"energy": e0})
 
     for step in range(1, n_steps + 1):
-        nxt = 2.0 * cur - prev + dt**2 * accel(cur)
+        nxt = 2.0 * cur - prev - lam_dt2 * cur
         # centered time derivative at `step` uses the freshly computed state
         if rec.observe_now(step) or rec.snapshot_now(step):
-            psi_t = (nxt - prev) / (2.0 * dt)
-            energy = kg_energy(cur, psi_t, grid, config.omega0, config.c)
+            cur_z = np.fft.ifft(cur)
+            psi_t = np.fft.ifft((nxt - prev) / (2.0 * dt))
+            energy = kg_energy(cur_z, psi_t, grid, config.omega0, config.c)
             energies.append(energy)
-            energy_times.append(step * dt)
-            rec.record(step, ComplexField(grid, cur), extra={"energy": energy})
+            rec.record(step, cur_z, extra={"energy": energy})
         prev, cur = cur, nxt
 
     earr = np.array(energies)
@@ -351,8 +385,7 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
         "energy_final": float(earr[-1]),
         "max_relative_energy_drift": float(np.max(np.abs(earr - earr[0])) / earr[0]),
     }
-    report = rec.build("klein_gordon", grid, conservation)
-    return report
+    return rec.build("klein_gordon", conservation)
 
 
 def nls_breather_exact(z, t: float, a: float, v: float, z0: float = 0.0):

@@ -147,6 +147,28 @@ def test_node_error_maps_to_numerical_exit(tmp_path, capsys):
     assert "node" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("config, overrides, quantity", [
+    # the plane wave's field is finite, its energy overflows
+    ("kg-plane-wave.json", ["packet.amplitude=1e300"], "energy is not finite at step 0"),
+    # |phi|^2 overflows: the observables of step 0, then the field itself
+    ("breather-v1.json", ["packet.amplitude=1e200"], "norm is not finite at step 0"),
+])
+def test_blow_up_is_a_numerical_failure(config, overrides, quantity, tmp_path, capsys):
+    assert validate(apply_overrides(load_config(CONFIG_DIR / config), overrides)) == []
+    code = main(_argv(config, overrides) + ["--out", str(tmp_path / "run")])
+    assert code == EXIT_NUMERICAL
+    assert quantity in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("n", ["1073741824", "4611686018427387904"])
+def test_grid_point_count_is_capped(n, capsys):
+    code = main(["validate", "--config", str(CONFIG_DIR / "gaussian-linear.json"),
+                 "--set", f"grid.n={n}"])
+    assert code == EXIT_CONFIG
+    assert f"n must be a power of two between 16 and 1048576, got {n}" in capsys.readouterr().err
+
+
 def test_evolve_inline_flags(tmp_path):
     args = ["evolve", "--scheme", "nls", "--packet", "breather,amplitude=1,velocity=0",
             "--t-final", "1"]

@@ -22,6 +22,7 @@ from solitonlab import (
     spectral_derivative,
     write_snapshot_csv,
 )
+from solitonlab.grid import MAX_GRID_POINTS
 
 SECH_RMS = math.pi / (2 * math.sqrt(3))  # sqrt(pi^2/12), second moment of sech^2
 
@@ -41,6 +42,11 @@ class TestGrid1D:
     def test_bad_bounds(self):
         with pytest.raises(ConfigurationError):
             Grid1D(64, 2.0, 2.0)
+
+    @pytest.mark.parametrize("n", [2 * MAX_GRID_POINTS, 2**30, 2**62])
+    def test_point_count_capped_before_allocating(self, n):
+        with pytest.raises(ConfigurationError, match="between 16 and 1048576"):
+            Grid1D(n, -1.0, 1.0)
 
 
 def test_spectral_derivative_of_sine():

@@ -20,7 +20,8 @@ from solitonlab import (
     one_branch_time_derivative,
     validate_solver_config,
 )
-from solitonlab.solvers import step_count
+from solitonlab.errors import NumericalError
+from solitonlab.solvers import _Recorder, step_count
 
 
 def l2_error(field: ComplexField, exact: np.ndarray) -> float:
@@ -282,3 +283,21 @@ def test_negative_cadence_rejected(grid512, cadence):
 def test_klein_gordon_needs_positive_c(grid512):
     config = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=1e-3, t_final=0.1, c=0.0)
     assert validate_solver_config(config, grid512) == ["c must be positive, got 0.0"]
+
+
+def test_recorder_rejects_non_finite_records(grid512):
+    config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.01,
+                          observe_every=5)
+    rec = _Recorder(config, config.n_steps(), grid512)
+    field = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0), grid512).values
+    rec.record(0, field, extra={"energy": 1.0})
+    blown = field.copy()
+    blown[3] = complex(math.nan, 0.0)
+    with pytest.raises(NumericalError, match=r"field is not finite at step 5 \(t = 0.005\)"):
+        rec.record(5, blown)
+    with pytest.raises(NumericalError, match="energy is not finite at step 5"):
+        rec.record(5, field, extra={"energy": math.inf})
+    # the observables of a finite field can overflow
+    with pytest.raises(NumericalError, match="norm is not finite at step 10"):
+        rec.record(10, field * 1e200)
+    assert rec.times == [0.0]

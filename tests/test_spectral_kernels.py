@@ -1,11 +1,12 @@
 """The FFT-bound step kernels: cached grid arrays, the real-FFT derivative,
-the batched transport RK4, the merged NLS Strang step, and how many FFTs
-each step makes.
+the batched transport RK4, the merged NLS Strang step, the spectral
+Klein-Gordon leapfrog and linear Schrodinger step, and how many FFTs each
+step makes.
 
 The references here are written out in the tests (the unmerged Strang
-loop, the tuple-form transport RK4 with complex-FFT derivatives) so the
-kernels are checked against the straightforward form of the same
-arithmetic.
+loops, the leapfrog in z, the tuple-form transport RK4 with complex-FFT
+derivatives) so the kernels are checked against the straightforward form
+of the same arithmetic.
 """
 
 import sys
@@ -18,13 +19,20 @@ from solitonlab import (
     ComplexField,
     DispersionlessConfig,
     Grid1D,
+    PacketKind,
+    PacketSpec,
     Scheme,
     SolverConfig,
+    build_packet,
     dispersionless_initial,
     evolve_dispersionless,
+    evolve_klein_gordon,
+    evolve_linear_schrodinger,
     evolve_nls,
+    kg_energy,
     nls_breather_exact,
     observables,
+    one_branch_time_derivative,
     spectral_derivative,
 )
 from solitonlab import madelung
@@ -163,6 +171,180 @@ def test_nls_fft_count_with_recording_off(monkeypatch, grid512):
                                       observe_every=0, snapshot_every=0))
         assert counts["fft"] + counts["ifft"] == 2 * n_steps + 2
         assert counts["rfft"] + counts["irfft"] == 0
+
+
+def _cadence(n_steps: int, every: int) -> list[int]:
+    return [s for s in range(n_steps + 1) if s in (0, n_steps) or (every > 0 and s % every == 0)]
+
+
+def _relative(got, expected) -> float:
+    return float(np.max(np.abs(np.asarray(got) - expected)) / np.max(np.abs(expected)))
+
+
+# ---------------------------------------------------------------------------
+# Klein-Gordon leapfrog on the spectra
+# ---------------------------------------------------------------------------
+
+def _leapfrog_in_z(psi0: ComplexField, dpsi0: ComplexField, config: SolverConfig,
+                   record_steps: list[int]):
+    """The leapfrog stepped in z, one FFT pair per acceleration, with the
+    same Taylor start.  Returns {step: (psi, energy)} on record_steps."""
+    grid, dt = psi0.grid, config.dt
+    lam = config.omega0**2 + (config.c * grid.k) ** 2
+
+    def accel(values):
+        return -np.fft.ifft(lam * np.fft.fft(values))
+
+    prev, vel0 = psi0.values.copy(), dpsi0.values
+    cur = prev + dt * vel0 + (dt**2 / 2.0) * accel(prev) + (dt**3 / 6.0) * accel(vel0)
+    states = {0: (prev.copy(), kg_energy(prev, vel0, grid, config.omega0, config.c))}
+    for step in range(1, config.n_steps() + 1):
+        nxt = 2.0 * cur - prev + dt**2 * accel(cur)
+        if step in record_steps:
+            psi_t = (nxt - prev) / (2.0 * dt)
+            states[step] = (cur, kg_energy(cur, psi_t, grid, config.omega0, config.c))
+        prev, cur = cur, nxt
+    return states
+
+
+_PLANE_WAVE_GRID = Grid1D(512, -8 * np.pi, 8 * np.pi)
+
+
+@pytest.mark.parametrize("grid,packet,n_steps,observe_every,snapshot_every,probe_index", [
+    (_PLANE_WAVE_GRID, PacketSpec(kind=PacketKind.PLANE_WAVE, k0=0.75), 2000, 10, 0, 7),
+    (Grid1D(512, -25.6, 25.6), PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0),
+     500, 7, 13, None),
+], ids=["plane-wave", "gaussian"])
+def test_spectral_leapfrog_matches_leapfrog_in_z(grid, packet, n_steps, observe_every,
+                                                  snapshot_every, probe_index):
+    dt = 1e-3
+    psi0 = build_packet(packet, grid)
+    dpsi0 = one_branch_time_derivative(psi0)
+    config = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=dt, t_final=n_steps * dt,
+                          observe_every=observe_every, snapshot_every=snapshot_every,
+                          probe_index=probe_index)
+    report = evolve_klein_gordon(psi0, dpsi0, config)
+    observed, snapped = _cadence(n_steps, observe_every), _cadence(n_steps, snapshot_every)
+    states = _leapfrog_in_z(psi0, dpsi0, config, observed + snapped)
+
+    assert [round(t / dt) for t in report.times] == observed
+    assert _relative(report.observable("energy"),
+                     np.array([states[s][1] for s in observed])) <= 1e-10
+    assert [round(snap.t / dt) for snap in report.snapshots] == snapped
+    for snap, step in zip(report.snapshots, snapped):
+        assert _relative(snap.field.values, states[step][0]) <= 1e-10
+    if probe_index is not None:
+        probe = np.array([states[s][0][probe_index] for s in observed])
+        got = report.observable("probe_re") + 1j * report.observable("probe_im")
+        assert _relative(got, probe) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# linear Schrodinger step on the spectrum, merged potential phases
+# ---------------------------------------------------------------------------
+
+def _split_linear_states(psi0: np.ndarray, grid: Grid1D, dt: float, n_steps: int,
+                         potential: np.ndarray | None):
+    """Every state of the plain Strang loop: half phase, kinetic step, half phase."""
+    v = np.zeros(grid.n) if potential is None else potential
+    half_pot = np.exp(-0.5j * v * dt)
+    kinetic = np.exp(-0.5j * grid.k**2 * dt)
+    psi = psi0.copy()
+    states = [psi.copy()]
+    for _ in range(n_steps):
+        psi = psi * half_pot
+        psi = np.fft.ifft(kinetic * np.fft.fft(psi))
+        psi = psi * half_pot
+        states.append(psi)
+    return states
+
+
+def _harmonic(grid: Grid1D) -> np.ndarray:
+    return 0.05 * grid.z**2
+
+
+@pytest.mark.parametrize("with_potential", [False, True], ids=["free", "harmonic"])
+@pytest.mark.parametrize("n_steps,observe_every,snapshot_every", [
+    (60, 0, 0),
+    (60, 1, 0),
+    (60, 7, 13),
+    (1, 0, 0),
+])
+def test_spectral_linear_matches_split_loop(grid512, with_potential, n_steps, observe_every,
+                                            snapshot_every):
+    dt = 1e-3
+    potential = _harmonic(grid512) if with_potential else None
+    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, center=2.0, k0=1.0), grid512)
+    config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=dt, t_final=n_steps * dt,
+                          observe_every=observe_every, snapshot_every=snapshot_every,
+                          potential=potential)
+    report = evolve_linear_schrodinger(psi0, config)
+    states = _split_linear_states(psi0.values, grid512, dt, n_steps, potential)
+
+    observed, snapped = _cadence(n_steps, observe_every), _cadence(n_steps, snapshot_every)
+    assert [round(t / dt) for t in report.times] == observed
+    for i, step in enumerate(observed):
+        for key, value in observables(ComplexField(grid512, states[step])).items():
+            assert abs(report.observable(key)[i] - value) <= 1e-10 * max(1.0, abs(value))
+    assert [round(snap.t / dt) for snap in report.snapshots] == snapped
+    for snap, step in zip(report.snapshots, snapped):
+        assert _relative(snap.field.values, states[step]) <= 1e-10
+
+
+def test_merged_potential_phases_over_a_long_run(grid512):
+    dt, n_steps = 1e-3, 2000
+    potential = _harmonic(grid512)
+    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, center=2.0, k0=1.0), grid512)
+    config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=dt, t_final=n_steps * dt,
+                          observe_every=0, potential=potential)
+    final = evolve_linear_schrodinger(psi0, config).final_field().values
+    expected = _split_linear_states(psi0.values, grid512, dt, n_steps, potential)[-1]
+    assert _relative(final, expected) <= 1e-10
+    # the packet oscillated in the well: the comparison is not of a still state
+    assert _relative(expected, psi0.values) > 0.5
+
+
+def _kg_run(grid, n_steps):
+    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0), grid)
+    config = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=1e-3, t_final=n_steps * 1e-3,
+                          observe_every=0, snapshot_every=0)
+    evolve_klein_gordon(psi0, one_branch_time_derivative(psi0), config)
+
+
+def _linear_run(grid, n_steps, potential=None):
+    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0), grid)
+    config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=n_steps * 1e-3,
+                          observe_every=0, snapshot_every=0, potential=potential)
+    evolve_linear_schrodinger(psi0, config)
+
+
+@pytest.mark.parametrize("run", [
+    _kg_run,
+    _linear_run,
+], ids=["klein-gordon", "free-linear"])
+def test_linear_schemes_make_no_fft_per_step(monkeypatch, grid512, run):
+    counts = _count_ffts(monkeypatch)
+
+    def total(n_steps):
+        counts.clear()
+        run(grid512, n_steps)
+        assert counts["rfft"] + counts["irfft"] == 0
+        return counts["fft"] + counts["ifft"]
+
+    assert total(10) == total(20) > 0
+
+
+def test_linear_with_potential_makes_one_fft_pair_per_step(monkeypatch, grid512):
+    counts = _count_ffts(monkeypatch)
+    potential = _harmonic(grid512)
+
+    def total(n_steps):
+        counts.clear()
+        _linear_run(grid512, n_steps, potential)
+        return counts["fft"] + counts["ifft"]
+
+    assert total(20) - total(10) == 2 * 10
+    assert total(1) == 2  # the opening fft and the final record step's ifft
 
 
 # ---------------------------------------------------------------------------
