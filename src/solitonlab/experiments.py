@@ -8,9 +8,13 @@
 * the planetary-orbit quantization chain and its phase-accordance law;
 * the frequency-converter relations for a guided photon mode.
 
-Monte Carlo trials draw from per-trial substreams derived from
-(seed, trial index) via counter-based RNG, so reports are bit-identical
-regardless of execution order or worker count.
+Monte Carlo trial i owns words 2i and 2i+1 of a counter-based Philox
+stream keyed by the seed, so reports are bit-identical regardless of
+execution order or worker count.  A trial's outcome is a pure function of
+those two raw 64-bit words: the gap and the tunnel coin are turned once
+per spec into exact integer word thresholds, and each block counts its
+trials with unsigned compares on the raw words, giving the same counts
+as evaluating the float draws u = (w >> 11) 2^-53 trial by trial.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ from .solvers import Scheme, SolverConfig, evolve_linear_schrodinger, evolve_nls
 
 #: draws consumed per Monte Carlo trial (position phase, tunneling coin)
 _DRAWS_PER_TRIAL = 2
+#: Generator.random maps a raw 64-bit word w to u = (w >> 11) 2^-53
+_UNIFORM_BITS = 53
+_WORD_SHIFT = 64 - _UNIFORM_BITS
 #: trials per RNG block; fixed so worker count cannot affect substreams
 _TRIALS_PER_BLOCK = 1 << 16
 
@@ -230,8 +237,8 @@ class MonteCarloReport:
         }
 
 
-def _trial_block(seed: int, block: int, count: int) -> np.ndarray:
-    """Uniform draws for trials [block*B, block*B + count), shape (count, 2).
+def _trial_words(seed: int, block: int, count: int) -> np.ndarray:
+    """Raw Philox words for trials [block*B, block*B + count), shape (count, 2).
 
     Trial i always owns stream positions (2i, 2i+1) of the counter-based
     generator keyed by the seed, independent of blocking or threading.
@@ -243,7 +250,77 @@ def _trial_block(seed: int, block: int, count: int) -> np.ndarray:
     assert skip % 4 == 0, "block starts must be 4-aligned for Philox advance"
     bitgen = np.random.Philox(np.random.SeedSequence(seed))
     bitgen.advance(skip // 4)
-    return np.random.Generator(bitgen).random(_DRAWS_PER_TRIAL * count).reshape(count, 2)
+    return bitgen.random_raw(_DRAWS_PER_TRIAL * count).reshape(count, 2)
+
+
+def _gap_word_ranges(width: float, gap_lo: float, gap_hi: float) -> list[tuple[int, int]]:
+    """Inclusive raw-word ranges [lo, hi] whose draw lands the trial in the gap.
+
+    A word w gives u = m 2^-53 with m = w >> 11, and the transverse
+    position width (1 - |1 - 2u|).  Each float operation there is
+    correctly rounded and monotone, so the position does not decrease for
+    m <= 2^52 (u <= 1/2) and does not increase above it.  The m with
+    gap_lo <= position <= gap_hi are therefore one interval (possibly
+    empty) on each half; bisection finds its ends with the same float
+    expression, and interval [a, b] is the word range
+    [a << 11, (b << 11) | 0x7FF].
+    """
+    def position(m: int) -> float:
+        return width * (1.0 - abs(1.0 - 2.0 * (m * 2.0**-_UNIFORM_BITS)))
+
+    def first(lo: int, hi: int, pred) -> int:
+        """Smallest m in [lo, hi] with pred(m), else hi + 1; pred is false, then true."""
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            if pred(mid):
+                hi = mid - 1
+            else:
+                lo = mid + 1
+        return lo
+
+    half, top = 1 << (_UNIFORM_BITS - 1), (1 << _UNIFORM_BITS) - 1
+    rising = (first(0, half, lambda m: position(m) >= gap_lo),
+              first(0, half, lambda m: position(m) > gap_hi) - 1)
+    falling = (first(half + 1, top, lambda m: position(m) <= gap_hi),
+               first(half + 1, top, lambda m: position(m) < gap_lo) - 1)
+    return [(a << _WORD_SHIFT, ((b + 1) << _WORD_SHIFT) - 1)
+            for a, b in (rising, falling) if a <= b]
+
+
+def _tunnel_last_word(p: float) -> int:
+    """Largest raw word whose draw u satisfies u < p, -1 when none (p = 0).
+    u < p holds exactly when (w >> 11) < ceil(p 2^53), as scaling by 2^53
+    is exact."""
+    return (math.ceil(p * 2.0**_UNIFORM_BITS) << _WORD_SHIFT) - 1
+
+
+def _count_trials(words: np.ndarray, gap_words: list[tuple[int, int]],
+                  tunnel_last: int | None = None) -> int:
+    """Trials (rows of raw words) whose first word lies in one of the
+    disjoint inclusive gap ranges [lo, hi], given in increasing order, and,
+    unless tunnel_last is None, whose second word is at most tunnel_last.
+
+    Each range is one unsigned compare (w - lo) <= hi - lo, which wraps
+    for words below lo; the differences are taken once and shifted in
+    place from one range to the next.
+    """
+    tunnels = None
+    if tunnel_last is not None:
+        if tunnel_last < 0:
+            return 0
+        tunnels = words[:, 1] <= np.uint64(tunnel_last)
+    total, diff, base = 0, None, 0
+    for lo, hi in gap_words:
+        if diff is None:
+            diff = words[:, 0] - np.uint64(lo)
+        else:
+            diff -= np.uint64(lo - base)
+        base = lo
+        hit = diff <= np.uint64(hi - lo)
+        if tunnels is not None:
+            hit &= tunnels
+        total += int(np.count_nonzero(hit))
+    return total
 
 
 def run_barrier_monte_carlo(spec: BarrierSpec,
@@ -261,6 +338,11 @@ def run_barrier_monte_carlo(spec: BarrierSpec,
     exp(-2 kappa L) from the evanescent decay rate, otherwise reflects.
     The analytic transmission of the linear equation for the same
     rectangular barrier rides along as the comparator.
+
+    Trials are counted on the raw Philox words: the gap becomes at most
+    two exact word ranges (``_gap_word_ranges``) and the tunnel coin
+    u < p one word bound, so each block makes unsigned integer compares
+    and no float draw, with the counts of the float formulation.
     """
     k = constants or electron_constants()
     f0_shifted, width, width_narrowed, gap_lo, gap_hi = spec.geometry(k)
@@ -272,18 +354,16 @@ def run_barrier_monte_carlo(spec: BarrierSpec,
         kappa = evanescent_kappa(f_wave, f0_shifted, c=k.c)
         p_tunnel = math.exp(-2.0 * kappa * spec.length)
 
+    gap_words = _gap_word_ranges(width, gap_lo, gap_hi)
+    tunnel_last = _tunnel_last_word(p_tunnel)
     n_blocks = -(-spec.trials // _TRIALS_PER_BLOCK)
 
     def run_block(block: int) -> tuple[int, int]:
-        lo = block * _TRIALS_PER_BLOCK
-        count = min(_TRIALS_PER_BLOCK, spec.trials - lo)
-        draws = _trial_block(spec.seed, block, count)
-        position = width * (1.0 - np.abs(1.0 - 2.0 * draws[:, 0]))
-        in_gap = (position >= gap_lo) & (position <= gap_hi)
+        count = min(_TRIALS_PER_BLOCK, spec.trials - block * _TRIALS_PER_BLOCK)
+        words = _trial_words(spec.seed, block, count)
         if above_cutoff:
-            return int(np.count_nonzero(in_gap)), 0
-        through = in_gap & (draws[:, 1] < p_tunnel)
-        return 0, int(np.count_nonzero(through))
+            return _count_trials(words, gap_words), 0
+        return 0, _count_trials(words, gap_words, tunnel_last)
 
     if parallel_trials > 1:
         with ThreadPoolExecutor(max_workers=parallel_trials) as pool:

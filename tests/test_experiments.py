@@ -20,6 +20,7 @@ from solitonlab import (
     run_barrier_monte_carlo,
     run_dispersion_vs_soliton,
 )
+from solitonlab.experiments import _count_trials, _gap_word_ranges, _tunnel_last_word
 
 K = electron_constants()
 FINE_STRUCTURE = K.e2_coulomb / (K.hbar * K.c)
@@ -200,6 +201,154 @@ class TestBarrierMonteCarlo:
             BarrierSpec(height=-1.0, length=1e-12, energy=1.0, trials=10, seed=0)
         with pytest.raises(ConfigurationError):
             BarrierSpec(height=1.0, length=1e-12, energy=1.0, trials=0, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# barrier Monte Carlo on raw words
+# ---------------------------------------------------------------------------
+
+GUIDE_WIDTH = K.c / (2 * K.cutoff_frequency)
+HALF_M = 1 << 52  # m = w >> 11 at u = 1/2
+TOP_M = (1 << 53) - 1
+BLOCK = 1 << 16
+
+
+def _position(width: float, m: int) -> float:
+    # the transverse position of the float draw u = m 2^-53
+    return width * (1.0 - abs(1.0 - 2.0 * (m * 2.0**-53)))
+
+
+def _above_spec(offset=0.0, trials=10, seed=1) -> BarrierSpec:
+    return BarrierSpec(height=0.25 * K.rest_energy, length=1e-12, energy=0.5 * K.rest_energy,
+                       trials=trials, seed=seed, gap_offset=offset * GUIDE_WIDTH)
+
+
+def _below_spec(offset=0.0, trials=10, seed=7, length=2e-13) -> BarrierSpec:
+    return BarrierSpec(height=0.5 * K.rest_energy, length=length, energy=0.1 * K.rest_energy,
+                       trials=trials, seed=seed, gap_offset=offset * GUIDE_WIDTH)
+
+
+def _vanishing_spec(trials=10, seed=3) -> BarrierSpec:
+    return BarrierSpec(height=1e-6 * K.eV, length=1e-12, energy=0.5 * K.rest_energy,
+                       trials=trials, seed=seed)
+
+
+def _float_block_counts(spec: BarrierSpec, p_tunnel: float | None) -> tuple[int, int]:
+    """(transmitted, tunneled) from the float draws u = Generator.random, block
+    by block: the float formulation of the Monte Carlo; p_tunnel None above
+    cutoff."""
+    _, width, _, gap_lo, gap_hi = spec.geometry()
+    transmitted = tunneled = 0
+    for block in range(-(-spec.trials // BLOCK)):
+        count = min(BLOCK, spec.trials - block * BLOCK)
+        bitgen = np.random.Philox(np.random.SeedSequence(spec.seed))
+        bitgen.advance(2 * block * BLOCK // 4)
+        draws = np.random.Generator(bitgen).random(2 * count).reshape(count, 2)
+        position = width * (1.0 - np.abs(1.0 - 2.0 * draws[:, 0]))
+        in_gap = (position >= gap_lo) & (position <= gap_hi)
+        if p_tunnel is None:
+            transmitted += int(np.count_nonzero(in_gap))
+        else:
+            tunneled += int(np.count_nonzero(in_gap & (draws[:, 1] < p_tunnel)))
+    return transmitted, tunneled
+
+
+class TestBarrierWordThresholds:
+    def test_uniform_draw_is_the_top_53_bits(self):
+        # the premise: Generator.random gives u = (w >> 11) 2^-53 for raw word w
+        seed = np.random.SeedSequence(5)
+        u = np.random.Generator(np.random.Philox(seed)).random(1000)
+        words = np.random.Philox(seed).random_raw(1000)
+        assert np.array_equal(u, (words >> np.uint64(11)).astype(float) * 2.0**-53)
+
+    @pytest.mark.parametrize("geometry", [
+        *[(width, gap_lo, gap_hi) for _, width, _, gap_lo, gap_hi in (
+            spec.geometry() for spec in (_above_spec(0.0), _above_spec(0.05), _above_spec(-0.05),
+                                         _above_spec(0.0999999), _above_spec(-0.0999999),
+                                         _vanishing_spec()))],
+        (1.0, 0.5, 1.0),  # the gap reaches the far wall: the tent's peak is inside
+        (1.0, 0.0, 1.0),  # the gap is the whole guide
+    ], ids=["gap08", "+0.05w", "-0.05w", "+0.0999999w", "-0.0999999w", "vanishing",
+            "peak-inside", "whole-guide"])
+    def test_gap_range_endpoints_are_exact(self, geometry):
+        width, gap_lo, gap_hi = geometry
+
+        def in_gap(m):
+            return 0 <= m <= TOP_M and gap_lo <= _position(width, m) <= gap_hi
+
+        ranges = _gap_word_ranges(width, gap_lo, gap_hi)
+        assert len(ranges) == 2  # one on each side of the tent's peak
+        for (lo, hi), (first, last) in zip(ranges, [(0, HALF_M), (HALF_M + 1, TOP_M)]):
+            assert lo & 0x7FF == 0 and hi & 0x7FF == 0x7FF
+            a, b = lo >> 11, hi >> 11
+            assert first <= a <= b <= last
+            assert in_gap(a) and in_gap(b)
+            # a neighbour outside the range is outside the gap or on the other half
+            assert a == first or not in_gap(a - 1)
+            assert b == last or not in_gap(b + 1)
+        (lo1, hi1), (lo2, hi2) = ranges
+        if 0 < lo1 and hi1 >> 11 < HALF_M:
+            # the falling half mirrors the rising one: position(m) = position(2^53 - m)
+            assert (lo2 >> 11, hi2 >> 11) == ((1 << 53) - (hi1 >> 11), (1 << 53) - (lo1 >> 11))
+        else:
+            assert hi1 >> 11 == HALF_M and lo2 >> 11 == HALF_M + 1
+
+    def test_trial_count_at_the_range_ends(self):
+        ranges = [(5 << 11, (9 << 11) - 1), (1 << 63, (1 << 64) - 2)]
+        ends = [r[i] + d for r in ranges for i, d in ((0, -1), (0, 0), (1, 0), (1, 1))]
+        first = [0, *ends]
+        inside = [False, False, True, True, False, False, True, True, False]
+        second = [7, 0, 6, 8, 0, 0, 9, 7, 0]  # against tunnel_last = 7
+        words = np.array([first, second], dtype=np.uint64).T
+        assert _count_trials(words, ranges) == sum(inside) == 4
+        assert _count_trials(words, ranges, tunnel_last=7) == 2
+        assert _count_trials(words, ranges, tunnel_last=-1) == 0
+        assert _count_trials(words, []) == 0
+
+    def test_tunnel_bound_at_a_dyadic_probability(self):
+        last = _tunnel_last_word(0.5)
+        below, at = ((1 << 52) - 1) << 11 | 0x7FF, (1 << 52) << 11
+        assert (below >> 11) * 2.0**-53 < 0.5 <= (at >> 11) * 2.0**-53
+        assert below <= last < at
+
+    @pytest.mark.parametrize("p, last_m", [
+        (0.0, -1), (5e-324, 0), (2.0**-53, 0), (0.3, math.ceil(0.3 * 2.0**53) - 1),
+        (1.0, TOP_M),
+    ])
+    def test_tunnel_bound_edges(self, p, last_m):
+        assert _tunnel_last_word(p) == ((last_m + 1) << 11) - 1
+        if last_m >= 0:
+            assert last_m * 2.0**-53 < p
+        if last_m < TOP_M:
+            assert not (last_m + 1) * 2.0**-53 < p
+
+    def test_tunnel_probability_extremes(self):
+        # the "below-p1" and "below-p0" specs below reach both ends of the tunnel bound
+        assert run_barrier_monte_carlo(_below_spec(length=1e-30)).model["tunnel_probability"] == 1.0
+        assert run_barrier_monte_carlo(_below_spec(length=1e-9)).model["tunnel_probability"] == 0.0
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("spec", [
+        _above_spec(0.0, trials=3 * BLOCK + 12345, seed=11),
+        _above_spec(0.05, trials=2 * BLOCK + 1, seed=12),
+        _above_spec(-0.05, trials=BLOCK - 1, seed=13),
+        _above_spec(0.0999999, trials=150_001, seed=14),
+        _above_spec(-0.0999999, trials=150_001, seed=15),
+        _vanishing_spec(trials=70_001),
+        _below_spec(0.0, trials=3 * BLOCK + 7),
+        _below_spec(0.05, trials=100_003, seed=8),
+        _below_spec(-0.0999999, trials=100_003, seed=9),
+        _below_spec(0.0, trials=70_001, length=1e-30),  # p = 1: every word tunnels
+        _below_spec(0.0, trials=70_001, length=1e-9),  # p = 0: none does
+        _above_spec(0.0, trials=1, seed=16),
+    ], ids=["gap08", "+0.05w", "-0.05w", "+0.0999999w", "-0.0999999w", "vanishing",
+            "below", "below+0.05w", "below-0.0999999w", "below-p1", "below-p0", "one-trial"])
+    def test_counts_match_the_float_block_loop(self, spec, workers):
+        report = run_barrier_monte_carlo(spec, parallel_trials=workers)
+        model = report.model
+        p_tunnel = None if model["above_cutoff"] else model["tunnel_probability"]
+        assert (report.transmitted, report.tunneled) == _float_block_counts(spec, p_tunnel)
+        assert report.transmitted + report.tunneled + report.reflected == spec.trials
 
 
 # ---------------------------------------------------------------------------
