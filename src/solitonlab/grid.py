@@ -208,14 +208,14 @@ def observables(psi: ComplexField) -> dict[str, float]:
     grid = psi.grid
     z = grid.z
     with np.errstate(over="ignore", invalid="ignore"):
-        density = np.abs(vals) ** 2
+        amp = np.abs(vals)
+        density = amp * amp
         norm = float(np.sum(density) * grid.dz)
         if norm <= 0.0:
             raise DegenerateFieldError("zero field has no observables")
         centroid = float(np.sum(z * density) * grid.dz / norm)
         rms_width = float(math.sqrt(np.sum((z - centroid) ** 2 * density) * grid.dz / norm))
 
-        amp = np.abs(vals)
         j = int(np.argmax(amp))
         ym, y0, yp = amp[j - 1], amp[j], amp[(j + 1) % grid.n]
         denom = ym - 2.0 * y0 + yp

@@ -11,7 +11,8 @@ The Schrodinger-type equations use Strang split-step Fourier: half
 sub-steps of the potential (linear) or kinetic (cubic) part around a full
 step of the other.  Each scheme merges the closing half step of one step
 with the opening one of the next (Weideman & Herbst 1986).  The cubic
-scheme then costs one FFT pair per step.  The linear scheme holds its
+scheme then costs one FFT pair per step, taken in place on buffers
+allocated once per run.  The linear scheme holds its
 state as a spectrum between steps: with a potential a step costs one FFT
 pair, without one the step is a single diagonal multiplication.  Every
 sub-step is a pointwise or diagonal phase multiplication, so the scheme
@@ -19,14 +20,16 @@ is exactly unitary up to roundoff, and the nonlinear sub-flow of the
 cubic equation integrates exactly (|phi| is invariant under it).  The
 second-order equation is integrated by leapfrog with a spectral
 Laplacian.  It has constant coefficients, so the leapfrog steps the
-spectra mode by mode and makes no FFT per step.  Its initial time
-derivative is caller-supplied because the equation genuinely needs two
-Cauchy data.
+spectra mode by mode, in three rotating buffers, and makes no FFT per
+step; its energy is summed over the spectra (Parseval).  Its initial
+time derivative is caller-supplied because the equation genuinely needs
+two Cauchy data.
 
 Observable extraction and snapshot recording run on a configurable
 cadence decoupled from stepping; only a record step transforms a
-spectral state back to z.  A record step whose field or recorded
-quantity is not finite raises NumericalError.
+spectral state back to z, and the recorder keeps copies, so a reused
+step buffer never reaches a record.  A record step whose field or
+recorded quantity is not finite raises NumericalError.
 """
 
 from __future__ import annotations
@@ -302,26 +305,45 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
     rec = _Recorder(config, n_steps, grid)
     rec.record(0, psi0.values)
     psi = np.fft.ifft(half_kinetic * np.fft.fft(psi0.values))
+    spectrum = np.empty_like(psi)
+    theta = np.empty(grid.n)
+    phase = np.empty_like(psi)
     for step in range(1, n_steps + 1):
-        psi = psi * np.exp(2j * config.dt * np.abs(psi) ** 2)
-        spectrum = np.fft.fft(psi)
+        # nonlinear phase exp(i theta), theta = 2 dt |psi|^2
+        np.abs(psi, out=theta)
+        theta *= theta
+        theta *= 2.0 * config.dt
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        psi *= phase
+        np.fft.fft(psi, out=spectrum)
         if rec.observe_now(step) or rec.snapshot_now(step):
             rec.record(step, np.fft.ifft(half_kinetic * spectrum))
         if step < n_steps:
-            psi = np.fft.ifft(kinetic * spectrum)
+            np.multiply(kinetic, spectrum, out=psi)
+            np.fft.ifft(psi, out=psi)
     report = rec.build("nls", {})
     report.conservation = _norm_drift(report.observables)
     return report
 
 
+def _spectral_energy(spec: np.ndarray, spec_t: np.ndarray, lam: np.ndarray,
+                     dz: float) -> float:
+    """dz/n sum(|spec_t|^2 + lam |spec|^2): by Parseval, the energy integral
+    of the fields whose spectra are spec and spec_t."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.vdot(spec_t, spec_t).real + np.vdot(spec, lam * spec).real
+        return float(total * dz / spec.size)
+
+
 def kg_energy(psi: np.ndarray, psi_t: np.ndarray, grid: Grid1D,
               omega0: float, c: float) -> float:
-    """Discrete energy integral(|psi_t|^2 + c^2 |psi_z|^2 + omega0^2 |psi|^2) dz;
-    inf or nan, without a floating-point warning, when the density overflows."""
-    psi_z = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
-    with np.errstate(over="ignore", invalid="ignore"):
-        density = np.abs(psi_t) ** 2 + c**2 * np.abs(psi_z) ** 2 + omega0**2 * np.abs(psi) ** 2
-        return float(np.sum(density) * grid.dz)
+    """Discrete energy integral(|psi_t|^2 + c^2 |psi_z|^2 + omega0^2 |psi|^2) dz
+    with the spectral psi_z (Nyquist mode kept), summed over the spectra by
+    Parseval; inf or nan, without a floating-point warning, when the density
+    overflows."""
+    lam = omega0**2 + (c * grid.k) ** 2
+    return _spectral_energy(np.fft.fft(psi), np.fft.fft(psi_t), lam, grid.dz)
 
 
 def one_branch_time_derivative(psi0: ComplexField, omega0: float = 1.0,
@@ -342,11 +364,12 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
 
     The equation is diagonal in k, psi_tt = -lambda(k) psi with
     lambda = omega0^2 + c^2 k^2, so the leapfrog recursion is stepped on the
-    spectra: the same scheme mode by mode, with no FFT per step.  Only a
-    record step transforms back, for the field and its centered-difference
-    time derivative; the reported "energy" observable uses that derivative,
-    so it is available on interior observation steps and at the endpoints
-    via the supplied/extended derivative.
+    spectra: the same scheme mode by mode, with no FFT per step.  A record
+    step makes one inverse FFT, for the field.  The reported "energy"
+    observable is summed over the spectra by Parseval,
+    dz/n sum(|psi_t^|^2 + lambda |psi^|^2), with the centered-difference
+    time derivative (nxt - prev) / (2 dt) at interior and final steps and
+    the supplied derivative at step 0.
     """
     grid = psi0.grid
     _require_valid(config, grid, Scheme.KLEIN_GORDON)
@@ -366,20 +389,26 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
     # third-order Taylor start keeps the startup error below the scheme order
     cur = prev + dt * vel0 - (dt**2 / 2.0) * lam * prev - (dt**3 / 6.0) * lam * vel0
 
-    e0 = kg_energy(psi0.values, dpsi0_dt.values, grid, config.omega0, config.c)
+    e0 = _spectral_energy(prev, vel0, lam, grid.dz)
     energies.append(e0)
     rec.record(0, psi0.values, extra={"energy": e0})
 
+    nxt = np.empty_like(cur)
+    work = np.empty_like(cur)
     for step in range(1, n_steps + 1):
-        nxt = 2.0 * cur - prev - lam_dt2 * cur
+        # nxt = 2 cur - prev - lam_dt2 cur
+        np.multiply(2.0, cur, out=nxt)
+        nxt -= prev
+        np.multiply(lam_dt2, cur, out=work)
+        nxt -= work
         # centered time derivative at `step` uses the freshly computed state
         if rec.observe_now(step) or rec.snapshot_now(step):
-            cur_z = np.fft.ifft(cur)
-            psi_t = np.fft.ifft((nxt - prev) / (2.0 * dt))
-            energy = kg_energy(cur_z, psi_t, grid, config.omega0, config.c)
+            np.subtract(nxt, prev, out=work)
+            work /= 2.0 * dt
+            energy = _spectral_energy(cur, work, lam, grid.dz)
             energies.append(energy)
-            rec.record(step, cur_z, extra={"energy": energy})
-        prev, cur = cur, nxt
+            rec.record(step, np.fft.ifft(cur), extra={"energy": energy})
+        prev, cur, nxt = cur, nxt, prev
 
     earr = np.array(energies)
     conservation = {

@@ -1,7 +1,7 @@
 """The FFT-bound step kernels: cached grid arrays, the real-FFT derivative,
 the batched transport RK4, the merged NLS Strang step, the spectral
-Klein-Gordon leapfrog and linear Schrodinger step, and how many FFTs each
-step makes.
+Klein-Gordon leapfrog and linear Schrodinger step, how many FFTs each step
+makes, and that no reused step buffer reaches a record.
 
 The references here are written out in the tests (the unmerged Strang
 loops, the leapfrog in z, the tuple-form transport RK4 with complex-FFT
@@ -9,6 +9,7 @@ derivatives) so the kernels are checked against the straightforward form
 of the same arithmetic.
 """
 
+import dataclasses
 import sys
 from collections import Counter
 
@@ -173,6 +174,55 @@ def test_nls_fft_count_with_recording_off(monkeypatch, grid512):
         assert counts["rfft"] + counts["irfft"] == 0
 
 
+def _allocating_nls_records(psi0: np.ndarray, grid: Grid1D, config: SolverConfig,
+                            record_steps: list[int]) -> dict[int, np.ndarray]:
+    """The merged Strang loop with every operation returning a new array.
+    Returns {step: field} on record_steps."""
+    dt, n_steps = config.dt, config.n_steps()
+    k2 = grid.k**2
+    half_kinetic = np.exp(-0.5j * k2 * dt)
+    kinetic = np.exp(-1j * k2 * dt)
+    states = {0: psi0.copy()}
+    psi = np.fft.ifft(half_kinetic * np.fft.fft(psi0))
+    for step in range(1, n_steps + 1):
+        psi = psi * np.exp(2j * dt * np.abs(psi) ** 2)
+        spectrum = np.fft.fft(psi)
+        if step in record_steps:
+            states[step] = np.fft.ifft(half_kinetic * spectrum)
+        if step < n_steps:
+            psi = np.fft.ifft(kinetic * spectrum)
+    return states
+
+
+@pytest.mark.parametrize("n_steps,observe_every,snapshot_every", [
+    (60, 0, 0),
+    (60, 1, 0),
+    (60, 7, 13),
+    (1, 0, 0),
+])
+def test_inplace_nls_matches_allocating_loop(grid512, n_steps, observe_every, snapshot_every):
+    dt, probe_index = 1e-3, 206  # the probe sits at the packet centre z = -5
+    psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 1.0, z0=-5.0))
+    config = SolverConfig(scheme=Scheme.NLS, dt=dt, t_final=n_steps * dt,
+                          observe_every=observe_every, snapshot_every=snapshot_every,
+                          probe_index=probe_index)
+    report = evolve_nls(psi0, config)
+    observed, snapped = _cadence(n_steps, observe_every), _cadence(n_steps, snapshot_every)
+    states = _allocating_nls_records(psi0.values, grid512, config, observed + snapped)
+    peak = np.max(np.abs(psi0.values))
+
+    assert [round(t / dt) for t in report.times] == observed
+    probe = report.observable("probe_re") + 1j * report.observable("probe_im")
+    expected_probe = np.array([states[s][probe_index] for s in observed])
+    assert np.max(np.abs(probe - expected_probe)) <= 1e-13 * peak
+    for i, step in enumerate(observed):
+        for key, value in observables(ComplexField(grid512, states[step])).items():
+            assert abs(report.observable(key)[i] - value) <= 1e-13 * max(1.0, abs(value))
+    assert [round(snap.t / dt) for snap in report.snapshots] == snapped
+    for snap, step in zip(report.snapshots, snapped):
+        assert np.max(np.abs(snap.field.values - states[step])) <= 1e-13 * peak
+
+
 def _cadence(n_steps: int, every: int) -> list[int]:
     return [s for s in range(n_steps + 1) if s in (0, n_steps) or (every > 0 and s % every == 0)]
 
@@ -237,6 +287,68 @@ def test_spectral_leapfrog_matches_leapfrog_in_z(grid, packet, n_steps, observe_
         probe = np.array([states[s][0][probe_index] for s in observed])
         got = report.observable("probe_re") + 1j * report.observable("probe_im")
         assert _relative(got, probe) <= 1e-10
+
+
+def _energy_in_z(psi: np.ndarray, psi_t: np.ndarray, grid: Grid1D,
+                 omega0: float, c: float) -> float:
+    """integral(|psi_t|^2 + c^2 |psi_z|^2 + omega0^2 |psi|^2) dz summed in z,
+    psi_z by one spectral FFT pair."""
+    psi_z = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
+    density = np.abs(psi_t) ** 2 + c**2 * np.abs(psi_z) ** 2 + omega0**2 * np.abs(psi) ** 2
+    return float(np.sum(density) * grid.dz)
+
+
+def _kg_fields_in_z(psi0: ComplexField, dpsi0: ComplexField, config: SolverConfig,
+                    record_steps: list[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The spectral leapfrog with every record state transformed back to z:
+    {step: (psi, centered psi_t)} on record_steps, (psi0, dpsi0) at step 0."""
+    grid, dt = psi0.grid, config.dt
+    lam = config.omega0**2 + (config.c * grid.k) ** 2
+    prev, vel0 = np.fft.fft(psi0.values), np.fft.fft(dpsi0.values)
+    cur = prev + dt * vel0 - (dt**2 / 2.0) * lam * prev - (dt**3 / 6.0) * lam * vel0
+    fields = {0: (psi0.values, dpsi0.values)}
+    for step in range(1, config.n_steps() + 1):
+        nxt = 2.0 * cur - prev - dt**2 * lam * cur
+        if step in record_steps:
+            fields[step] = (np.fft.ifft(cur), np.fft.ifft((nxt - prev) / (2.0 * dt)))
+        prev, cur = cur, nxt
+    return fields
+
+
+@pytest.mark.parametrize("grid,packet,omega0,c,observe_every", [
+    (_PLANE_WAVE_GRID, PacketSpec(kind=PacketKind.PLANE_WAVE, k0=0.75), 1.0, 1.0, 10),
+    (Grid1D(512, -25.6, 25.6), PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0), 0.5, 1.5, 1),
+], ids=["plane-wave", "gaussian"])
+def test_spectral_kg_energy_matches_energy_in_z(grid, packet, omega0, c, observe_every):
+    dt, n_steps = 1e-3, 200
+    psi0 = build_packet(packet, grid)
+    dpsi0 = one_branch_time_derivative(psi0, omega0, c)
+    config = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=dt, t_final=n_steps * dt,
+                          observe_every=observe_every, omega0=omega0, c=c)
+    report = evolve_klein_gordon(psi0, dpsi0, config)
+    observed = _cadence(n_steps, observe_every)
+    fields = _kg_fields_in_z(psi0, dpsi0, config, observed)
+
+    in_z = np.array([_energy_in_z(*fields[s], grid, omega0, c) for s in observed])
+    assert _relative(report.observable("energy"), in_z) <= 1e-13
+    public = np.array([kg_energy(*fields[s], grid, omega0, c) for s in observed])
+    assert _relative(public, in_z) <= 1e-13
+
+
+def test_kg_record_step_makes_one_fft(monkeypatch, grid512):
+    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0), grid512)
+    dpsi0 = one_branch_time_derivative(psi0)
+    counts = _count_ffts(monkeypatch)
+
+    def total(n_steps):
+        counts.clear()
+        evolve_klein_gordon(psi0, dpsi0, SolverConfig(
+            scheme=Scheme.KLEIN_GORDON, dt=1e-3, t_final=n_steps * 1e-3, observe_every=1))
+        assert counts["rfft"] + counts["irfft"] == 0
+        return counts["fft"] + counts["ifft"]
+
+    assert total(20) - total(10) == 10
+    assert total(1) == 3  # the two opening ffts and the final record step's ifft
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +457,38 @@ def test_linear_with_potential_makes_one_fft_pair_per_step(monkeypatch, grid512)
 
     assert total(20) - total(10) == 2 * 10
     assert total(1) == 2  # the opening fft and the final record step's ifft
+
+
+# ---------------------------------------------------------------------------
+# reused step buffers never reach a record
+# ---------------------------------------------------------------------------
+
+def _evolve(scheme: Scheme, grid: Grid1D, n_steps: int, every: int):
+    """A run of n_steps that observes and snapshots every `every` steps."""
+    dt = 1e-3
+    config = SolverConfig(scheme=scheme, dt=dt, t_final=n_steps * dt, observe_every=every,
+                          snapshot_every=every)
+    if scheme is Scheme.NLS:
+        return evolve_nls(ComplexField(grid, nls_breather_exact(grid.z, 0.0, 1.0, 1.0, z0=-5.0)),
+                          config)
+    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, center=2.0, k0=1.0), grid)
+    if scheme is Scheme.KLEIN_GORDON:
+        return evolve_klein_gordon(psi0, one_branch_time_derivative(psi0), config)
+    return evolve_linear_schrodinger(psi0, dataclasses.replace(config, potential=_harmonic(grid)))
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_mid_run_snapshot_equals_final_field_of_shorter_run(grid512, scheme):
+    report = _evolve(scheme, grid512, 30, 10)
+    assert [round(snap.t / 1e-3) for snap in report.snapshots] == [0, 10, 20, 30]
+    for i, steps in ((1, 10), (2, 20)):
+        shorter = _evolve(scheme, grid512, steps, 0)
+        assert _relative(report.snapshots[i].field.values,
+                         shorter.final_field().values) <= 1e-13
+        for key, series in shorter.observables.items():
+            assert report.observable(key)[i] == pytest.approx(series[-1], rel=1e-13, abs=1e-13)
+    # the snapshots are distinct states, not one buffer seen four times
+    assert _relative(report.snapshots[1].field.values, report.snapshots[2].field.values) > 1e-3
 
 
 # ---------------------------------------------------------------------------
