@@ -55,7 +55,7 @@ from .madelung import (
     hj_residual,
     quantum_potential,
 )
-from .report import RunReport, Snapshot, write_report, write_snapshots
+from .report import RunReport, Snapshot, write_json, write_report, write_snapshots
 from .solvers import (
     Scheme,
     SolverConfig,
@@ -101,14 +101,19 @@ def apply_overrides(config: dict, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = config
-        keys = path.split(".")
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigurationError(f"override path {path!r} crosses a non-object")
-        node[keys[-1]] = value
+        _set_path(config, path, value)
     return config
+
+
+def _set_path(config: dict, path: str, value) -> None:
+    """config at dotted path := value, creating missing objects on the way."""
+    node = config
+    keys = path.split(".")
+    for key in keys[:-1]:
+        node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigurationError(f"override path {path!r} crosses a non-object")
+    node[keys[-1]] = value
 
 
 _REQUIRED = object()
@@ -495,12 +500,9 @@ def _emit(config: dict, result: dict, reports: list[RunReport],
     if out_dir is None:
         return
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs: list[Path] = []
     report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    outputs.append(report_path)
+    write_json(report_path, result)
+    outputs = [report_path]
     if len(reports) == 1:
         # the run summary is already embedded in report.json; emit snapshots only
         outputs.extend(write_snapshots(reports[0].snapshots, out_dir / "snapshots"))
@@ -521,9 +523,7 @@ def _emit(config: dict, result: dict, reports: list[RunReport],
             for p in sorted(set(outputs))
         ],
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
     print(f"wrote {len(outputs)} output file(s) + manifest to {out_dir}")
 
 
@@ -618,22 +618,18 @@ def _packet_from_flag(text: str) -> dict:
 
 
 def _config_from_args(args) -> dict:
-    config = load_config(args.config) if args.config else {}
-    if args.command == "evolve" and not args.config:
+    if args.config:
+        config = load_config(args.config)
+    elif args.command == "evolve":
         # quick one-liner form; the assembled config (grid included) is
         # echoed in full through report.json and the manifest
-        if getattr(args, "scheme", None):
-            config["scheme"] = args.scheme
-        if getattr(args, "packet", None):
-            config["packet"] = _packet_from_flag(args.packet)
-        config.setdefault("grid", {"n": 512, "z_min": -25.6, "z_max": 25.6})
-        solver = config.setdefault("solver", {})
-        solver.setdefault("dt", 1e-3)
-        if getattr(args, "t_final", None) is not None:
-            solver["t_final"] = args.t_final
-        if getattr(args, "dt", None) is not None:
-            solver["dt"] = args.dt
+        config = {"grid": {"n": 512, "z_min": -25.6, "z_max": 25.6}, "solver": {"dt": 1e-3}}
+    else:
+        config = {}
+    if getattr(args, "packet", None):
+        config["packet"] = _packet_from_flag(args.packet)
     flags = {
+        "evolve": [("scheme", "scheme"), ("t_final", "solver.t_final"), ("dt", "solver.dt")],
         "kinematics": [("v", "v")],
         "dispersion": [("branch", "branch"), ("k", "k_values")],
         "barrier": [("height_ev", "height_eV"), ("length_m", "length_m"),
@@ -644,7 +640,7 @@ def _config_from_args(args) -> dict:
     for attr, key in flags.get(args.command, []):
         value = getattr(args, attr, None)
         if value is not None:
-            config[key] = value
+            _set_path(config, key, value)
     config.setdefault("experiment", args.command)
     apply_overrides(config, args.overrides)
     if config["experiment"] != args.command:

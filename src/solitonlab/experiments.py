@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 import numpy as np
@@ -220,21 +220,7 @@ class MonteCarloReport:
     model: dict[str, Any]
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": "barrier",
-            "transmitted": self.transmitted,
-            "reflected": self.reflected,
-            "tunneled": self.tunneled,
-            "transmission_fraction": self.transmission_fraction,
-            "standard_error": self.standard_error,
-            "geometric_gap_fraction": self.geometric_gap_fraction,
-            "expected_fraction": self.expected_fraction,
-            "z_score": self.z_score,
-            "linear_transmission": self.linear_transmission,
-            "trials": self.trials,
-            "seed": self.seed,
-            "model": self.model,
-        }
+        return {"experiment": "barrier", **asdict(self)}
 
 
 def _trial_words(seed: int, block: int, count: int) -> np.ndarray:

@@ -249,18 +249,5 @@ class UnitScaling:
     def length_m(self) -> float:
         return self.constants.hbar / (self.mass_kg * self.constants.c)
 
-    @property
-    def energy_J(self) -> float:
-        return self.mass_kg * self.constants.c**2
-
-    def length_to_si(self, value: float) -> float:
-        return value * self.length_m
-
     def length_from_si(self, value: float) -> float:
         return value / self.length_m
-
-    def energy_to_si(self, value: float) -> float:
-        return value * self.energy_J
-
-    def energy_from_si(self, value: float) -> float:
-        return value / self.energy_J

@@ -36,7 +36,7 @@ from .errors import ConfigurationError, DomainError, NodeError, NumericalError
 from .grid import ComplexField, Grid1D, UnitScaling, real_spectral_derivative, spectral_derivative
 from .kinematics import PhysicalConstants, electron_constants
 from .report import RunReport
-from .solvers import _Recorder, step_count
+from .solvers import _cadence_problems, _Recorder, step_count
 
 DEFAULT_NODE_THRESHOLD = 1e-6
 
@@ -305,6 +305,8 @@ class DispersionlessConfig:
             raise ConfigurationError("need 0 < dt <= t_final")
         if self.mass <= 0.0 or self.hbar <= 0.0:
             raise ConfigurationError("mass and hbar must be positive")
+        if problems := _cadence_problems(self):
+            raise ConfigurationError("; ".join(problems))
 
     def n_steps(self) -> int:
         return step_count(self.dt, self.t_final)
@@ -440,7 +442,7 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
                 "the classical flow may be forming a shock"
             )
 
-    rec = _Recorder(config, n_steps, grid)
+    rec = _Recorder(config, n_steps, grid, "rho_integral")
 
     def record(step, rho_c, s_c, kappa_c):
         r_now = np.sqrt(np.clip(rho_c, 0.0, None))
@@ -449,7 +451,8 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         fld = MadelungField(grid, r_now, s_full, hbar=config.hbar, support=support_now)
         columns = ({"R": r_now, "S": s_full, "Q": quantum_potential(fld, mass)}
                    if rec.snapshot_now(step) else None)
-        rec.record(step, recompose(fld).values,
+        # recompose(fld) as a bare array: the recorder makes the one checked copy
+        rec.record(step, fld.R * np.exp(1j * fld.S / fld.hbar),
                    extra={"rho_integral": float(np.sum(rho_c) * grid.dz)},
                    snapshot_extra=columns)
 
@@ -472,17 +475,10 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         kappa = kappa + dt / 6.0 * (dkappa + 2.0 * dkappa + 2.0 * dkappa + dkappa)
         if not np.all(np.isfinite(y)):
             raise NumericalError(f"transport state blew up at step {step}")
-        if rec.observe_now(step) or rec.snapshot_now(step):
+        if rec.due(step):
             record(step, y[0], y[1], kappa)
 
-    report = rec.build("dispersionless_transport", {})
-    arr = report.observable("rho_integral")
-    report.conservation = {
-        "rho_integral_initial": float(arr[0]),
-        "rho_integral_final": float(arr[-1]),
-        "max_relative_rho_drift": float(np.max(np.abs(arr - arr[0])) / arr[0]),
-    }
-    return report
+    return rec.build("dispersionless_transport")
 
 
 @dataclass(frozen=True)

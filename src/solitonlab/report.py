@@ -93,15 +93,21 @@ def read_snapshot_csv(path: Path) -> tuple[float, dict[str, np.ndarray]]:
     return t, {name: data[:, i] for i, name in enumerate(header)}
 
 
+def write_json(path: Path, obj) -> None:
+    """Indented JSON with sorted keys and a closing newline, so equal
+    objects give byte-identical files."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_report(report: RunReport, out_dir: Path) -> list[Path]:
     """Write report.json and snapshots/*.csv; returns the created paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
     report_path = out_dir / "report.json"
-    with open(report_path, "w") as fh:
-        json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(report_path, report.summary_dict())
     paths.append(report_path)
     if report.snapshots:
         paths.extend(write_snapshots(report.snapshots, out_dir / "snapshots"))

@@ -29,7 +29,10 @@ Observable extraction and snapshot recording run on a configurable
 cadence decoupled from stepping; only a record step transforms a
 spectral state back to z, and the recorder keeps copies, so a reused
 step buffer never reaches a record.  A record step whose field or
-recorded quantity is not finite raises NumericalError.
+recorded quantity is not finite raises NumericalError.  The recorder
+also builds the report: each scheme names the observable it conserves
+(the norm, or the energy for the second-order equation), and the
+report's conservation block is that series' drift.
 """
 
 from __future__ import annotations
@@ -114,12 +117,15 @@ class SolverConfig:
         }
 
 
+def _cadence_problems(config) -> list[str]:
+    """The negative cadences of a SolverConfig or DispersionlessConfig."""
+    return [f"{name} must be >= 0, got {getattr(config, name)}"
+            for name in ("snapshot_every", "observe_every") if getattr(config, name) < 0]
+
+
 def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
     """All guard violations for this config on this grid (empty = runnable)."""
-    problems = []
-    for name in ("snapshot_every", "observe_every"):
-        if getattr(config, name) < 0:
-            problems.append(f"{name} must be >= 0, got {getattr(config, name)}")
+    problems = _cadence_problems(config)
     try:
         config.n_steps()
     except ConfigurationError as err:
@@ -167,26 +173,32 @@ def _require_valid(config: SolverConfig, grid: Grid1D, scheme: Scheme) -> None:
         raise ConfigurationError("; ".join(problems))
 
 
-def _require_finite(quantities: dict, step: int, t: float) -> None:
-    """Raise NumericalError naming the first quantity (float or array) that is not finite."""
+def _require_finite(quantities: dict[str, float], step: int, t: float) -> None:
+    """Raise NumericalError naming the first quantity that is not finite."""
     for name, value in quantities.items():
-        if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        if not math.isfinite(value):
             raise NumericalError(f"{name} is not finite at step {step} (t = {t:.6g})")
 
 
 class _Recorder:
-    """Accumulates the observable series and snapshots on the set cadence.
+    """Accumulates a run's record on the set cadence and builds its report.
 
     config is a SolverConfig or a madelung.DispersionlessConfig: both give
     dt, the two cadences and config_echo; only the former has a probe.
-    A record step whose field or recorded quantity is not finite raises
-    NumericalError, so a run that blew up cannot report success.
+    conserved names the observable series (norm, energy or rho_integral)
+    whose drift backs the run: build reports its initial and final values
+    and max |x - x0| / x0 over the reported series, under the keys
+    {conserved}_initial, {conserved}_final and max_relative_{w}_drift,
+    with w the first word of the name.  A record step whose field or
+    recorded quantity is not finite raises NumericalError, so a run that
+    blew up cannot report success.
     """
 
-    def __init__(self, config, n_steps: int, grid: Grid1D):
+    def __init__(self, config, n_steps: int, grid: Grid1D, conserved: str):
         self.config = config
         self.n_steps = n_steps
         self.grid = grid
+        self.conserved = conserved
         self.probe_index = getattr(config, "probe_index", None)
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {}
@@ -202,12 +214,21 @@ class _Recorder:
             return True
         return self.config.snapshot_every > 0 and step % self.config.snapshot_every == 0
 
+    def due(self, step: int) -> bool:
+        """Whether step is a record step (an observation, a snapshot or both)."""
+        return self.observe_now(step) or self.snapshot_now(step)
+
     def record(self, step: int, values: np.ndarray, extra: dict[str, float] | None = None,
                snapshot_extra: dict[str, np.ndarray] | None = None) -> None:
         t = step * self.config.dt
         extra = extra or {}
-        _require_finite({"field": values, **extra}, step, t)
-        field = ComplexField(self.grid, values)
+        try:
+            # copies the values and scans them once; a grid-length array
+            # can fail only the finiteness check
+            field = ComplexField(self.grid, values)
+        except ConfigurationError:
+            raise NumericalError(f"field is not finite at step {step} (t = {t:.6g})") from None
+        _require_finite(extra, step, t)
         if self.observe_now(step):
             obs = {**observables(field), **extra}
             if self.probe_index is not None:
@@ -222,25 +243,23 @@ class _Recorder:
         if self.snapshot_now(step):
             self.snapshots.append(Snapshot(t, field, snapshot_extra or {}))
 
-    def build(self, scheme: str, conservation: dict[str, float]) -> RunReport:
+    def build(self, scheme: str) -> RunReport:
+        series = {k: np.array(v) for k, v in self.series.items()}
+        kept = series[self.conserved]
+        x0 = kept[0]
+        word = self.conserved.split("_")[0]
         return RunReport(
             scheme=scheme,
             config=self.config.config_echo(self.grid),
             times=np.array(self.times),
-            observables={k: np.array(v) for k, v in self.series.items()},
+            observables=series,
             snapshots=self.snapshots,
-            conservation=conservation,
+            conservation={
+                f"{self.conserved}_initial": float(x0),
+                f"{self.conserved}_final": float(kept[-1]),
+                f"max_relative_{word}_drift": float(np.max(np.abs(kept - x0)) / x0),
+            },
         )
-
-
-def _norm_drift(series: dict[str, np.ndarray]) -> dict[str, float]:
-    norms = series["norm"]
-    n0 = norms[0]
-    return {
-        "norm_initial": float(n0),
-        "norm_final": float(norms[-1]),
-        "max_relative_norm_drift": float(np.max(np.abs(norms - n0)) / n0),
-    }
 
 
 def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunReport:
@@ -266,12 +285,12 @@ def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunRe
         half_pot = np.exp(-0.5j * v * config.dt)
         full_pot = np.exp(-1j * v * config.dt)
 
-    rec = _Recorder(config, n_steps, grid)
+    rec = _Recorder(config, n_steps, grid, "norm")
     rec.record(0, psi0.values)
     spec = np.fft.fft(psi0.values if half_pot is None else half_pot * psi0.values)
     for step in range(1, n_steps + 1):
         spec *= kinetic
-        recording = rec.observe_now(step) or rec.snapshot_now(step)
+        recording = rec.due(step)
         kick = full_pot is not None and step < n_steps
         if recording or kick:
             psi = np.fft.ifft(spec)
@@ -280,9 +299,7 @@ def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunRe
         if kick:
             psi *= full_pot
             spec = np.fft.fft(psi)
-    report = rec.build("linear_schrodinger", {})
-    report.conservation = _norm_drift(report.observables)
-    return report
+    return rec.build("linear_schrodinger")
 
 
 def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
@@ -302,7 +319,7 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
     half_kinetic = np.exp(-0.5j * k2 * config.dt)
     kinetic = np.exp(-1j * k2 * config.dt)
 
-    rec = _Recorder(config, n_steps, grid)
+    rec = _Recorder(config, n_steps, grid, "norm")
     rec.record(0, psi0.values)
     psi = np.fft.ifft(half_kinetic * np.fft.fft(psi0.values))
     spectrum = np.empty_like(psi)
@@ -317,14 +334,12 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
         np.sin(theta, out=phase.imag)
         psi *= phase
         np.fft.fft(psi, out=spectrum)
-        if rec.observe_now(step) or rec.snapshot_now(step):
+        if rec.due(step):
             rec.record(step, np.fft.ifft(half_kinetic * spectrum))
         if step < n_steps:
             np.multiply(kinetic, spectrum, out=psi)
             np.fft.ifft(psi, out=psi)
-    report = rec.build("nls", {})
-    report.conservation = _norm_drift(report.observables)
-    return report
+    return rec.build("nls")
 
 
 def _spectral_energy(spec: np.ndarray, spec_t: np.ndarray, lam: np.ndarray,
@@ -381,17 +396,13 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
     lam = config.omega0**2 + (config.c * grid.k) ** 2
     lam_dt2 = dt**2 * lam
 
-    rec = _Recorder(config, n_steps, grid)
-    energies: list[float] = []
-
+    rec = _Recorder(config, n_steps, grid, "energy")
     prev = np.fft.fft(psi0.values)
     vel0 = np.fft.fft(dpsi0_dt.values)
     # third-order Taylor start keeps the startup error below the scheme order
     cur = prev + dt * vel0 - (dt**2 / 2.0) * lam * prev - (dt**3 / 6.0) * lam * vel0
 
-    e0 = _spectral_energy(prev, vel0, lam, grid.dz)
-    energies.append(e0)
-    rec.record(0, psi0.values, extra={"energy": e0})
+    rec.record(0, psi0.values, extra={"energy": _spectral_energy(prev, vel0, lam, grid.dz)})
 
     nxt = np.empty_like(cur)
     work = np.empty_like(cur)
@@ -402,21 +413,14 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
         np.multiply(lam_dt2, cur, out=work)
         nxt -= work
         # centered time derivative at `step` uses the freshly computed state
-        if rec.observe_now(step) or rec.snapshot_now(step):
+        if rec.due(step):
             np.subtract(nxt, prev, out=work)
             work /= 2.0 * dt
-            energy = _spectral_energy(cur, work, lam, grid.dz)
-            energies.append(energy)
-            rec.record(step, np.fft.ifft(cur), extra={"energy": energy})
+            rec.record(step, np.fft.ifft(cur),
+                       extra={"energy": _spectral_energy(cur, work, lam, grid.dz)})
         prev, cur, nxt = cur, nxt, prev
 
-    earr = np.array(energies)
-    conservation = {
-        "energy_initial": float(earr[0]),
-        "energy_final": float(earr[-1]),
-        "max_relative_energy_drift": float(np.max(np.abs(earr - earr[0])) / earr[0]),
-    }
-    return rec.build("klein_gordon", conservation)
+    return rec.build("klein_gordon")
 
 
 def nls_breather_exact(z, t: float, a: float, v: float, z0: float = 0.0):

@@ -179,6 +179,22 @@ def test_evolve_inline_flags(tmp_path):
     assert report["config"]["grid"]["n"] == 512  # assembled config echoed
 
 
+@pytest.mark.parametrize("flags, path, value", [
+    (["--dt", "0.002"], ("config", "dt"), 0.002),
+    (["--t-final", "0.5"], ("config", "t_final"), 0.5),
+    (["--scheme", "nls"], ("config", "scheme"), "nls"),
+    (["--packet", "gaussian,sigma=2"], ("config", "packet", "sigma"), 2.0),
+])
+def test_evolve_flags_apply_on_top_of_a_config(flags, path, value, tmp_path):
+    out = tmp_path / "run"
+    assert main(["evolve", "--config", str(CONFIG_DIR / "gaussian-linear.json"),
+                 *flags, "--out", str(out)]) == EXIT_OK
+    node = json.loads((out / "report.json").read_text())
+    for key in path:
+        node = node[key]
+    assert node == value
+
+
 def test_dispersion_table(capsys):
     assert main(["dispersion", "--branch", "klein_gordon", "--k", "0,0.75"]) == EXIT_OK
     assert "omega" in capsys.readouterr().out

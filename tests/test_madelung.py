@@ -279,6 +279,11 @@ class TestDispersionlessTransport:
         rep = evolve_dispersionless(dispersionless_initial(config, grid512), config)
         assert {"R", "S", "Q"} <= set(rep.snapshots[-1].extra)
 
+    @pytest.mark.parametrize("cadence", ["snapshot_every", "observe_every"])
+    def test_negative_cadence_rejected(self, cadence):
+        with pytest.raises(ConfigurationError, match=f"{cadence} must be >= 0, got -1"):
+            DispersionlessConfig(dt=1e-3, t_final=0.1, **{cadence: -1})
+
     def test_cfl_abort(self, grid512):
         config = DispersionlessConfig(dt=1e-2, t_final=1.0, velocity=10.0)
         initial = dispersionless_initial(config, grid512)

@@ -6,12 +6,15 @@ import pytest
 from solitonlab import (
     ComplexField,
     ConfigurationError,
+    DispersionlessConfig,
     Grid1D,
     PacketKind,
     PacketSpec,
     Scheme,
     SolverConfig,
     build_packet,
+    dispersionless_initial,
+    evolve_dispersionless,
     evolve_klein_gordon,
     evolve_linear_schrodinger,
     evolve_nls,
@@ -288,7 +291,7 @@ def test_klein_gordon_needs_positive_c(grid512):
 def test_recorder_rejects_non_finite_records(grid512):
     config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.01,
                           observe_every=5)
-    rec = _Recorder(config, config.n_steps(), grid512)
+    rec = _Recorder(config, config.n_steps(), grid512, "norm")
     field = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0), grid512).values
     rec.record(0, field, extra={"energy": 1.0})
     blown = field.copy()
@@ -301,3 +304,44 @@ def test_recorder_rejects_non_finite_records(grid512):
     with pytest.raises(NumericalError, match="norm is not finite at step 10"):
         rec.record(10, field * 1e200)
     assert rec.times == [0.0]
+
+
+def _conservation_cases():
+    grid = Grid1D(512, -25.6, 25.6)
+    gauss = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.5, k0=1.0), grid)
+    breather = build_packet(PacketSpec(PacketKind.SECH_BREATHER, velocity=1.0), grid)
+    # the largest energy deviation of this run falls at step 32, a snapshot-only step
+    narrow = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=0.5, k0=2.0), grid)
+    kg = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=0.01, t_final=2.0,
+                      observe_every=10, snapshot_every=8)
+    transport = DispersionlessConfig(dt=1e-3, t_final=0.2, velocity=1.0,
+                                     observe_every=20, snapshot_every=30)
+    return {
+        "linear": lambda: evolve_linear_schrodinger(gauss, SolverConfig(
+            scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.5,
+            potential=0.05 * grid.z**2, observe_every=25, snapshot_every=40)),
+        "nls": lambda: evolve_nls(breather, SolverConfig(
+            scheme=Scheme.NLS, dt=1e-3, t_final=0.5, observe_every=25, snapshot_every=40)),
+        "kg": lambda: evolve_klein_gordon(
+            narrow, one_branch_time_derivative(narrow, kg.omega0, kg.c), kg),
+        "transport": lambda: evolve_dispersionless(
+            dispersionless_initial(transport, grid, center=-5.0), transport),
+    }
+
+
+@pytest.mark.parametrize("case, name, drift_key", [
+    ("linear", "norm", "max_relative_norm_drift"),
+    ("nls", "norm", "max_relative_norm_drift"),
+    ("kg", "energy", "max_relative_energy_drift"),
+    ("transport", "rho_integral", "max_relative_rho_drift"),
+])
+def test_conservation_is_the_drift_of_the_reported_series(case, name, drift_key):
+    rep = _conservation_cases()[case]()
+    series = rep.observable(name)
+    assert rep.conservation == {
+        f"{name}_initial": float(series[0]),
+        f"{name}_final": float(series[-1]),
+        drift_key: float(np.max(np.abs(series - series[0])) / series[0]),
+    }
+    # the run has snapshot-only record steps, which the series leaves out
+    assert not {s.t for s in rep.snapshots} <= set(rep.times.tolist())
