@@ -1,28 +1,28 @@
-"""Polar decomposition psi = R exp(i S / hbar) and the transport dynamics
+"""Polar decomposition psi = R exp(i S) and the transport dynamics
 obtained when the curvature (quantum-potential) term is removed.
 
-The polar split turns the linear Schrodinger equation into a
-Hamilton-Jacobi equation for the action S carrying one extra term,
+Units are the solvers' normalized ones, hbar = m = 1, so the action S is
+measured in units of hbar and the velocity field is S_z.  The polar
+split turns the linear Schrodinger equation into a Hamilton-Jacobi
+equation for S carrying one extra term,
 
-    Q = -(hbar^2 / 2m) (d^2 R / dz^2) / R,
+    Q = -(1/2) (d^2 R / dz^2) / R,
 
 plus a continuity equation for the density R^2 in conservation form.
 Adding -Q as a nonlinearity deletes that term symbolically, so the pair
 (R, S) obeys purely classical transport: S follows the classical
-Hamilton-Jacobi equation and R^2 is advected by the velocity field
-S_z / m.  We integrate that classical pair directly in (R, S) variables
--- in psi form the cancelling term requires dividing by |psi|, which is
+Hamilton-Jacobi equation and R^2 is advected by the velocity field S_z.
+We integrate that classical pair directly in (R, S) variables -- in psi
+form the cancelling term requires dividing by |psi|, which is
 numerically hostile -- and reconstruct psi for comparison with the
 linear solver.
 
-S is stored in action units (unnormalized by hbar) so the evolution
-equations read literally; hbar enters only at (re)composition.  Because
-the action of a moving packet grows linearly in z, which has no periodic
-representation, phase fields are handled as (linear slope in z) +
-(periodic remainder); the slope also absorbs a linear-in-z part of the
-potential.  Spatial derivatives of phase-like quantities are taken
-through gauge-invariant currents of the reconstructed psi, never through
-a direct spectral derivative of the unwrapped S.
+Because the action of a moving packet grows linearly in z, which has no
+periodic representation, phase fields are handled as (linear slope in
+z) + (periodic remainder); the slope also absorbs a linear-in-z part of
+the potential.  Spatial derivatives of phase-like quantities are taken
+through the gauge-invariant current Im(psi* psi_z) of the reconstructed
+psi, never through a direct spectral derivative of the unwrapped S.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ from .report import RunReport
 from .solvers import _cadence_problems, _Recorder, step_count
 
 DEFAULT_NODE_THRESHOLD = 1e-6
+#: advective CFL factor of the transport: dt max|S_z| <= TRANSPORT_CFL dz
+TRANSPORT_CFL = 0.5
 
 
 def check_node_threshold(node_threshold: float) -> float:
@@ -54,13 +56,12 @@ class MadelungField:
 
     ``support`` marks where R is large enough (relative to its peak) for
     the decomposition to be meaningful; S is continuous there (no 2 pi
-    hbar jumps), and diagnostics are only reported there.
+    jumps), and diagnostics are only reported there.
     """
 
     grid: Grid1D
     R: np.ndarray
     S: np.ndarray
-    hbar: float = 1.0
     support: np.ndarray | None = None
 
     def __post_init__(self):
@@ -72,8 +73,6 @@ class MadelungField:
             raise ConfigurationError("R must be finite and non-negative everywhere")
         if not np.all(np.isfinite(s)):
             raise ConfigurationError("S must be finite")
-        if self.hbar <= 0.0:
-            raise DomainError("hbar must be positive")
         sup = self.support
         sup = np.ones(self.grid.n, bool) if sup is None else np.array(sup, bool, copy=True)
         for arr in (r, s, sup):
@@ -83,49 +82,30 @@ class MadelungField:
         object.__setattr__(self, "support", sup)
 
 
-def _support_segments(mask: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
-    """Wrap-joined above-threshold analysis of a boolean mask.
+def _node_gaps(mask: np.ndarray) -> tuple[int, np.ndarray]:
+    """(start, gaps) of a boolean mask on the periodic grid that holds at
+    least one True point.
 
-    Returns (support mask, start index of the support run, indices of
-    below-threshold points lying between two above-threshold runs).
+    Read the ring from its first False point (from 0 if there is none):
+    start is the index of the first True point and gaps are the False
+    points strictly between the first and the last True point, the
+    interior nodes of the mask.
     """
-    n = mask.size
-    if mask.all():
-        return mask, 0, np.empty(0, dtype=int)
-    first_false = int(np.argmin(mask))
-    rolled = np.roll(mask, -first_false)
-    # rolled[0] is False, so every True run is interior to the rolled view
-    edges = np.flatnonzero(np.diff(rolled.astype(np.int8)))
-    starts = edges[::2] + 1
-    ends = edges[1::2] + 1 if edges.size % 2 == 0 else np.append(edges[1::2] + 1, n)
-    if starts.size <= 1:
-        support = np.zeros(n, bool)
-        if starts.size == 1:
-            idx = (np.arange(starts[0], ends[0]) + first_false) % n
-            support[idx] = True
-        start = (int(starts[0]) + first_false) % n if starts.size else 0
-        return support, start, np.empty(0, dtype=int)
-    # gaps strictly between consecutive runs are interior nodes
-    gap_rolled = np.concatenate(
-        [np.arange(ends[i], starts[i + 1]) for i in range(starts.size - 1)]
-    )
-    gaps = (gap_rolled + first_false) % n
-    support = np.zeros(n, bool)
-    for s, e in zip(starts, ends):
-        support[(np.arange(s, e) + first_false) % n] = True
-    return support, (int(starts[0]) + first_false) % n, gaps
+    order = np.roll(np.arange(mask.size), -int(np.argmin(mask)))
+    above = np.flatnonzero(mask[order])
+    inner = order[above[0]:above[-1] + 1]
+    return int(inner[0]), inner[~mask[inner]]
 
 
-def decompose(psi: ComplexField, node_threshold: float = DEFAULT_NODE_THRESHOLD,
-              hbar: float = 1.0) -> MadelungField:
-    """R = |psi|, S = hbar * arg(psi) unwrapped along the grid.
+def decompose(psi: ComplexField, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> MadelungField:
+    """R = |psi|, S = arg(psi) unwrapped along the grid.
 
-    Unwrapping starts at the left edge of the (single, wrap-joined)
-    above-threshold region and walks the full ring; values outside the
-    support are carried along but not meaningful.  A below-threshold
-    point between two above-threshold regions is a node: unwrapping
-    across it is ill-defined, so a NodeError carrying the node positions
-    is raised instead.
+    The support is where R >= node_threshold * max R.  Unwrapping starts
+    at the left edge of the (single, wrap-joined) support and walks the
+    full ring; values outside the support are carried along but not
+    meaningful.  A below-threshold point between two above-threshold
+    regions is a node: unwrapping across it is ill-defined, so a NodeError
+    carrying the node positions is raised instead.
     """
     vals = psi.values
     r = np.abs(vals)
@@ -133,64 +113,65 @@ def decompose(psi: ComplexField, node_threshold: float = DEFAULT_NODE_THRESHOLD,
     if peak == 0.0:
         raise NodeError("field is identically zero", psi.grid.z)
     mask = r >= check_node_threshold(node_threshold) * peak
-    support, start, gaps = _support_segments(mask)
+    start, gaps = _node_gaps(mask)
     if gaps.size:
         raise NodeError(
             f"amplitude crosses the node threshold at {gaps.size} interior point(s)",
             psi.grid.z[gaps],
         )
     order = (np.arange(psi.grid.n) + start) % psi.grid.n
-    unwrapped = np.unwrap(np.angle(vals[order]))
     s = np.empty(psi.grid.n)
-    s[order] = hbar * unwrapped
-    return MadelungField(psi.grid, r, s, hbar=hbar, support=support)
+    s[order] = np.unwrap(np.angle(vals[order]))
+    return MadelungField(psi.grid, r, s, support=mask)
 
 
 def recompose(field: MadelungField) -> ComplexField:
-    """Inverse of decompose: R * exp(i S / hbar)."""
-    return ComplexField(field.grid, field.R * np.exp(1j * field.S / field.hbar))
+    """Inverse of decompose: R * exp(i S)."""
+    return ComplexField(field.grid, field.R * np.exp(1j * field.S))
 
 
-def quantum_potential(field: MadelungField, mass: float = 1.0) -> np.ndarray:
-    """Q = -(hbar^2 / 2m) R'' / R with a spectral second derivative.
+def quantum_potential(field: MadelungField) -> np.ndarray:
+    """Q = -(1/2) R'' / R with a spectral second derivative.
 
     Reported only on the support (zeros elsewhere, where the division
     by R would amplify the spectral noise floor).
     """
-    if mass <= 0.0:
-        raise DomainError("mass must be positive")
     rzz = spectral_derivative(field.R, field.grid, order=2).real
     q = np.zeros(field.grid.n)
     sup = field.support & (field.R > 0.0)
-    q[sup] = -(field.hbar**2 / (2.0 * mass)) * rzz[sup] / field.R[sup]
+    q[sup] = -0.5 * rzz[sup] / field.R[sup]
     return q
 
 
-def _phase_gradient(field: MadelungField) -> np.ndarray:
-    """S_z on the support via the gauge-invariant current of recompose(field).
+def _current(field: MadelungField) -> np.ndarray:
+    """Im(psi* psi_z) of recompose(field), which equals R^2 S_z.
 
-    hbar Im(psi* psi_z) / R^2 equals S_z pointwise but only ever
-    differentiates the periodic complex field, so it stays valid for
-    actions with a linear-in-z part.  Zeros outside the support.
+    It only ever differentiates the periodic complex field, so it stays
+    valid for actions with a linear-in-z part.
     """
     psi = recompose(field).values
-    psi_z = spectral_derivative(psi, field.grid, order=1)
+    return np.imag(np.conj(psi) * spectral_derivative(psi, field.grid, order=1))
+
+
+def _phase_gradient(field: MadelungField) -> np.ndarray:
+    """S_z = Im(psi* psi_z) / R^2 on the support, zeros outside it."""
+    current = _current(field)
     s_z = np.zeros(field.grid.n)
     sup = field.support & (field.R > 0.0)
-    s_z[sup] = field.hbar * np.imag(np.conj(psi[sup]) * psi_z[sup]) / field.R[sup] ** 2
+    s_z[sup] = current[sup] / field.R[sup] ** 2
     return s_z
 
 
 def _align_actions(before: MadelungField, after: MadelungField,
                    support: np.ndarray) -> np.ndarray:
-    """after.S shifted by the 2 pi hbar multiple that makes dS small.
+    """after.S shifted by the 2 pi multiple that makes dS small.
 
     Independent unwrapping of two snapshots can differ by a global
-    2 pi hbar integer; remove the median multiple before differencing.
+    2 pi integer; remove the median multiple before differencing.
     """
-    two_pi_hbar = 2.0 * math.pi * before.hbar
+    two_pi = 2.0 * math.pi
     delta = after.S - before.S
-    offset = two_pi_hbar * np.round(np.median(delta[support]) / two_pi_hbar)
+    offset = two_pi * np.round(np.median(delta[support]) / two_pi)
     return after.S - offset
 
 
@@ -199,8 +180,6 @@ def _pair_midpoint(before: MadelungField, after: MadelungField,
     """Midpoint field, dS/dt and d(R^2)/dt from a centered snapshot pair."""
     if before.grid != after.grid:
         raise ConfigurationError("snapshot pair must share a grid")
-    if before.hbar != after.hbar:
-        raise ConfigurationError("snapshot pair must share hbar")
     if dt <= 0.0:
         raise ConfigurationError("pair separation dt must be positive")
     support = before.support & after.support
@@ -211,16 +190,15 @@ def _pair_midpoint(before: MadelungField, after: MadelungField,
         before.grid,
         0.5 * (before.R + after.R),
         0.5 * (before.S + s_after),
-        hbar=before.hbar,
         support=support,
     )
     return mid, s_dot, rho_dot
 
 
 def hj_residual_from_rate(field: MadelungField, s_dot: np.ndarray,
-                          potential: np.ndarray | float = 0.0, mass: float = 1.0,
+                          potential: np.ndarray | float = 0.0,
                           include_q: bool = True) -> np.ndarray:
-    """Pointwise dS/dt + (S_z)^2/(2m) + V [+ Q] on the support.
+    """Pointwise dS/dt + (S_z)^2/2 + V [+ Q] on the support.
 
     With the curvature term included, solutions of the linear Schrodinger
     equation zero this residual; without it, solutions of the classical
@@ -230,14 +208,14 @@ def hj_residual_from_rate(field: MadelungField, s_dot: np.ndarray,
     residual = np.zeros(field.grid.n)
     sup = field.support
     v = np.broadcast_to(np.asarray(potential, dtype=float), (field.grid.n,))
-    residual[sup] = s_dot[sup] + s_z[sup] ** 2 / (2.0 * mass) + v[sup]
+    residual[sup] = s_dot[sup] + s_z[sup] ** 2 / 2.0 + v[sup]
     if include_q:
-        residual[sup] += quantum_potential(field, mass)[sup]
+        residual[sup] += quantum_potential(field)[sup]
     return residual
 
 
 def hj_residual(before: MadelungField, after: MadelungField, dt: float,
-                potential: np.ndarray | float = 0.0, mass: float = 1.0,
+                potential: np.ndarray | float = 0.0,
                 include_q: bool = True) -> np.ndarray:
     """hj_residual_from_rate with dS/dt from a centered snapshot pair.
 
@@ -245,31 +223,27 @@ def hj_residual(before: MadelungField, after: MadelungField, dt: float,
     time, evaluated on the averaged field; accuracy is O(dt^2).
     """
     mid, s_dot, _ = _pair_midpoint(before, after, dt)
-    return hj_residual_from_rate(mid, s_dot, potential, mass, include_q)
+    return hj_residual_from_rate(mid, s_dot, potential, include_q)
 
 
-def continuity_residual_from_rate(field: MadelungField, rho_dot: np.ndarray,
-                                  mass: float = 1.0) -> np.ndarray:
-    """Pointwise d(R^2)/dt + d/dz(R^2 S_z / m), conservation form.
+def continuity_residual_from_rate(field: MadelungField, rho_dot: np.ndarray) -> np.ndarray:
+    """Pointwise d(R^2)/dt + d/dz(R^2 S_z), conservation form.
 
-    The flux R^2 S_z / m is computed as hbar Im(psi* psi_z) / m, which is
-    periodic even when S itself is not, so its divergence is spectral.
+    The flux R^2 S_z is the current Im(psi* psi_z), which is periodic even
+    when S itself is not, so its divergence is spectral.
     """
-    psi = recompose(field).values
-    psi_z = spectral_derivative(psi, field.grid, order=1)
-    flux = field.hbar * np.imag(np.conj(psi) * psi_z) / mass
-    div = spectral_derivative(flux, field.grid, order=1).real
+    div = spectral_derivative(_current(field), field.grid, order=1).real
     residual = np.zeros(field.grid.n)
     sup = field.support
     residual[sup] = rho_dot[sup] + div[sup]
     return residual
 
 
-def continuity_residual(before: MadelungField, after: MadelungField, dt: float,
-                        mass: float = 1.0) -> np.ndarray:
+def continuity_residual(before: MadelungField, after: MadelungField,
+                        dt: float) -> np.ndarray:
     """continuity_residual_from_rate with d(R^2)/dt from a snapshot pair."""
     mid, _, rho_dot = _pair_midpoint(before, after, dt)
-    return continuity_residual_from_rate(mid, rho_dot, mass)
+    return continuity_residual_from_rate(mid, rho_dot)
 
 
 @dataclass(frozen=True)
@@ -277,12 +251,13 @@ class DispersionlessConfig:
     """Settings for the classical-transport (curvature-cancelled) solver.
 
     amplitude/scale/velocity describe the canonical sech envelope
-    r * sech(a (z - z0)) with action slope mass * velocity (see
-    :func:`dispersionless_initial`).  ``potential`` is the periodic part
-    of V tabulated on the grid; ``potential_slope`` is the coefficient g
-    of an additional linear part V = g z, kept separate because a linear
-    ramp has no honest periodic tabulation.  The advective CFL guard
-    dt <= cfl * dz / max|S_z / m| is re-checked every step.
+    r * sech(a (z - z0)) with action slope equal to the velocity (m = 1,
+    see :func:`dispersionless_initial`).  ``potential`` is the periodic
+    part of V tabulated on the grid; ``potential_slope`` is the
+    coefficient g of an additional linear part V = g z, kept separate
+    because a linear ramp has no honest periodic tabulation.  dt and
+    t_final follow the shared step_count rule.  The advective CFL guard
+    dt <= TRANSPORT_CFL * dz / max|S_z| is re-checked every step.
     """
 
     dt: float
@@ -294,17 +269,11 @@ class DispersionlessConfig:
     potential_slope: float = 0.0
     snapshot_every: int = 0
     observe_every: int = 10
-    mass: float = 1.0
-    hbar: float = 1.0
-    cfl: float = 0.5
 
     def __post_init__(self):
         if self.amplitude <= 0.0 or self.scale <= 0.0:
             raise ConfigurationError("envelope amplitude and scale must be positive")
-        if self.dt <= 0.0 or self.t_final < self.dt:
-            raise ConfigurationError("need 0 < dt <= t_final")
-        if self.mass <= 0.0 or self.hbar <= 0.0:
-            raise ConfigurationError("mass and hbar must be positive")
+        step_count(self.dt, self.t_final)
         if problems := _cadence_problems(self):
             raise ConfigurationError("; ".join(problems))
 
@@ -317,8 +286,8 @@ class DispersionlessConfig:
             "convention": "dS/dt = -[(S_z)^2/(2m) + V]; d(R^2)/dt = -d_z(R^2 S_z / m)",
             "dt": self.dt,
             "t_final": self.t_final,
-            "mass": self.mass,
-            "hbar": self.hbar,
+            "mass": 1.0,
+            "hbar": 1.0,
             "potential_slope": self.potential_slope,
             "potential": "zero" if self.potential is None else "tabulated",
             "grid": {"n": grid.n, "z_min": grid.z_min, "z_max": grid.z_max, "dz": grid.dz},
@@ -328,15 +297,12 @@ class DispersionlessConfig:
 def dispersionless_initial(config: DispersionlessConfig, grid: Grid1D,
                            center: float = 0.0) -> MadelungField:
     """Canonical initial state for the transport solver: a sech envelope
-    with uniform velocity, R = r sech(a (z - center)), S = m v z."""
+    with uniform velocity, R = r sech(a (z - center)), S = v z.  The sech
+    is unimodal, so its support is one run with no interior node."""
     z = grid.z
     r = config.amplitude / np.cosh(config.scale * (z - center))
-    s = config.mass * config.velocity * z
-    mask = r >= DEFAULT_NODE_THRESHOLD * config.amplitude
-    support, _, gaps = _support_segments(mask)
-    if gaps.size:  # pragma: no cover - sech envelopes are node-free
-        raise NodeError("envelope has interior nodes", z[gaps])
-    return MadelungField(grid, r, s, hbar=config.hbar, support=support)
+    return MadelungField(grid, r, config.velocity * z,
+                         support=r >= DEFAULT_NODE_THRESHOLD * config.amplitude)
 
 
 def _extract_linear_slope(field: MadelungField) -> tuple[float, np.ndarray]:
@@ -368,19 +334,18 @@ def _extract_linear_slope(field: MadelungField) -> tuple[float, np.ndarray]:
     return float(slope), remainder
 
 
-def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
-                          grid: Grid1D | None = None) -> RunReport:
+def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig) -> RunReport:
     """Integrate the curvature-cancelled transport pair with RK4 in time.
 
-    d(R^2)/dt = -d/dz(R^2 (kappa + s_z) / m)          (conservation form)
-    d s/dt    = -[(kappa + s_z)^2 / (2m) + V_periodic] (periodic action part)
-    d kappa/dt = -potential_slope                      (linear action slope)
+    d(R^2)/dt = -d/dz(R^2 (kappa + s_z))          (conservation form)
+    d s/dt    = -[(kappa + s_z)^2 / 2 + V_periodic] (periodic action part)
+    d kappa/dt = -potential_slope                   (linear action slope)
 
     All spatial derivatives are spectral (real FFTs) on periodic quantities.
     The state carries u = ds/dz as a third row next to (R^2, s): the
     derivative is linear and commutes with the RK4 combination, so u
     equals the derivative of s at every stage up to roundoff, and each
-    stage takes d/dz of the flux and of (kappa + u)^2/(2m) + V together
+    stage takes d/dz of the flux and of (kappa + u)^2/2 + V together
     in one batched rfft/irfft pair (u_t = -d/dz of the latter).  By
     construction there is no curvature term, so any node-free envelope is
     transported by the classical flow; with a uniform action slope it
@@ -388,9 +353,7 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
     Hamilton-Jacobi flow can form shocks under focusing potentials)
     aborts with a diagnostic rather than regularizing.
     """
-    grid = grid or initial.grid
-    if grid != initial.grid:
-        raise ConfigurationError("initial field grid does not match the run grid")
+    grid = initial.grid
     if not initial.support.any():
         raise ConfigurationError("initial envelope is empty")
     v_per = (np.zeros(grid.n) if config.potential is None
@@ -401,12 +364,11 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         )
     n_steps = config.n_steps()
     dt = config.dt
-    mass = config.mass
     n = grid.n
     minus_ik = -grid._ik_half  # real-FFT half spectrum of -d/dz, Nyquist zeroed
     kappa, s_tilde = _extract_linear_slope(initial)
     z = grid.z
-    cfl_limit = config.cfl * grid.dz
+    cfl_limit = TRANSPORT_CFL * grid.dz
     dkappa = -config.potential_slope
     # y = (rho, s, u = d s/dz); k holds the four stage derivatives of y
     y = np.empty((3, n))
@@ -424,9 +386,8 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         """Write d/dt (rho, s, u) at (y_c, kappa_c) into out; s_z holds kappa_c + u."""
         np.add(y_c[2], kappa_c, out=s_z)
         np.multiply(y_c[0], s_z, out=pair[0])
-        pair[0] /= mass
         np.square(s_z, out=pair[1])
-        pair[1] /= 2.0 * mass
+        pair[1] /= 2.0
         pair[1] += v_per
         np.fft.rfft(pair, out=spec)
         np.multiply(spec, minus_ik, out=spec)
@@ -434,11 +395,11 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
         np.negative(pair[1], out=out[1])
 
     def check_cfl(step):
-        u_max = float(np.max(np.abs(s_z))) / mass
+        u_max = float(np.max(np.abs(s_z)))
         if u_max * dt > cfl_limit:
             raise NumericalError(
                 f"advective CFL violated at step {step} (t = {step * dt:.6g}): "
-                f"max|S_z/m| dt = {u_max * dt:.3g} > {config.cfl} dz = {cfl_limit:.3g}; "
+                f"max|S_z| dt = {u_max * dt:.3g} > {TRANSPORT_CFL} dz = {cfl_limit:.3g}; "
                 "the classical flow may be forming a shock"
             )
 
@@ -447,12 +408,13 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig,
     def record(step, rho_c, s_c, kappa_c):
         r_now = np.sqrt(np.clip(rho_c, 0.0, None))
         s_full = kappa_c * z + s_c
-        support_now = r_now >= DEFAULT_NODE_THRESHOLD * float(r_now.max())
-        fld = MadelungField(grid, r_now, s_full, hbar=config.hbar, support=support_now)
-        columns = ({"R": r_now, "S": s_full, "Q": quantum_potential(fld, mass)}
-                   if rec.snapshot_now(step) else None)
-        # recompose(fld) as a bare array: the recorder makes the one checked copy
-        rec.record(step, fld.R * np.exp(1j * fld.S / fld.hbar),
+        columns = None
+        if rec.snapshot_now(step):
+            fld = MadelungField(grid, r_now, s_full,
+                                support=r_now >= DEFAULT_NODE_THRESHOLD * float(r_now.max()))
+            columns = {"R": r_now, "S": s_full, "Q": quantum_potential(fld)}
+        # recompose as a bare array: the recorder makes the one checked copy
+        rec.record(step, r_now * np.exp(1j * s_full),
                    extra={"rho_integral": float(np.sum(rho_c) * grid.dz)},
                    snapshot_extra=columns)
 

@@ -384,7 +384,7 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
     observable is summed over the spectra by Parseval,
     dz/n sum(|psi_t^|^2 + lambda |psi^|^2), with the centered-difference
     time derivative (nxt - prev) / (2 dt) at interior and final steps and
-    the supplied derivative at step 0.
+    the supplied derivative at step 0; a snapshot-only step skips it.
     """
     grid = psi0.grid
     _require_valid(config, grid, Scheme.KLEIN_GORDON)
@@ -412,12 +412,14 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
         nxt -= prev
         np.multiply(lam_dt2, cur, out=work)
         nxt -= work
-        # centered time derivative at `step` uses the freshly computed state
         if rec.due(step):
-            np.subtract(nxt, prev, out=work)
-            work /= 2.0 * dt
-            rec.record(step, np.fft.ifft(cur),
-                       extra={"energy": _spectral_energy(cur, work, lam, grid.dz)})
+            extra = None
+            if rec.observe_now(step):
+                # centered time derivative at `step` uses the freshly computed state
+                np.subtract(nxt, prev, out=work)
+                work /= 2.0 * dt
+                extra = {"energy": _spectral_energy(cur, work, lam, grid.dz)}
+            rec.record(step, np.fft.ifft(cur), extra=extra)
         prev, cur, nxt = cur, nxt, prev
 
     return rec.build("klein_gordon")

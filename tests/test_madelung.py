@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, strategies as st
 
 from solitonlab import (
     ComplexField,
@@ -32,7 +33,9 @@ from solitonlab import (
     quantum_potential,
     recompose,
     soliton_amplitude,
+    validate_solver_config,
 )
+from solitonlab.madelung import _node_gaps
 
 
 def _sympy_curvature_term(r_expr, zsym, mass=1.0, hbar=1.0):
@@ -97,6 +100,46 @@ class TestDecompose:
         assert np.max(np.abs(steps - np.median(steps))) < 1.0  # no 2 pi jumps
 
 
+def _reference_node_gaps(mask: list[bool]) -> tuple[int, list[int]]:
+    """Brute force: read the ring from its first False point; the False
+    points strictly between the first and the last True point are nodes."""
+    if all(mask):
+        return 0, []
+    first_false = mask.index(False)
+    ring = [(first_false + i) % len(mask) for i in range(len(mask))]
+    above = [pos for pos, i in enumerate(ring) if mask[i]]
+    return ring[above[0]], [i for i in ring[above[0]:above[-1] + 1] if not mask[i]]
+
+
+@given(st.lists(st.booleans(), min_size=1, max_size=40).filter(any))
+@example([True] * 7)                                   # all true
+@example([True, True, False, False, False, True])      # one run joined across the seam
+@example([False, True, False, True, True, False, True])  # several runs
+def test_node_gaps_match_brute_force(mask):
+    start, gaps = _node_gaps(np.array(mask))
+    assert (start, gaps.tolist()) == _reference_node_gaps(mask)
+    # interior nodes exist exactly when the ring holds more than one True run
+    runs = sum(mask[i] and not mask[i - 1] for i in range(len(mask)))
+    assert bool(gaps.size) == (runs > 1)
+
+
+@given(st.lists(st.booleans(), min_size=16, max_size=16).filter(any))
+@example([True] * 16)
+@example([True] * 3 + [False] * 10 + [True] * 3)
+@example([False, True] * 8)
+def test_decompose_support_is_the_threshold_mask(mask):
+    grid = Grid1D(16, -1.6, 1.6)
+    r = np.where(mask, 1.0, 1e-9)
+    psi = ComplexField(grid, r * np.exp(0.7j * np.arange(grid.n)))
+    _, gaps = _reference_node_gaps(mask)
+    if gaps:
+        with pytest.raises(NodeError) as err:
+            decompose(psi)
+        assert np.array_equal(err.value.locations, grid.z[gaps])
+    else:
+        assert np.array_equal(decompose(psi).support, mask)
+
+
 class TestMadelungFieldValidation:
     def test_negative_amplitude_rejected(self, grid512):
         with pytest.raises(ConfigurationError):
@@ -140,13 +183,6 @@ class TestQuantumPotential:
     def test_constant_amplitude_gives_zero(self, grid512):
         m = MadelungField(grid512, np.ones(grid512.n), 1.7 * np.ones(grid512.n))
         assert np.max(np.abs(quantum_potential(m))) <= 1e-12
-
-    def test_mass_scaling(self, grid512):
-        r = 1.0 / np.cosh(grid512.z)
-        m = MadelungField(grid512, r, np.zeros(grid512.n),
-                          support=r >= 1e-6)
-        assert np.allclose(quantum_potential(m, mass=2.0),
-                           quantum_potential(m, mass=1.0) / 2.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +319,16 @@ class TestDispersionlessTransport:
     def test_negative_cadence_rejected(self, cadence):
         with pytest.raises(ConfigurationError, match=f"{cadence} must be >= 0, got -1"):
             DispersionlessConfig(dt=1e-3, t_final=0.1, **{cadence: -1})
+
+    @pytest.mark.parametrize("dt, t_final", [(1e-3, 0.1005), (1e-3, 5e-4), (0.0, 0.1),
+                                             (-1e-3, 0.1)])
+    def test_dt_and_t_final_follow_the_shared_step_rule(self, grid512, dt, t_final):
+        # the same message as the other solvers give for the same pair
+        solver = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=dt, t_final=t_final)
+        (expected,) = validate_solver_config(solver, grid512)
+        with pytest.raises(ConfigurationError) as err:
+            DispersionlessConfig(dt=dt, t_final=t_final)
+        assert str(err.value) == expected
 
     def test_cfl_abort(self, grid512):
         config = DispersionlessConfig(dt=1e-2, t_final=1.0, velocity=10.0)

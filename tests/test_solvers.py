@@ -23,6 +23,7 @@ from solitonlab import (
     one_branch_time_derivative,
     validate_solver_config,
 )
+from solitonlab import solvers
 from solitonlab.errors import NumericalError
 from solitonlab.solvers import _Recorder, step_count
 
@@ -345,3 +346,25 @@ def test_conservation_is_the_drift_of_the_reported_series(case, name, drift_key)
     }
     # the run has snapshot-only record steps, which the series leaves out
     assert not {s.t for s in rep.snapshots} <= set(rep.times.tolist())
+
+
+def test_kg_energy_summed_only_on_observation_steps(monkeypatch):
+    # observe_every 10 and snapshot_every 8 over 200 steps: 21 observation
+    # steps among 41 record steps; a snapshot-only step reports no energy
+    calls = []
+    original = solvers._spectral_energy
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(solvers, "_spectral_energy", counted)
+    rep = _conservation_cases()["kg"]()
+    assert len(rep.snapshots) == 26 and len(rep.times) == 21
+    assert len(calls) == 21
+    # the reported series is that of the same run with no mid-run snapshots
+    grid = Grid1D(512, -25.6, 25.6)
+    narrow = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=0.5, k0=2.0), grid)
+    plain = evolve_klein_gordon(narrow, one_branch_time_derivative(narrow), SolverConfig(
+        scheme=Scheme.KLEIN_GORDON, dt=0.01, t_final=2.0, observe_every=10))
+    assert np.array_equal(rep.observable("energy"), plain.observable("energy"))

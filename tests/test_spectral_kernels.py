@@ -509,7 +509,7 @@ def _tuple_rk4_reference(initial, config: DispersionlessConfig, grid: Grid1D):
     tuple, s_z recomputed from s at every stage with the complex-FFT
     derivative.  Returns {step: (R^2, s, kappa)} for every step."""
     v = config.potential
-    mass, dt = config.mass, config.dt
+    mass, dt = 1.0, config.dt
     kappa0, s0 = madelung._extract_linear_slope(initial)
 
     def rhs(state):
@@ -570,16 +570,16 @@ def test_carried_slope_tracks_the_action_derivative(monkeypatch, grid512):
     # u = ds/dz rides in the RK4 state; at each record step it must still
     # equal the derivative of the carried s, with a potential and a slope g
     carried = []
-    original = madelung.MadelungField
 
-    def capture(grid, R, S, **kwargs):
-        frame = sys._getframe(1)
-        if frame.f_code.co_name == "record":
-            y = frame.f_back.f_locals["y"]
+    class Capture(madelung._Recorder):
+        def record(self, step, values, **kwargs):
+            # caller: the nested record of evolve_dispersionless, whose
+            # caller holds the RK4 state y
+            y = sys._getframe(2).f_locals["y"]
             carried.append((y[1].copy(), y[2].copy()))
-        return original(grid, R, S, **kwargs)
+            super().record(step, values, **kwargs)
 
-    monkeypatch.setattr(madelung, "MadelungField", capture)
+    monkeypatch.setattr(madelung, "_Recorder", Capture)
     v = 0.05 * np.cos(2 * np.pi * grid512.z / grid512.length)
     config = DispersionlessConfig(dt=1e-3, t_final=2.0, velocity=1.0, potential=v,
                                   potential_slope=0.4, observe_every=100)
