@@ -44,7 +44,6 @@ from .kinematics import (
     kinematic_state,
 )
 from .madelung import (
-    DispersionlessConfig,
     MadelungField,
     SolitonAmplitude,
     continuity_residual,
@@ -54,6 +53,7 @@ from .madelung import (
     evolve_dispersionless,
     hj_residual,
     hj_residual_from_rate,
+    polar_residuals,
     quantum_potential,
     recompose,
     soliton_amplitude,

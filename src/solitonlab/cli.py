@@ -22,7 +22,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +46,8 @@ from .experiments import (
 from .dispersion import BranchKind, DispersionBranch, group_velocity, omega
 from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet
 from .kinematics import KinematicState, electron_constants, kinematic_state
-from .madelung import (
-    DEFAULT_NODE_THRESHOLD,
-    check_node_threshold,
-    continuity_residual,
-    decompose,
-    hj_residual,
-    quantum_potential,
-)
-from .report import RunReport, Snapshot, write_json, write_report, write_snapshots
+from .madelung import DEFAULT_NODE_THRESHOLD, check_node_threshold, polar_residuals
+from .report import RunReport, write_json, write_report, write_snapshots
 from .solvers import (
     Scheme,
     SolverConfig,
@@ -268,9 +260,13 @@ def _potential(config: dict, grid: Grid1D) -> np.ndarray | None:
 
 
 def _prepare_evolve(config: dict) -> tuple[SolverConfig, PacketSpec, ComplexField]:
+    scheme = _get(config, "scheme", Scheme)
+    if scheme is Scheme.DISPERSIONLESS_TRANSPORT:
+        raise ConfigurationError(
+            "scheme = dispersionless_transport runs only inside soliton-vs-dispersion")
     grid = Grid1D(**_fields(Grid1D, _get(config, "grid", dict), "grid"))
     solver_config = SolverConfig(
-        scheme=_get(config, "scheme", Scheme), potential=_potential(config, grid),
+        scheme=scheme, potential=_potential(config, grid),
         **_fields(SolverConfig, _get(config, "solver", dict), "solver"))
     _require_valid(solver_config, grid, solver_config.scheme)
     section = _get(config, "packet", dict)
@@ -320,37 +316,10 @@ def _prepare_madelung(config: dict) -> tuple[tuple, float]:
 
 
 def _run_madelung(inputs, args) -> tuple[dict, list[RunReport]]:
-    """Linear evolution plus polar-form diagnostics on its snapshots.
-
-    At each snapshot time the field is advanced two more steps so the
-    residuals use a tight centered pair (gap 2 dt, the same order as the
-    scheme) instead of the coarse snapshot cadence.
-    """
+    """Linear evolution plus polar-form diagnostics on its snapshots."""
     evolve_inputs, node_threshold = inputs
-    solver_config = evolve_inputs[0]
     report = _evolve(evolve_inputs)
-    potential = solver_config.potential if solver_config.potential is not None else 0.0
-    pair_config = replace(solver_config, t_final=2.0 * solver_config.dt,
-                          snapshot_every=0, observe_every=0, probe_index=None)
-    residual_rows = []
-    enriched = []
-    for snap in report.snapshots:
-        before = decompose(snap.field, node_threshold=node_threshold)
-        after_field = evolve_linear_schrodinger(snap.field, pair_config).final_field()
-        after = decompose(after_field, node_threshold=node_threshold)
-        gap = 2.0 * solver_config.dt
-        hj = hj_residual(before, after, gap, potential=potential, include_q=True)
-        cont = continuity_residual(before, after, gap)
-        residual_rows.append({
-            "t_mid": snap.t + solver_config.dt,
-            "pair_gap": gap,
-            "max_hj_residual": float(np.max(np.abs(hj))),
-            "max_continuity_residual": float(np.max(np.abs(cont))),
-        })
-        enriched.append(Snapshot(snap.t, snap.field, {
-            "R": before.R, "S": before.S, "Q": quantum_potential(before),
-        }))
-    report.snapshots = enriched
+    residual_rows, report.snapshots = polar_residuals(report, evolve_inputs[0], node_threshold)
     print(f"polar diagnostics at {len(residual_rows)} snapshot times "
           f"(pair gap {residual_rows[0]['pair_gap']:.3g}):")
     worst = max(r["max_hj_residual"] for r in residual_rows)

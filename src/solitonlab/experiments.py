@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -31,9 +31,15 @@ from .dispersion import evanescent_kappa
 from .errors import ConfigurationError, DomainError
 from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet, observables
 from .kinematics import KinematicState, PhysicalConstants, electron_constants, kinematic_state
-from .madelung import DispersionlessConfig, dispersionless_initial, evolve_dispersionless
+from .madelung import dispersionless_initial, evolve_dispersionless
 from .report import RunReport
-from .solvers import Scheme, SolverConfig, evolve_linear_schrodinger, evolve_nls, step_count
+from .solvers import (
+    Scheme,
+    SolverConfig,
+    evolve_linear_schrodinger,
+    evolve_nls,
+    validate_solver_config,
+)
 
 #: draws consumed per Monte Carlo trial (position phase, tunneling coin)
 _DRAWS_PER_TRIAL = 2
@@ -59,7 +65,9 @@ class DichotomySettings:
 
     ``scale`` defaults to the amplitude (the cubic equation's
     amplitude-width locking); setting it separately builds a deliberate
-    non-soliton as a negative control.
+    non-soliton as a negative control.  The three runs share one
+    SolverConfig, checked at construction unless t_final is 0 (no
+    evolution).
     """
 
     n: int = 1024
@@ -72,20 +80,27 @@ class DichotomySettings:
     observe_every: int = 100
 
     def __post_init__(self):
-        if self.observe_every < 0:
-            raise ConfigurationError(f"observe_every must be >= 0, got {self.observe_every}")
-        if self.t_final != 0.0:
-            step_count(self.dt, self.t_final)
+        if self.t_final != 0.0 and (
+                problems := validate_solver_config(self.solver_config(), self.grid())):
+            raise ConfigurationError("; ".join(problems))
 
     @property
     def sech_scale(self) -> float:
         return self.amplitude if self.scale is None else self.scale
 
+    def grid(self) -> Grid1D:
+        return Grid1D(self.n, self.z_min, self.z_max)
+
+    def solver_config(self) -> SolverConfig:
+        """The linear run's config; the other two differ only in scheme."""
+        return SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=self.dt,
+                            t_final=self.t_final, observe_every=self.observe_every)
+
     def initial_field(self) -> ComplexField:
         """The sech packet all three schemes start from."""
         packet = PacketSpec(kind=PacketKind.SECH_BREATHER, amplitude=self.amplitude,
                             scale=self.sech_scale)
-        return build_packet(packet, Grid1D(self.n, self.z_min, self.z_max))
+        return build_packet(packet, self.grid())
 
 
 @dataclass
@@ -133,16 +148,12 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
         widths = {k: np.array([w0]) for k in ratios}
         return DichotomyReport(s, np.array([0.0]), widths, ratios, verdicts)
 
-    lin = evolve_linear_schrodinger(psi0, SolverConfig(
-        scheme=Scheme.LINEAR_SCHRODINGER, dt=s.dt, t_final=s.t_final,
-        observe_every=s.observe_every))
-    nls = evolve_nls(psi0, SolverConfig(
-        scheme=Scheme.NLS, dt=s.dt, t_final=s.t_final, observe_every=s.observe_every))
-    transport_config = DispersionlessConfig(
-        dt=s.dt, t_final=s.t_final, amplitude=s.amplitude, scale=s.sech_scale,
-        velocity=0.0, observe_every=s.observe_every)
+    base = s.solver_config()
+    lin = evolve_linear_schrodinger(psi0, base)
+    nls = evolve_nls(psi0, replace(base, scheme=Scheme.NLS))
     transport = evolve_dispersionless(
-        dispersionless_initial(transport_config, psi0.grid), transport_config)
+        dispersionless_initial(psi0.grid, s.amplitude, s.sech_scale),
+        replace(base, scheme=Scheme.DISPERSIONLESS_TRANSPORT))
 
     runs = {"linear": lin, "nls": nls, "transport": transport}
     widths = {k: r.observable("rms_width") for k, r in runs.items()}

@@ -28,15 +28,15 @@ psi, never through a direct spectral derivative of the unwrapped S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NodeError, NumericalError
 from .grid import ComplexField, Grid1D, UnitScaling, real_spectral_derivative, spectral_derivative
 from .kinematics import PhysicalConstants, electron_constants
-from .report import RunReport
-from .solvers import _cadence_problems, _Recorder, step_count
+from .report import RunReport, Snapshot
+from .solvers import Scheme, SolverConfig, _Recorder, _require_valid, evolve_linear_schrodinger
 
 DEFAULT_NODE_THRESHOLD = 1e-6
 #: advective CFL factor of the transport: dt max|S_z| <= TRANSPORT_CFL dz
@@ -246,63 +246,54 @@ def continuity_residual(before: MadelungField, after: MadelungField,
     return continuity_residual_from_rate(mid, rho_dot)
 
 
-@dataclass(frozen=True)
-class DispersionlessConfig:
-    """Settings for the classical-transport (curvature-cancelled) solver.
+def polar_residuals(report: RunReport, config: SolverConfig,
+                    node_threshold: float = DEFAULT_NODE_THRESHOLD
+                    ) -> tuple[list[dict], list[Snapshot]]:
+    """Polar-form diagnostics on the snapshots of a linear run.
 
-    amplitude/scale/velocity describe the canonical sech envelope
-    r * sech(a (z - z0)) with action slope equal to the velocity (m = 1,
-    see :func:`dispersionless_initial`).  ``potential`` is the periodic
-    part of V tabulated on the grid; ``potential_slope`` is the
-    coefficient g of an additional linear part V = g z, kept separate
-    because a linear ramp has no honest periodic tabulation.  dt and
-    t_final follow the shared step_count rule.  The advective CFL guard
-    dt <= TRANSPORT_CFL * dz / max|S_z| is re-checked every step.
+    config is the run's SolverConfig.  Each snapshot field is advanced two
+    more steps, so the residuals use a tight centered pair (gap 2 dt, the
+    same order as the scheme) instead of the coarse snapshot cadence.
+    Returns one residual row per snapshot (midpoint time, pair gap and the
+    max |.| of the Hamilton-Jacobi and continuity residuals) and the
+    snapshots with R, S and Q columns added.
     """
-
-    dt: float
-    t_final: float
-    amplitude: float = 1.0
-    scale: float = 1.0
-    velocity: float = 0.0
-    potential: np.ndarray | None = None
-    potential_slope: float = 0.0
-    snapshot_every: int = 0
-    observe_every: int = 10
-
-    def __post_init__(self):
-        if self.amplitude <= 0.0 or self.scale <= 0.0:
-            raise ConfigurationError("envelope amplitude and scale must be positive")
-        step_count(self.dt, self.t_final)
-        if problems := _cadence_problems(self):
-            raise ConfigurationError("; ".join(problems))
-
-    def n_steps(self) -> int:
-        return step_count(self.dt, self.t_final)
-
-    def config_echo(self, grid: Grid1D) -> dict:
-        return {
-            "scheme": "dispersionless_transport",
-            "convention": "dS/dt = -[(S_z)^2/(2m) + V]; d(R^2)/dt = -d_z(R^2 S_z / m)",
-            "dt": self.dt,
-            "t_final": self.t_final,
-            "mass": 1.0,
-            "hbar": 1.0,
-            "potential_slope": self.potential_slope,
-            "potential": "zero" if self.potential is None else "tabulated",
-            "grid": {"n": grid.n, "z_min": grid.z_min, "z_max": grid.z_max, "dz": grid.dz},
-        }
+    potential = config.potential if config.potential is not None else 0.0
+    pair_config = replace(config, t_final=2.0 * config.dt,
+                          snapshot_every=0, observe_every=0, probe_index=None)
+    gap = 2.0 * config.dt
+    rows = []
+    enriched = []
+    for snap in report.snapshots:
+        before = decompose(snap.field, node_threshold=node_threshold)
+        after_field = evolve_linear_schrodinger(snap.field, pair_config).final_field()
+        after = decompose(after_field, node_threshold=node_threshold)
+        hj = hj_residual(before, after, gap, potential=potential, include_q=True)
+        cont = continuity_residual(before, after, gap)
+        rows.append({
+            "t_mid": snap.t + config.dt,
+            "pair_gap": gap,
+            "max_hj_residual": float(np.max(np.abs(hj))),
+            "max_continuity_residual": float(np.max(np.abs(cont))),
+        })
+        enriched.append(Snapshot(snap.t, snap.field, {
+            "R": before.R, "S": before.S, "Q": quantum_potential(before),
+        }))
+    return rows, enriched
 
 
-def dispersionless_initial(config: DispersionlessConfig, grid: Grid1D,
-                           center: float = 0.0) -> MadelungField:
+def dispersionless_initial(grid: Grid1D, amplitude: float = 1.0, scale: float = 1.0,
+                           velocity: float = 0.0, center: float = 0.0) -> MadelungField:
     """Canonical initial state for the transport solver: a sech envelope
-    with uniform velocity, R = r sech(a (z - center)), S = v z.  The sech
-    is unimodal, so its support is one run with no interior node."""
+    with uniform velocity, R = amplitude sech(scale (z - center)),
+    S = velocity z.  The sech is unimodal, so its support is one run with
+    no interior node."""
+    if amplitude <= 0.0 or scale <= 0.0:
+        raise ConfigurationError("envelope amplitude and scale must be positive")
     z = grid.z
-    r = config.amplitude / np.cosh(config.scale * (z - center))
-    return MadelungField(grid, r, config.velocity * z,
-                         support=r >= DEFAULT_NODE_THRESHOLD * config.amplitude)
+    r = amplitude / np.cosh(scale * (z - center))
+    return MadelungField(grid, r, velocity * z,
+                         support=r >= DEFAULT_NODE_THRESHOLD * amplitude)
 
 
 def _extract_linear_slope(field: MadelungField) -> tuple[float, np.ndarray]:
@@ -334,7 +325,7 @@ def _extract_linear_slope(field: MadelungField) -> tuple[float, np.ndarray]:
     return float(slope), remainder
 
 
-def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig) -> RunReport:
+def evolve_dispersionless(initial: MadelungField, config: SolverConfig) -> RunReport:
     """Integrate the curvature-cancelled transport pair with RK4 in time.
 
     d(R^2)/dt = -d/dz(R^2 (kappa + s_z))          (conservation form)
@@ -351,17 +342,15 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig) 
     transported by the classical flow; with a uniform action slope it
     translates rigidly.  A mid-run CFL violation (possible: the classical
     Hamilton-Jacobi flow can form shocks under focusing potentials)
-    aborts with a diagnostic rather than regularizing.
+    aborts with a diagnostic rather than regularizing; the advective CFL
+    guard dt <= TRANSPORT_CFL dz / max|S_z| is checked every step.
     """
     grid = initial.grid
+    _require_valid(config, grid, Scheme.DISPERSIONLESS_TRANSPORT)
     if not initial.support.any():
         raise ConfigurationError("initial envelope is empty")
     v_per = (np.zeros(grid.n) if config.potential is None
              else np.asarray(config.potential, dtype=float))
-    if v_per.shape != (grid.n,):
-        raise ConfigurationError(
-            f"potential must have grid length {grid.n}, got shape {v_per.shape}"
-        )
     n_steps = config.n_steps()
     dt = config.dt
     n = grid.n
@@ -403,7 +392,7 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig) 
                 "the classical flow may be forming a shock"
             )
 
-    rec = _Recorder(config, n_steps, grid, "rho_integral")
+    rec = _Recorder(config, grid)
 
     def record(step, rho_c, s_c, kappa_c):
         r_now = np.sqrt(np.clip(rho_c, 0.0, None))
@@ -440,7 +429,7 @@ def evolve_dispersionless(initial: MadelungField, config: DispersionlessConfig) 
         if rec.due(step):
             record(step, y[0], y[1], kappa)
 
-    return rec.build("dispersionless_transport")
+    return rec.build()
 
 
 @dataclass(frozen=True)

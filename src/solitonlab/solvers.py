@@ -1,4 +1,6 @@
-"""Time integration of the linear, nonlinear, and second-order wave equations.
+"""Time integration of the linear, nonlinear, and second-order wave
+equations, and the run config and recorder shared with the polar layer's
+curvature-cancelled transport.
 
 Normalized conventions (documented side by side because they differ by a
 factor of two in the kinetic term):
@@ -6,6 +8,10 @@ factor of two in the kinetic term):
 * linear Schrodinger (hbar = m = 1):   i psi_t = -(1/2) psi_zz + V psi
 * cubic NLS (as-printed normalization): i phi_t + phi_zz + 2|phi|^2 phi = 0
 * second-order (Klein-Gordon form):     psi_tt = c^2 psi_zz - omega0^2 psi
+* dispersionless transport (madelung): the Hamilton-Jacobi and continuity
+  pair of the first equation with the curvature term removed
+
+All four schemes take one SolverConfig, checked by validate_solver_config.
 
 The Schrodinger-type equations use Strang split-step Fourier: half
 sub-steps of the potential (linear) or kinetic (cubic) part around a full
@@ -31,8 +37,9 @@ spectral state back to z, and the recorder keeps copies, so a reused
 step buffer never reaches a record.  A record step whose field or
 recorded quantity is not finite raises NumericalError.  The recorder
 also builds the report: each scheme names the observable it conserves
-(the norm, or the energy for the second-order equation), and the
-report's conservation block is that series' drift.
+(the norm, the energy for the second-order equation, the density
+integral for the transport), and the report's conservation block is
+that series' drift.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ CONVENTIONS = {
     "linear_schrodinger": "i psi_t = -(1/2) psi_zz + V psi  (hbar = m = 1)",
     "nls": "i phi_t + phi_zz + 2|phi|^2 phi = 0  (kinetic coefficient 1, not 1/2)",
     "klein_gordon": "psi_tt = c^2 psi_zz - omega0^2 psi",
+    "dispersionless_transport": "dS/dt = -[(S_z)^2/2 + V]; d(R^2)/dt = -d_z(R^2 S_z)",
 }
 
 
@@ -77,6 +85,16 @@ class Scheme(enum.Enum):
     LINEAR_SCHRODINGER = "linear_schrodinger"
     NLS = "nls"
     KLEIN_GORDON = "klein_gordon"
+    DISPERSIONLESS_TRANSPORT = "dispersionless_transport"
+
+
+#: the observable series whose drift backs each scheme's run
+CONSERVED = {
+    Scheme.LINEAR_SCHRODINGER: "norm",
+    Scheme.NLS: "norm",
+    Scheme.KLEIN_GORDON: "energy",
+    Scheme.DISPERSIONLESS_TRANSPORT: "rho_integral",
+}
 
 
 @dataclass(frozen=True)
@@ -87,6 +105,10 @@ class SolverConfig:
     snapshots; initial and final states are always recorded).
     probe_index, when set, records the complex field value at that grid
     point in the observable series (for frequency regression).
+    potential is the periodic part of V tabulated on the grid;
+    potential_slope, the transport's only, is the coefficient g of an
+    additional linear part V = g z, kept separate because a linear ramp
+    has no honest periodic tabulation.
     """
 
     scheme: Scheme
@@ -98,12 +120,13 @@ class SolverConfig:
     omega0: float = 1.0
     c: float = 1.0
     probe_index: int | None = None
+    potential_slope: float = 0.0
 
     def n_steps(self) -> int:
         return step_count(self.dt, self.t_final)
 
     def config_echo(self, grid: Grid1D) -> dict:
-        return {
+        echo = {
             "scheme": self.scheme.value,
             "convention": CONVENTIONS[self.scheme.value],
             "dt": self.dt,
@@ -115,17 +138,15 @@ class SolverConfig:
             "grid": {"n": grid.n, "z_min": grid.z_min, "z_max": grid.z_max, "dz": grid.dz},
             "potential": "zero" if self.potential is None else "tabulated",
         }
-
-
-def _cadence_problems(config) -> list[str]:
-    """The negative cadences of a SolverConfig or DispersionlessConfig."""
-    return [f"{name} must be >= 0, got {getattr(config, name)}"
-            for name in ("snapshot_every", "observe_every") if getattr(config, name) < 0]
+        if self.scheme is Scheme.DISPERSIONLESS_TRANSPORT:
+            echo["potential_slope"] = self.potential_slope
+        return echo
 
 
 def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
     """All guard violations for this config on this grid (empty = runnable)."""
-    problems = _cadence_problems(config)
+    problems = [f"{name} must be >= 0, got {getattr(config, name)}"
+                for name in ("snapshot_every", "observe_every") if getattr(config, name) < 0]
     try:
         config.n_steps()
     except ConfigurationError as err:
@@ -143,6 +164,9 @@ def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
                 f"dt * max|V| = {config.dt * float(np.max(np.abs(pot))):.3g} exceeds the "
                 f"accuracy guard {MAX_POTENTIAL_PHASE_PER_STEP}"
             )
+    if config.potential_slope != 0.0 and config.scheme is not Scheme.DISPERSIONLESS_TRANSPORT:
+        problems.append(f"{config.scheme.value} has no linear potential part; "
+                        f"potential_slope must be zero, got {config.potential_slope}")
     if config.scheme is Scheme.KLEIN_GORDON and not config.c > 0.0:
         problems.append(f"c must be positive, got {config.c}")
     elif config.scheme is Scheme.KLEIN_GORDON:
@@ -183,23 +207,22 @@ def _require_finite(quantities: dict[str, float], step: int, t: float) -> None:
 class _Recorder:
     """Accumulates a run's record on the set cadence and builds its report.
 
-    config is a SolverConfig or a madelung.DispersionlessConfig: both give
-    dt, the two cadences and config_echo; only the former has a probe.
-    conserved names the observable series (norm, energy or rho_integral)
-    whose drift backs the run: build reports its initial and final values
-    and max |x - x0| / x0 over the reported series, under the keys
-    {conserved}_initial, {conserved}_final and max_relative_{w}_drift,
-    with w the first word of the name.  A record step whose field or
-    recorded quantity is not finite raises NumericalError, so a run that
-    blew up cannot report success.
+    The config gives dt, the step count, the two cadences, the probe and
+    the scheme.  The scheme names the report and its CONSERVED series
+    (norm, energy or rho_integral), whose drift backs the run: build
+    reports its initial and final values and max |x - x0| / x0 over the
+    reported series, under the keys {conserved}_initial,
+    {conserved}_final and max_relative_{w}_drift, with w the first word
+    of the name.  A record step whose field or recorded quantity is not
+    finite raises NumericalError, so a run that blew up cannot report
+    success.
     """
 
-    def __init__(self, config, n_steps: int, grid: Grid1D, conserved: str):
+    def __init__(self, config: SolverConfig, grid: Grid1D):
         self.config = config
-        self.n_steps = n_steps
+        self.n_steps = config.n_steps()
         self.grid = grid
-        self.conserved = conserved
-        self.probe_index = getattr(config, "probe_index", None)
+        self.conserved = CONSERVED[config.scheme]
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {}
         self.snapshots: list[Snapshot] = []
@@ -231,8 +254,8 @@ class _Recorder:
         _require_finite(extra, step, t)
         if self.observe_now(step):
             obs = {**observables(field), **extra}
-            if self.probe_index is not None:
-                probe = field.values[self.probe_index]
+            if self.config.probe_index is not None:
+                probe = field.values[self.config.probe_index]
                 obs["probe_re"] = float(probe.real)
                 obs["probe_im"] = float(probe.imag)
             # the observables of a finite field can still overflow
@@ -243,13 +266,13 @@ class _Recorder:
         if self.snapshot_now(step):
             self.snapshots.append(Snapshot(t, field, snapshot_extra or {}))
 
-    def build(self, scheme: str) -> RunReport:
+    def build(self) -> RunReport:
         series = {k: np.array(v) for k, v in self.series.items()}
         kept = series[self.conserved]
         x0 = kept[0]
         word = self.conserved.split("_")[0]
         return RunReport(
-            scheme=scheme,
+            scheme=self.config.scheme.value,
             config=self.config.config_echo(self.grid),
             times=np.array(self.times),
             observables=series,
@@ -285,7 +308,7 @@ def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunRe
         half_pot = np.exp(-0.5j * v * config.dt)
         full_pot = np.exp(-1j * v * config.dt)
 
-    rec = _Recorder(config, n_steps, grid, "norm")
+    rec = _Recorder(config, grid)
     rec.record(0, psi0.values)
     spec = np.fft.fft(psi0.values if half_pot is None else half_pot * psi0.values)
     for step in range(1, n_steps + 1):
@@ -299,7 +322,7 @@ def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunRe
         if kick:
             psi *= full_pot
             spec = np.fft.fft(psi)
-    return rec.build("linear_schrodinger")
+    return rec.build()
 
 
 def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
@@ -319,7 +342,7 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
     half_kinetic = np.exp(-0.5j * k2 * config.dt)
     kinetic = np.exp(-1j * k2 * config.dt)
 
-    rec = _Recorder(config, n_steps, grid, "norm")
+    rec = _Recorder(config, grid)
     rec.record(0, psi0.values)
     psi = np.fft.ifft(half_kinetic * np.fft.fft(psi0.values))
     spectrum = np.empty_like(psi)
@@ -339,7 +362,7 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
         if step < n_steps:
             np.multiply(kinetic, spectrum, out=psi)
             np.fft.ifft(psi, out=psi)
-    return rec.build("nls")
+    return rec.build()
 
 
 def _spectral_energy(spec: np.ndarray, spec_t: np.ndarray, lam: np.ndarray,
@@ -396,7 +419,7 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
     lam = config.omega0**2 + (config.c * grid.k) ** 2
     lam_dt2 = dt**2 * lam
 
-    rec = _Recorder(config, n_steps, grid, "energy")
+    rec = _Recorder(config, grid)
     prev = np.fft.fft(psi0.values)
     vel0 = np.fft.fft(dpsi0_dt.values)
     # third-order Taylor start keeps the startup error below the scheme order
@@ -422,7 +445,7 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
             rec.record(step, np.fft.ifft(cur), extra=extra)
         prev, cur, nxt = cur, nxt, prev
 
-    return rec.build("klein_gordon")
+    return rec.build()
 
 
 def nls_breather_exact(z, t: float, a: float, v: float, z0: float = 0.0):

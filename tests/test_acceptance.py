@@ -141,9 +141,9 @@ def test_criterion_07_madelung_residuals_on_linear_flow():
 def test_criterion_08_classical_correspondence():
     grid = sl.Grid1D(512, -25.6, 25.6)
     g, v_e, z0 = 0.4, 1.0, -5.0
-    config = sl.DispersionlessConfig(dt=1e-3, t_final=5.0, velocity=v_e,
-                                     potential_slope=g, observe_every=50)
-    rep = sl.evolve_dispersionless(sl.dispersionless_initial(config, grid, center=z0),
+    config = sl.SolverConfig(scheme=sl.Scheme.DISPERSIONLESS_TRANSPORT, dt=1e-3, t_final=5.0,
+                             potential_slope=g, observe_every=50)
+    rep = sl.evolve_dispersionless(sl.dispersionless_initial(grid, velocity=v_e, center=z0),
                                    config)
     z_classical = z0 + v_e * rep.times - 0.5 * g * rep.times**2
     err = float(np.max(np.abs(rep.observable("centroid") - z_classical)))
@@ -170,10 +170,10 @@ def test_criterion_09_conservation():
         sl.SolverConfig(scheme=sl.Scheme.KLEIN_GORDON, dt=1e-3, t_final=10.0,
                         observe_every=10))
     # transport density
-    tconfig = sl.DispersionlessConfig(dt=1e-3, t_final=10.0, velocity=1.0,
-                                      observe_every=100)
+    tconfig = sl.SolverConfig(scheme=sl.Scheme.DISPERSIONLESS_TRANSPORT, dt=1e-3, t_final=10.0,
+                              observe_every=100)
     transport = sl.evolve_dispersionless(
-        sl.dispersionless_initial(tconfig, grid, center=-5.0), tconfig)
+        sl.dispersionless_initial(grid, velocity=1.0, center=-5.0), tconfig)
     drifts = {
         "nls_norm": nls.conservation["max_relative_norm_drift"],
         "linear_norm": lin.conservation["max_relative_norm_drift"],

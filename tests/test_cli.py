@@ -259,6 +259,8 @@ def _argv(config: str, overrides: list[str]) -> list[str]:
     ("barrier-gap08.json", ["trials=1.5"], "trials"),
     ("gaussian-linear.json", ["solver.t_final=0.01"], None),
     ("barrier-gap08.json", ["trials=1000"], None),
+    ("gaussian-linear.json", ["scheme=dispersionless_transport"], "scheme"),
+    ("gaussian-linear.json", ["solver.potential_slope=0.4"], "potential_slope"),
 ])
 def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)

@@ -9,9 +9,14 @@ from solitonlab import (
     ConfigurationError,
     DichotomySettings,
     DomainError,
+    Grid1D,
+    Scheme,
+    SolverConfig,
     bohr_orbit,
     bohr_phase_accordance,
+    dispersionless_initial,
     electron_constants,
+    evolve_dispersionless,
     kinematic_state,
     linear_barrier_transmission,
     phase_accordance_mismatch,
@@ -68,6 +73,26 @@ class TestDichotomy:
     def test_settings_checked_at_construction(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
             DichotomySettings(**kwargs)
+
+    def test_transport_echo_reproduces_its_run(self):
+        # the run-2 config block, as written, rebuilds the transport's
+        # SolverConfig; the envelope comes from the dichotomy's settings
+        result = run_dispersion_vs_soliton(DichotomySettings(t_final=0.05))
+        transport = result.runs["transport"]
+        echo = json.loads(json.dumps(transport.summary_dict()))["config"]
+        assert echo["potential"] == "zero"
+        config = SolverConfig(scheme=Scheme(echo["scheme"]), **{
+            key: echo[key] for key in ("dt", "t_final", "snapshot_every", "observe_every",
+                                       "omega0", "c", "potential_slope")})
+        grid = Grid1D(echo["grid"]["n"], echo["grid"]["z_min"], echo["grid"]["z_max"])
+        settings = result.to_dict()["settings"]
+        rerun = evolve_dispersionless(
+            dispersionless_initial(grid, settings["amplitude"], settings["scale"]), config)
+        assert np.array_equal(rerun.times, transport.times)
+        assert rerun.observables.keys() == transport.observables.keys()
+        for key, series in transport.observables.items():
+            assert np.array_equal(rerun.observable(key), series), key
+        assert rerun.conservation == transport.conservation
 
     def test_report_dict_shape(self):
         result = run_dispersion_vs_soliton(

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from hypothesis import example, given, strategies as st
 from solitonlab import (
     ComplexField,
     ConfigurationError,
-    DispersionlessConfig,
     DomainError,
     Grid1D,
     MadelungField,
@@ -30,12 +31,16 @@ from solitonlab import (
     hj_residual,
     hj_residual_from_rate,
     nls_breather_exact,
+    polar_residuals,
     quantum_potential,
     recompose,
     soliton_amplitude,
     validate_solver_config,
 )
+from solitonlab.cli import main
 from solitonlab.madelung import _node_gaps
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _sympy_curvature_term(r_expr, zsym, mass=1.0, hbar=1.0):
@@ -270,15 +275,38 @@ class TestResiduals:
             hj_residual(a, b, 1e-3)
 
 
+def test_polar_residuals_bound_every_row(tmp_path, monkeypatch):
+    # the madelung-gaussian settings, run without the CLI
+    path = CONFIG_DIR / "madelung-gaussian.json"
+    cfg = json.loads(path.read_text())
+    grid = Grid1D(**cfg["grid"])
+    packet = dict(cfg["packet"])
+    psi0 = build_packet(PacketSpec(PacketKind(packet.pop("kind")), **packet), grid)
+    config = SolverConfig(scheme=Scheme(cfg["scheme"]), **cfg["solver"])
+    rows, snapshots = polar_residuals(evolve_linear_schrodinger(psi0, config), config,
+                                      cfg["node_threshold"])
+    assert len(rows) == len(snapshots) == 3
+    # criterion 7's bound, on every row rather than the first
+    assert all(row["max_continuity_residual"] <= 5e-4 for row in rows)
+    assert all({"R", "S", "Q"} <= set(snap.extra) for snap in snapshots)
+    monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
+    assert main(["madelung", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["residuals"] == rows
+
+
 # ---------------------------------------------------------------------------
 # curvature-cancelled transport
 # ---------------------------------------------------------------------------
 
+def _transport(**kwargs) -> SolverConfig:
+    return SolverConfig(scheme=Scheme.DISPERSIONLESS_TRANSPORT, **kwargs)
+
+
 class TestDispersionlessTransport:
     def test_rigid_translation(self, grid512):
-        config = DispersionlessConfig(dt=1e-3, t_final=10.0, amplitude=1.0,
-                                      scale=1.0, velocity=1.0, observe_every=100)
-        initial = dispersionless_initial(config, grid512, center=-5.0)
+        config = _transport(dt=1e-3, t_final=10.0, observe_every=100)
+        initial = dispersionless_initial(grid512, amplitude=1.0, scale=1.0, velocity=1.0,
+                                         center=-5.0)
         rep = evolve_dispersionless(initial, config)
         r_final = np.abs(rep.final_field().values)
         r_expected = 1.0 / np.cosh(grid512.z - 5.0)
@@ -287,38 +315,36 @@ class TestDispersionlessTransport:
         assert np.max(np.abs(widths / widths[0] - 1.0)) <= 1e-6
 
     def test_rest_envelope_fully_stationary(self, grid512):
-        config = DispersionlessConfig(dt=1e-3, t_final=2.0, velocity=0.0)
-        initial = dispersionless_initial(config, grid512)
+        config = _transport(dt=1e-3, t_final=2.0)
+        initial = dispersionless_initial(grid512, velocity=0.0)
         rep = evolve_dispersionless(initial, config)
         assert np.array_equal(np.abs(rep.final_field().values), initial.R)
 
     def test_density_conserved(self, grid512):
-        config = DispersionlessConfig(dt=1e-3, t_final=10.0, velocity=1.0,
-                                      observe_every=100)
-        initial = dispersionless_initial(config, grid512, center=-5.0)
+        config = _transport(dt=1e-3, t_final=10.0, observe_every=100)
+        initial = dispersionless_initial(grid512, velocity=1.0, center=-5.0)
         rep = evolve_dispersionless(initial, config)
         assert rep.conservation["max_relative_rho_drift"] <= 1e-8
 
     def test_classical_correspondence_linear_potential(self, grid512):
         g, v_e, z0 = 0.4, 1.0, -5.0
-        config = DispersionlessConfig(dt=1e-3, t_final=5.0, velocity=v_e,
-                                      potential_slope=g, observe_every=50)
-        initial = dispersionless_initial(config, grid512, center=z0)
+        config = _transport(dt=1e-3, t_final=5.0, potential_slope=g, observe_every=50)
+        initial = dispersionless_initial(grid512, velocity=v_e, center=z0)
         rep = evolve_dispersionless(initial, config)
         z_classical = z0 + v_e * rep.times - 0.5 * g * rep.times**2
         error = np.abs(rep.observable("centroid") - z_classical)
         assert np.max(error) <= 0.01 * max(1.0, np.max(np.abs(z_classical)))
 
     def test_snapshots_carry_polar_columns(self, grid512):
-        config = DispersionlessConfig(dt=1e-3, t_final=0.1, velocity=0.0,
-                                      snapshot_every=50)
-        rep = evolve_dispersionless(dispersionless_initial(config, grid512), config)
+        config = _transport(dt=1e-3, t_final=0.1, snapshot_every=50)
+        rep = evolve_dispersionless(dispersionless_initial(grid512, velocity=0.0), config)
         assert {"R", "S", "Q"} <= set(rep.snapshots[-1].extra)
 
     @pytest.mark.parametrize("cadence", ["snapshot_every", "observe_every"])
-    def test_negative_cadence_rejected(self, cadence):
+    def test_negative_cadence_rejected(self, grid512, cadence):
+        config = _transport(dt=1e-3, t_final=0.1, **{cadence: -1})
         with pytest.raises(ConfigurationError, match=f"{cadence} must be >= 0, got -1"):
-            DispersionlessConfig(dt=1e-3, t_final=0.1, **{cadence: -1})
+            evolve_dispersionless(dispersionless_initial(grid512), config)
 
     @pytest.mark.parametrize("dt, t_final", [(1e-3, 0.1005), (1e-3, 5e-4), (0.0, 0.1),
                                              (-1e-3, 0.1)])
@@ -327,17 +353,18 @@ class TestDispersionlessTransport:
         solver = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=dt, t_final=t_final)
         (expected,) = validate_solver_config(solver, grid512)
         with pytest.raises(ConfigurationError) as err:
-            DispersionlessConfig(dt=dt, t_final=t_final)
+            evolve_dispersionless(dispersionless_initial(grid512),
+                                  _transport(dt=dt, t_final=t_final))
         assert str(err.value) == expected
 
     def test_cfl_abort(self, grid512):
-        config = DispersionlessConfig(dt=1e-2, t_final=1.0, velocity=10.0)
-        initial = dispersionless_initial(config, grid512)
+        config = _transport(dt=1e-2, t_final=1.0)
+        initial = dispersionless_initial(grid512, velocity=10.0)
         with pytest.raises(NumericalError):
             evolve_dispersionless(initial, config)
 
     def test_nonconforming_action_rejected(self, grid512):
-        config = DispersionlessConfig(dt=1e-3, t_final=0.1)
+        config = _transport(dt=1e-3, t_final=0.1)
         r = 1.0 / np.cosh(grid512.z)
         bad = MadelungField(grid512, r, 0.05 * grid512.z**2,
                             support=r >= 1e-6)
@@ -346,9 +373,8 @@ class TestDispersionlessTransport:
 
     def test_periodic_potential_part_accepted(self, grid512):
         v = 0.05 * np.cos(2 * np.pi * grid512.z / grid512.length)
-        config = DispersionlessConfig(dt=1e-3, t_final=0.5, velocity=0.5,
-                                      potential=v, observe_every=50)
-        rep = evolve_dispersionless(dispersionless_initial(config, grid512), config)
+        config = _transport(dt=1e-3, t_final=0.5, potential=v, observe_every=50)
+        rep = evolve_dispersionless(dispersionless_initial(grid512, velocity=0.5), config)
         assert rep.conservation["max_relative_rho_drift"] <= 1e-8
 
 

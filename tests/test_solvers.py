@@ -6,7 +6,6 @@ import pytest
 from solitonlab import (
     ComplexField,
     ConfigurationError,
-    DispersionlessConfig,
     Grid1D,
     PacketKind,
     PacketSpec,
@@ -292,7 +291,7 @@ def test_klein_gordon_needs_positive_c(grid512):
 def test_recorder_rejects_non_finite_records(grid512):
     config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.01,
                           observe_every=5)
-    rec = _Recorder(config, config.n_steps(), grid512, "norm")
+    rec = _Recorder(config, grid512)
     field = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0), grid512).values
     rec.record(0, field, extra={"energy": 1.0})
     blown = field.copy()
@@ -315,8 +314,8 @@ def _conservation_cases():
     narrow = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=0.5, k0=2.0), grid)
     kg = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=0.01, t_final=2.0,
                       observe_every=10, snapshot_every=8)
-    transport = DispersionlessConfig(dt=1e-3, t_final=0.2, velocity=1.0,
-                                     observe_every=20, snapshot_every=30)
+    transport = SolverConfig(scheme=Scheme.DISPERSIONLESS_TRANSPORT, dt=1e-3, t_final=0.2,
+                             observe_every=20, snapshot_every=30)
     return {
         "linear": lambda: evolve_linear_schrodinger(gauss, SolverConfig(
             scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.5,
@@ -326,7 +325,7 @@ def _conservation_cases():
         "kg": lambda: evolve_klein_gordon(
             narrow, one_branch_time_derivative(narrow, kg.omega0, kg.c), kg),
         "transport": lambda: evolve_dispersionless(
-            dispersionless_initial(transport, grid, center=-5.0), transport),
+            dispersionless_initial(grid, velocity=1.0, center=-5.0), transport),
     }
 
 

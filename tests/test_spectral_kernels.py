@@ -18,7 +18,6 @@ import pytest
 
 from solitonlab import (
     ComplexField,
-    DispersionlessConfig,
     Grid1D,
     PacketKind,
     PacketSpec,
@@ -474,6 +473,9 @@ def _evolve(scheme: Scheme, grid: Grid1D, n_steps: int, every: int):
     psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, center=2.0, k0=1.0), grid)
     if scheme is Scheme.KLEIN_GORDON:
         return evolve_klein_gordon(psi0, one_branch_time_derivative(psi0), config)
+    if scheme is Scheme.DISPERSIONLESS_TRANSPORT:
+        return evolve_dispersionless(dispersionless_initial(grid, velocity=1.0, center=-5.0),
+                                     config)
     return evolve_linear_schrodinger(psi0, dataclasses.replace(config, potential=_harmonic(grid)))
 
 
@@ -498,13 +500,13 @@ def test_mid_run_snapshot_equals_final_field_of_shorter_run(grid512, scheme):
 def _moving_packet_run(grid: Grid1D, n_steps: int):
     """(report, config, initial state) of a v = 1 packet in a cosine potential."""
     v = 0.05 * np.cos(2 * np.pi * grid.z / grid.length)
-    config = DispersionlessConfig(dt=1e-3, t_final=n_steps * 1e-3, velocity=1.0,
-                                  potential=v, observe_every=10, snapshot_every=50)
-    initial = dispersionless_initial(config, grid, center=-5.0)
+    config = SolverConfig(scheme=Scheme.DISPERSIONLESS_TRANSPORT, dt=1e-3, t_final=n_steps * 1e-3,
+                          potential=v, observe_every=10, snapshot_every=50)
+    initial = dispersionless_initial(grid, velocity=1.0, center=-5.0)
     return evolve_dispersionless(initial, config), config, initial
 
 
-def _tuple_rk4_reference(initial, config: DispersionlessConfig, grid: Grid1D):
+def _tuple_rk4_reference(initial, config: SolverConfig, grid: Grid1D):
     """The transport RK4 in its straightforward form: (R^2, s, kappa) as a
     tuple, s_z recomputed from s at every stage with the complex-FFT
     derivative.  Returns {step: (R^2, s, kappa)} for every step."""
@@ -581,9 +583,9 @@ def test_carried_slope_tracks_the_action_derivative(monkeypatch, grid512):
 
     monkeypatch.setattr(madelung, "_Recorder", Capture)
     v = 0.05 * np.cos(2 * np.pi * grid512.z / grid512.length)
-    config = DispersionlessConfig(dt=1e-3, t_final=2.0, velocity=1.0, potential=v,
-                                  potential_slope=0.4, observe_every=100)
-    evolve_dispersionless(dispersionless_initial(config, grid512, center=-5.0), config)
+    config = SolverConfig(scheme=Scheme.DISPERSIONLESS_TRANSPORT, dt=1e-3, t_final=2.0, potential=v,
+                          potential_slope=0.4, observe_every=100)
+    evolve_dispersionless(dispersionless_initial(grid512, velocity=1.0, center=-5.0), config)
     assert len(carried) == 21
     worst = max(np.max(np.abs(u - real_spectral_derivative(s, grid512))) for s, u in carried)
     assert worst <= 1e-10
