@@ -133,11 +133,11 @@ class SolverConfig:
             "t_final": self.t_final,
             "snapshot_every": self.snapshot_every,
             "observe_every": self.observe_every,
-            "omega0": self.omega0,
-            "c": self.c,
             "grid": {"n": grid.n, "z_min": grid.z_min, "z_max": grid.z_max, "dz": grid.dz},
             "potential": "zero" if self.potential is None else "tabulated",
         }
+        if self.scheme is Scheme.KLEIN_GORDON:
+            echo.update(omega0=self.omega0, c=self.c)
         if self.scheme is Scheme.DISPERSIONLESS_TRANSPORT:
             echo["potential_slope"] = self.potential_slope
         return echo

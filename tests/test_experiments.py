@@ -25,7 +25,12 @@ from solitonlab import (
     run_barrier_monte_carlo,
     run_dispersion_vs_soliton,
 )
-from solitonlab.experiments import _count_trials, _gap_word_ranges, _tunnel_last_word
+from solitonlab.experiments import (
+    TRANSPORT_MAX_DT,
+    _count_trials,
+    _gap_word_ranges,
+    _tunnel_last_word,
+)
 
 K = electron_constants()
 FINE_STRUCTURE = K.e2_coulomb / (K.hbar * K.c)
@@ -81,9 +86,10 @@ class TestDichotomy:
         transport = result.runs["transport"]
         echo = json.loads(json.dumps(transport.summary_dict()))["config"]
         assert echo["potential"] == "zero"
+        assert "omega0" not in echo and "c" not in echo  # Klein-Gordon keys only
         config = SolverConfig(scheme=Scheme(echo["scheme"]), **{
             key: echo[key] for key in ("dt", "t_final", "snapshot_every", "observe_every",
-                                       "omega0", "c", "potential_slope")})
+                                       "potential_slope")})
         grid = Grid1D(echo["grid"]["n"], echo["grid"]["z_min"], echo["grid"]["z_max"])
         settings = result.to_dict()["settings"]
         rerun = evolve_dispersionless(
@@ -93,6 +99,43 @@ class TestDichotomy:
         for key, series in transport.observables.items():
             assert np.array_equal(rerun.observable(key), series), key
         assert rerun.conservation == transport.conservation
+
+    def test_settings_echo_rebuilds_its_run(self):
+        settings = DichotomySettings(n=512, z_min=-25.6, z_max=25.6, t_final=0.5,
+                                     observe_every=25)
+        result = run_dispersion_vs_soliton(settings)
+        echo = json.loads(json.dumps(result.to_dict()))["settings"]
+        rerun = run_dispersion_vs_soliton(DichotomySettings(**echo))
+        assert np.array_equal(rerun.times, result.times)
+        for key, series in result.widths.items():
+            assert np.array_equal(rerun.widths[key], series), key
+
+    @pytest.mark.parametrize("dt, observe_every, t_final, stride", [
+        (1e-3, 100, 1.0, 10),  # the shipped cadence: 1e-2 steps
+        (1e-3, 7, 0.7, 7),     # the largest divisor of 7 that fits
+        (1e-3, 7, 0.5, 1),     # cadence coprime to the 500 steps
+        (1e-3, 0, 0.5, 10),    # ends only: any divisor of the step count
+        (1e-3, 100, 0.05, 10),  # fewer steps than the cadence
+        (0.02, 5, 1.0, 1),     # dt already above the cap
+    ])
+    def test_transport_step_derived_from_settings(self, dt, observe_every, t_final, stride):
+        result = run_dispersion_vs_soliton(DichotomySettings(
+            n=512, z_min=-25.6, z_max=25.6, dt=dt, observe_every=observe_every,
+            t_final=t_final))
+        lin, transport = result.runs["linear"], result.runs["transport"]
+        assert transport.config["dt"] == pytest.approx(stride * dt, rel=1e-12)
+        assert transport.config["dt"] <= max(dt, TRANSPORT_MAX_DT)
+        assert transport.config["observe_every"] == observe_every // stride
+        assert len(transport.times) == len(lin.times)
+        np.testing.assert_allclose(transport.times, lin.times, rtol=1e-12, atol=0.0)
+
+    def test_default_transport_width_is_exact(self):
+        result = run_dispersion_vs_soliton(DichotomySettings())
+        widths = result.widths["transport"]
+        assert result.runs["transport"].config["dt"] == TRANSPORT_MAX_DT
+        assert len(widths) == 101
+        assert np.all(widths == widths[0])
+        assert result.ratios["transport"] == 1.0
 
     def test_report_dict_shape(self):
         result = run_dispersion_vs_soliton(

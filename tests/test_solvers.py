@@ -288,6 +288,16 @@ def test_klein_gordon_needs_positive_c(grid512):
     assert validate_solver_config(config, grid512) == ["c must be positive, got 0.0"]
 
 
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_only_klein_gordon_echoes_omega0_and_c(grid512, scheme):
+    echo = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, omega0=2.0, c=0.5).config_echo(
+        grid512)
+    if scheme is Scheme.KLEIN_GORDON:
+        assert (echo["omega0"], echo["c"]) == (2.0, 0.5)
+    else:
+        assert "omega0" not in echo and "c" not in echo
+
+
 def test_recorder_rejects_non_finite_records(grid512):
     config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.01,
                           observe_every=5)
