@@ -34,6 +34,8 @@ from .kinematics import KinematicState, PhysicalConstants, electron_constants, k
 from .madelung import dispersionless_initial, evolve_dispersionless
 from .report import RunReport
 from .solvers import (
+    MAX_POTENTIAL_PHASE_PER_STEP,
+    ORDERS,
     Scheme,
     SolverConfig,
     evolve_linear_schrodinger,
@@ -53,13 +55,24 @@ _TRIALS_PER_BLOCK = 1 << 16
 DISPERSED_MIN_RATIO = 3.0
 SOLITON_BAND = 0.01
 TRANSPORT_BAND = 0.001
-#: largest step of the dichotomy's RK4 transport leg.  Equal-error table,
-#: max|R - R0(z - vt)| of a sech a=1, v=1, centre -5 at t=10, dz = 0.1:
+#: largest step of the dichotomy's RK4 transport and fourth-order cubic
+#: legs.  Transport equal-error table, max|R - R0(z - vt)| of a sech a=1,
+#: v=1, centre -5 at t=10, dz = 0.1:
 #:     grid     dt 1e-3   dt 1e-2   dt 2e-2
 #:     n=512    1.2e-8    2.3e-8    3.6e-7
 #:     n=1024   2.3e-8    2.5e-8    3.6e-7
 #: up to 1e-2 the error sits at the spatial floor; width and density drift
-#: stay at 1e-12 or below at every step size
+#: stay at 1e-12 or below at every step size.  The cubic leg's stride m
+#: also keeps its largest sub-step phase 2 |w0| a^2 m dt within
+#: MAX_POTENTIAL_PHASE_PER_STEP.  Cubic equal-error table, L2 error against
+#: the stationary breather of amplitude a at t=10, n=1024, z in +-51.2:
+#:     a     Strang, dt 1e-3   Yoshida at the derived stride
+#:     1     1.02e-5           9.25e-7 (m=10)
+#:     1.5   1.41e-4           6.44e-5 (m=10)
+#:     2     9.10e-4           8.23e-5 (m=5)
+#:     3     1.27e-2           1.49e-4 (m=2)
+#: without the phase bound, a=3 at m=10 reads 1.0e-1, with its width
+#: ratio off by 8%
 TRANSPORT_MAX_DT = 1e-2
 
 
@@ -75,9 +88,9 @@ class DichotomySettings:
     amplitude-width locking); setting it separately builds a deliberate
     non-soliton as a negative control.  The three runs share one
     SolverConfig, checked at construction unless t_final is 0 (no
-    evolution).  ``dt`` is the linear and cubic step; the transport's
-    step is derived from the settings (see run_dispersion_vs_soliton),
-    not a field.
+    evolution).  ``dt`` is the linear step; the cubic and transport
+    steps are derived from the settings (see run_dispersion_vs_soliton),
+    not fields.
     """
 
     n: int = 1024
@@ -142,18 +155,37 @@ class DichotomyReport:
         }
 
 
+def _strided(base: SolverConfig, scheme: Scheme, max_dt: float) -> SolverConfig:
+    """base for scheme on a step of m dt, recording at base's times.
+
+    m is the largest divisor of both observe_every and the step count with
+    m dt <= max_dt (compared with step_count's relative tolerance), and 1
+    when none fits.  On m > 1 the cubic scheme steps at fourth order; on
+    m = 1 every scheme keeps base's step and order.
+    """
+    common = math.gcd(base.observe_every, base.n_steps())
+    widest = min(common, int(max_dt * (1.0 + 1e-6) / base.dt))
+    stride = next((m for m in range(widest, 1, -1) if common % m == 0), 1)
+    if stride == 1:
+        return replace(base, scheme=scheme)
+    return replace(base, scheme=scheme, dt=stride * base.dt,
+                   observe_every=base.observe_every // stride,
+                   order=4 if scheme is Scheme.NLS else 2)
+
+
 def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> DichotomyReport:
     """Evolve one sech packet under all three schemes and compare widths.
 
     The same initial data spreads monotonically under the linear solver,
     holds its width under the cubic solver (amplitude-width locking), and
     is transported rigidly by the curvature-cancelled solver.  The linear
-    and cubic runs step at ``settings.dt``.  The transport's step is
-    derived: its fourth-order RK4 steps m dt, with m the largest divisor
-    of both observe_every and the step count such that m dt <=
-    TRANSPORT_MAX_DT (compared with step_count's relative tolerance), and
-    m = 1 when none fits.  So it records at exactly the other two runs'
-    times.
+    run steps at ``settings.dt``; the other two step at m dt (see
+    _strided), with m dt <= TRANSPORT_MAX_DT, so both record at exactly
+    the linear run's times.  The transport's RK4 takes any m.  The cubic
+    run steps Yoshida's fourth-order composition on m > 1, and its m also
+    keeps the largest sub-step phase 2 |w0| amplitude^2 m dt within
+    MAX_POTENTIAL_PHASE_PER_STEP; on m = 1 it is the Strang run at
+    ``settings.dt``.
     """
     s = settings or DichotomySettings()
     psi0 = s.initial_field()
@@ -167,14 +199,13 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
 
     base = s.solver_config()
     lin = evolve_linear_schrodinger(psi0, base)
-    nls = evolve_nls(psi0, replace(base, scheme=Scheme.NLS))
-    common = math.gcd(base.observe_every, base.n_steps())
-    widest = min(common, int(TRANSPORT_MAX_DT * (1.0 + 1e-6) / base.dt))
-    stride = next((m for m in range(widest, 1, -1) if common % m == 0), 1)
+    widest_phase = max(abs(w) for w in ORDERS[4])
+    nls_max_dt = min(TRANSPORT_MAX_DT,
+                     MAX_POTENTIAL_PHASE_PER_STEP / (2.0 * widest_phase * s.amplitude**2))
+    nls = evolve_nls(psi0, _strided(base, Scheme.NLS, nls_max_dt))
     transport = evolve_dispersionless(
         dispersionless_initial(psi0.grid, s.amplitude, s.sech_scale),
-        replace(base, scheme=Scheme.DISPERSIONLESS_TRANSPORT, dt=stride * base.dt,
-                observe_every=base.observe_every // stride))
+        _strided(base, Scheme.DISPERSIONLESS_TRANSPORT, TRANSPORT_MAX_DT))
 
     runs = {"linear": lin, "nls": nls, "transport": transport}
     widths = {k: r.observable("rms_width") for k, r in runs.items()}

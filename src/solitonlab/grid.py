@@ -23,6 +23,11 @@ from .kinematics import PhysicalConstants, electron_constants
 #: localized packets must stay below this fraction of their peak at the
 #: periodic boundary, otherwise wrap-around contaminates the run
 BOUNDARY_AMPLITUDE_FRACTION = 1e-8
+#: packets must keep at most this fraction of their spectral power
+#: sum|psi^|^2 above two thirds of the Nyquist wavenumber, otherwise the
+#: grid does not resolve them (Boyd 2001, Chebyshev and Fourier Spectral
+#: Methods: the decay of the spectrum is the test of resolution)
+SPECTRAL_TAIL_FRACTION = 1e-8
 #: largest grid: 2^20 points keep a field at 16 MiB and a step in milliseconds
 MAX_GRID_POINTS = 2**20
 
@@ -159,7 +164,10 @@ def build_packet(spec: PacketSpec, grid: Grid1D) -> ComplexField:
 
     Localized kinds must satisfy |psi| < 1e-8 * peak at the periodic
     boundary; a plane wave's k0 must sit on the grid's wavenumber ladder
-    (otherwise it is discontinuous across the seam).
+    (otherwise it is discontinuous across the seam).  Every kind must keep
+    its spectral tail, the fraction of |psi^|^2 at |k| > (2/3) k_max, within
+    SPECTRAL_TAIL_FRACTION; the tail is taken on psi / peak, so it cannot
+    overflow.
     """
     z = grid.z
     if spec.kind is PacketKind.SECH_BREATHER:
@@ -180,14 +188,21 @@ def build_packet(spec: PacketSpec, grid: Grid1D) -> ComplexField:
     else:  # pragma: no cover
         raise ConfigurationError(f"unknown packet kind {spec.kind}")
 
+    peak = float(np.max(np.abs(vals)))
     if spec.kind is not PacketKind.PLANE_WAVE:
-        peak = float(np.max(np.abs(vals)))
         edge = max(abs(vals[0]), abs(vals[-1]))
         if edge >= BOUNDARY_AMPLITUDE_FRACTION * peak:
             raise ConfigurationError(
                 f"packet touches the periodic boundary (|psi|_edge/peak = {edge / peak:.2e} "
                 f">= {BOUNDARY_AMPLITUDE_FRACTION:.0e}); enlarge the domain or recenter"
             )
+    power = np.abs(np.fft.fft(vals / peak)) ** 2
+    tail = float(np.sum(power[np.abs(grid.k) > (2.0 / 3.0) * math.pi / grid.dz]) / np.sum(power))
+    if tail > SPECTRAL_TAIL_FRACTION:
+        raise ConfigurationError(
+            f"packet is not resolved by the grid (spectral tail at |k| > (2/3) k_max = "
+            f"{tail:.2e} > {SPECTRAL_TAIL_FRACTION:.0e}); widen the packet or refine the grid"
+        )
     return ComplexField(grid, vals)
 
 

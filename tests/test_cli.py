@@ -73,6 +73,34 @@ def test_boundary_contamination_diagnostic(capsys):
     assert "boundary" in capsys.readouterr().err
 
 
+def test_unresolved_packet_is_a_config_error(capsys):
+    # a sigma-0.001 Gaussian on dz = 0.1 is one nonzero point
+    code = main(["validate", "--config", str(CONFIG_DIR / "gaussian-linear.json"),
+                 "--set", "packet.sigma=0.001"])
+    assert code == EXIT_CONFIG
+    assert "packet is not resolved by the grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, override", [
+    ("breather-v1.json", "solver.order=3"),
+    ("kg-plane-wave.json", "solver.order=4"),
+])
+def test_order_names_field(config, override, tmp_path, capsys):
+    code = main(["validate", "--config", str(CONFIG_DIR / config), "--set", override])
+    assert code == EXIT_CONFIG
+    assert "order" in capsys.readouterr().err
+    assert main(_argv(config, [override]) + ["--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert "order" in capsys.readouterr().err
+
+
+def test_nls_order_four_from_config(tmp_path):
+    overrides = ["solver.order=4", "solver.dt=0.01", "solver.t_final=0.5",
+                 "solver.observe_every=10", "solver.snapshot_every=50"]
+    assert main(_argv("breather-v1.json", overrides) + ["--out", str(tmp_path)]) == EXIT_OK
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert (config["order"], config["dt"]) == (4, 0.01)
+
+
 def test_unknown_experiment(tmp_path, capsys):
     config = tmp_path / "bad.json"
     config.write_text('{"experiment": "warp-drive"}')
@@ -150,8 +178,10 @@ def test_node_error_maps_to_numerical_exit(tmp_path, capsys):
 @pytest.mark.parametrize("config, overrides, quantity", [
     # the plane wave's field is finite, its energy overflows
     ("kg-plane-wave.json", ["packet.amplitude=1e300"], "energy is not finite at step 0"),
-    # |phi|^2 overflows: the observables of step 0, then the field itself
-    ("breather-v1.json", ["packet.amplitude=1e200"], "norm is not finite at step 0"),
+    # |phi|^2 overflows: the observables of step 0, then the field itself;
+    # scale 1 keeps the sech resolved (its width defaults to 1/amplitude)
+    ("breather-v1.json", ["packet.amplitude=1e200", "packet.scale=1"],
+     "norm is not finite at step 0"),
 ])
 def test_blow_up_is_a_numerical_failure(config, overrides, quantity, tmp_path, capsys):
     assert validate(apply_overrides(load_config(CONFIG_DIR / config), overrides)) == []

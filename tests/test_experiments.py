@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from solitonlab import (
     dispersionless_initial,
     electron_constants,
     evolve_dispersionless,
+    evolve_nls,
     kinematic_state,
     linear_barrier_transmission,
+    nls_breather_exact,
     phase_accordance_mismatch,
     photon_relations,
     rectangular_barrier_transmission,
@@ -31,6 +34,7 @@ from solitonlab.experiments import (
     _gap_word_ranges,
     _tunnel_last_word,
 )
+from solitonlab.solvers import MAX_POTENTIAL_PHASE_PER_STEP, ORDERS
 
 K = electron_constants()
 FINE_STRUCTURE = K.e2_coulomb / (K.hbar * K.c)
@@ -128,6 +132,57 @@ class TestDichotomy:
         assert transport.config["observe_every"] == observe_every // stride
         assert len(transport.times) == len(lin.times)
         np.testing.assert_allclose(transport.times, lin.times, rtol=1e-12, atol=0.0)
+
+    def test_nls_echo_reproduces_its_run(self):
+        # the run-1 config block, as written, rebuilds the cubic leg's
+        # SolverConfig: order 4 on its own step and cadence
+        settings = DichotomySettings(t_final=0.5)
+        nls = run_dispersion_vs_soliton(settings).runs["nls"]
+        echo = json.loads(json.dumps(nls.summary_dict()))["config"]
+        assert (echo["order"], echo["dt"], echo["observe_every"]) == (4, 1e-2, 10)
+        config = SolverConfig(scheme=Scheme(echo["scheme"]), **{
+            key: echo[key] for key in ("dt", "t_final", "snapshot_every", "observe_every",
+                                       "order")})
+        grid = Grid1D(echo["grid"]["n"], echo["grid"]["z_min"], echo["grid"]["z_max"])
+        assert grid == settings.grid()
+        rerun = evolve_nls(settings.initial_field(), config)
+        assert np.array_equal(rerun.times, nls.times)
+        assert np.array_equal(rerun.observable("rms_width"), nls.observable("rms_width"))
+
+    @pytest.mark.parametrize("amplitude, stride", [(1.0, 10), (1.5, 10), (2.0, 5), (3.0, 2)])
+    def test_nls_stride_bounded_by_step_and_phase(self, amplitude, stride):
+        # m dt <= TRANSPORT_MAX_DT, and the largest sub-step phase
+        # 2 |w0| a^2 m dt stays within MAX_POTENTIAL_PHASE_PER_STEP
+        settings = DichotomySettings(amplitude=amplitude, t_final=1.0)
+        result = run_dispersion_vs_soliton(settings)
+        nls = result.runs["nls"]
+        assert (nls.config["order"], nls.config["observe_every"]) == (4, 100 // stride)
+        assert nls.config["dt"] == pytest.approx(stride * settings.dt, rel=1e-12)
+        assert 2.0 * max(map(abs, ORDERS[4])) * amplitude**2 * nls.config["dt"] <= (
+            MAX_POTENTIAL_PHASE_PER_STEP)
+        np.testing.assert_allclose(nls.times, result.times, rtol=1e-12, atol=0.0)
+        grid = settings.grid()
+        exact = nls_breather_exact(grid.z, settings.t_final, amplitude, 0.0)
+        strang = evolve_nls(settings.initial_field(),
+                            replace(settings.solver_config(), scheme=Scheme.NLS))
+
+        def error(report):
+            return math.sqrt(np.sum(np.abs(report.final_field().values - exact) ** 2) * grid.dz)
+
+        assert error(nls) <= error(strang)
+
+    @pytest.mark.parametrize("amplitude", [1.0, 3.0])
+    def test_coprime_cadence_keeps_the_strang_run(self, amplitude):
+        # observe_every = 7 shares no divisor with 500 steps: m = 1
+        settings = DichotomySettings(amplitude=amplitude, t_final=0.5, observe_every=7)
+        nls = run_dispersion_vs_soliton(settings).runs["nls"]
+        strang = evolve_nls(settings.initial_field(),
+                            replace(settings.solver_config(), scheme=Scheme.NLS))
+        assert nls.config == strang.config and nls.config["order"] == 2
+        assert np.array_equal(nls.times, strang.times)
+        for key, series in strang.observables.items():
+            assert np.array_equal(nls.observable(key), series), key
+        assert np.array_equal(nls.final_field().values, strang.final_field().values)
 
     def test_default_transport_width_is_exact(self):
         result = run_dispersion_vs_soliton(DichotomySettings())

@@ -168,6 +168,20 @@ class TestNLS:
         for coarse, fine in zip(errors, errors[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.2)
 
+    def test_yoshida_order_four(self):
+        # the criterion-4 breather: halving dt divides the error by about 16
+        grid = Grid1D(512, -25.6, 25.6)
+        psi0 = ComplexField(grid, nls_breather_exact(grid.z, 0.0, 1.0, 1.0, z0=-5.0))
+        exact = nls_breather_exact(grid.z, 10.0, 1.0, 1.0, z0=-5.0)
+        errors = []
+        for dt in (2e-2, 1e-2, 5e-3):
+            rep = evolve_nls(psi0, SolverConfig(scheme=Scheme.NLS, dt=dt, t_final=10.0,
+                                                observe_every=0, order=4))
+            errors.append(l2_error(rep.final_field(), exact))
+        assert errors[1] <= 1e-6
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 13.0 <= coarse / fine <= 19.0
+
     def test_rejects_potential(self, grid512):
         config = SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=1.0,
                               potential=np.ones(grid512.n))
@@ -296,6 +310,26 @@ def test_only_klein_gordon_echoes_omega0_and_c(grid512, scheme):
         assert (echo["omega0"], echo["c"]) == (2.0, 0.5)
     else:
         assert "omega0" not in echo and "c" not in echo
+
+
+@pytest.mark.parametrize("order", [0, 1, 3, 6])
+def test_order_is_two_or_four(grid512, order):
+    config = SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=0.1, order=order)
+    assert validate_solver_config(config, grid512) == [
+        f"order must be one of [2, 4], got {order}"]
+
+
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s is not Scheme.NLS])
+def test_only_nls_steps_at_order_four(grid512, scheme):
+    config = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, order=4)
+    assert validate_solver_config(config, grid512) == [
+        f"{scheme.value} has only a second-order step; order must be 2, got 4"]
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+def test_only_nls_echoes_order(grid512, scheme):
+    echo = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1).config_echo(grid512)
+    assert echo.get("order") == (2 if scheme is Scheme.NLS else None)
 
 
 def test_recorder_rejects_non_finite_records(grid512):

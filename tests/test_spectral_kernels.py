@@ -1,10 +1,10 @@
 """The FFT-bound step kernels: cached grid arrays, the real-FFT derivative,
-the batched transport RK4, the merged NLS Strang step, the spectral
-Klein-Gordon leapfrog and linear Schrodinger step, how many FFTs each step
-makes, and that no reused step buffer reaches a record.
+the batched transport RK4, the merged NLS Strang and Yoshida steps, the
+spectral Klein-Gordon leapfrog and linear Schrodinger step, how many FFTs
+each step makes, and that no reused step buffer reaches a record.
 
 The references here are written out in the tests (the unmerged Strang
-loops, the leapfrog in z, the tuple-form transport RK4 with complex-FFT
+and Yoshida loops, the leapfrog in z, the tuple-form transport RK4 with complex-FFT
 derivatives) so the kernels are checked against the straightforward form
 of the same arithmetic.
 """
@@ -114,18 +114,21 @@ def test_real_derivative_zeroes_nyquist():
 
 
 # ---------------------------------------------------------------------------
-# merged NLS Strang step
+# merged NLS Strang and Yoshida steps
 # ---------------------------------------------------------------------------
 
-def _unmerged_nls_states(psi0: np.ndarray, grid: Grid1D, dt: float, n_steps: int):
-    """Every state of the plain Strang loop: half kinetic, nonlinear, half kinetic."""
-    half_kinetic = np.exp(-0.5j * grid.k**2 * dt)
+def _unmerged_nls_states(psi0: np.ndarray, grid: Grid1D, dt: float, n_steps: int,
+                         weights=(1.0,)):
+    """Every state of the plain composed loop: per weight w, a Strang step of
+    w dt (half kinetic, nonlinear, half kinetic)."""
     psi = psi0.copy()
     states = [psi.copy()]
     for _ in range(n_steps):
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
-        psi = psi * np.exp(2j * dt * np.abs(psi) ** 2)
-        psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+        for w in weights:
+            half_kinetic = np.exp(-0.5j * grid.k**2 * w * dt)
+            psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
+            psi = psi * np.exp(2j * w * dt * np.abs(psi) ** 2)
+            psi = np.fft.ifft(half_kinetic * np.fft.fft(psi))
         states.append(psi)
     return states
 
@@ -162,6 +165,31 @@ def test_merged_nls_matches_unmerged_loop(grid512, n_steps, observe_every, snaps
         assert np.max(np.abs(snap.field.values - states[step])) <= 1e-10
 
 
+@pytest.mark.parametrize("n_steps,observe_every,snapshot_every", [
+    (12, 0, 0),
+    (12, 1, 0),
+    (12, 5, 3),
+    (1, 1, 1),
+])
+def test_merged_yoshida_matches_unmerged_composition(grid512, n_steps, observe_every,
+                                                     snapshot_every):
+    dt = 1e-2
+    psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 1.0, z0=-5.0))
+    config = SolverConfig(scheme=Scheme.NLS, dt=dt, t_final=n_steps * dt, order=4,
+                          observe_every=observe_every, snapshot_every=snapshot_every)
+    report = evolve_nls(psi0, config)
+    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+    states = _unmerged_nls_states(psi0.values, grid512, dt, n_steps, (w1, 1.0 - 2.0 * w1, w1))
+    observed, snapped = _cadence(n_steps, observe_every), _cadence(n_steps, snapshot_every)
+    assert [round(t / dt) for t in report.times] == observed
+    for i, step in enumerate(observed):
+        for key, value in observables(ComplexField(grid512, states[step])).items():
+            assert abs(report.observable(key)[i] - value) <= 1e-10
+    assert [round(snap.t / dt) for snap in report.snapshots] == snapped
+    for snap, step in zip(report.snapshots, snapped):
+        assert np.max(np.abs(snap.field.values - states[step])) <= 1e-10
+
+
 def test_nls_fft_count_with_recording_off(monkeypatch, grid512):
     counts = _count_ffts(monkeypatch)
     psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 0.0))
@@ -170,6 +198,17 @@ def test_nls_fft_count_with_recording_off(monkeypatch, grid512):
         evolve_nls(psi0, SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=n_steps * 1e-3,
                                       observe_every=0, snapshot_every=0))
         assert counts["fft"] + counts["ifft"] == 2 * n_steps + 2
+        assert counts["rfft"] + counts["irfft"] == 0
+
+
+def test_yoshida_makes_three_fft_pairs_per_step(monkeypatch, grid512):
+    counts = _count_ffts(monkeypatch)
+    psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 0.0))
+    for n_steps in (1, 2, 25):
+        counts.clear()
+        evolve_nls(psi0, SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=n_steps * 1e-3,
+                                      observe_every=0, snapshot_every=0, order=4))
+        assert counts["fft"] + counts["ifft"] == 6 * n_steps + 2
         assert counts["rfft"] + counts["irfft"] == 0
 
 
@@ -422,8 +461,9 @@ def _kg_run(grid, n_steps):
     evolve_klein_gordon(psi0, one_branch_time_derivative(psi0), config)
 
 
-def _linear_run(grid, n_steps, potential=None):
-    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0), grid)
+def _linear_run(grid, n_steps, potential=None, psi0=None):
+    if psi0 is None:
+        psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0), grid)
     config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=n_steps * 1e-3,
                           observe_every=0, snapshot_every=0, potential=potential)
     evolve_linear_schrodinger(psi0, config)
@@ -446,12 +486,14 @@ def test_linear_schemes_make_no_fft_per_step(monkeypatch, grid512, run):
 
 
 def test_linear_with_potential_makes_one_fft_pair_per_step(monkeypatch, grid512):
+    # built before the count starts: build_packet's own FFT is not the solver's
+    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0), grid512)
     counts = _count_ffts(monkeypatch)
     potential = _harmonic(grid512)
 
     def total(n_steps):
         counts.clear()
-        _linear_run(grid512, n_steps, potential)
+        _linear_run(grid512, n_steps, potential, psi0)
         return counts["fft"] + counts["ifft"]
 
     assert total(20) - total(10) == 2 * 10
