@@ -31,7 +31,6 @@ from .grid import (
     Grid1D,
     PacketKind,
     PacketSpec,
-    UnitScaling,
     build_packet,
     observables,
     spectral_derivative,

@@ -163,6 +163,29 @@ def _fields(cls, section: dict, where: str = "", keys: dict | None = None) -> di
     }
 
 
+class _Section(dict):
+    """A config object that records the keys its reader takes with [], as
+    _get does; nested objects become _Sections too."""
+
+    def __init__(self, items: dict):
+        super().__init__({key: _Section(value) if isinstance(value, dict) else value
+                          for key, value in items.items()})
+        self.taken = set()
+
+    def __getitem__(self, key):
+        self.taken.add(key)
+        return super().__getitem__(key)
+
+
+def _untaken(section: _Section, where: str = ""):
+    """Dotted paths of the keys no reader took, in config order."""
+    for key, value in section.items():
+        if key not in section.taken:
+            yield where + key
+        elif isinstance(value, _Section):
+            yield from _untaken(value, f"{where}{key}.")
+
+
 def _parse_velocity(text) -> float:
     """Velocities are plain m/s numbers or multiples of c like '0.6c'."""
     if not isinstance(text, str):
@@ -430,13 +453,25 @@ _EXPERIMENTS = {
 }
 
 
+def _prepare(experiment: str, config: dict):
+    """The experiment's prepare step on config.  A key it leaves unread,
+    other than the dispatch key and the seed the manifest records, is an
+    unknown field, so a misspelt key cannot fall back to a default."""
+    section = _Section(config)
+    inputs = _EXPERIMENTS[experiment][0](section)
+    for path in _untaken(section):
+        if path not in ("experiment", "seed"):
+            raise ConfigurationError(f"unknown field {path}")
+    return inputs
+
+
 def validate(config: dict) -> list[str]:
     """Every check a run makes before stepping: the run's own prepare step."""
     experiment = config.get("experiment")
     if not isinstance(experiment, str) or experiment not in _EXPERIMENTS:
         return [f"experiment must be one of {tuple(_EXPERIMENTS)}, got {experiment!r}"]
     try:
-        _EXPERIMENTS[experiment][0](config)
+        _prepare(experiment, config)
     except (ConfigurationError, DomainError) as err:
         return [str(err)]
     return []
@@ -632,8 +667,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
 
         config = _config_from_args(args)
-        prepare, run = _EXPERIMENTS[args.command]
-        inputs = prepare(config)
+        inputs = _prepare(args.command, config)
+        run = _EXPERIMENTS[args.command][1]
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         result, reports = run(inputs, args)
         out_dir = _resolve_out_dir(args.out, config["experiment"], config.get("seed", 0))

@@ -20,7 +20,6 @@ as evaluating the float draws u = (w >> 11) 2^-53 trial by trial.
 from __future__ import annotations
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any
@@ -29,8 +28,8 @@ import numpy as np
 
 from .dispersion import evanescent_kappa
 from .errors import ConfigurationError, DomainError
-from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet, observables
-from .kinematics import KinematicState, PhysicalConstants, electron_constants, kinematic_state
+from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet
+from .kinematics import KinematicState, electron_constants, kinematic_state
 from .madelung import dispersionless_initial, evolve_dispersionless
 from .report import RunReport
 from .solvers import (
@@ -87,8 +86,8 @@ class DichotomySettings:
     ``scale`` defaults to the amplitude (the cubic equation's
     amplitude-width locking); setting it separately builds a deliberate
     non-soliton as a negative control.  The three runs share one
-    SolverConfig, checked at construction unless t_final is 0 (no
-    evolution).  ``dt`` is the linear step; the cubic and transport
+    SolverConfig, checked at construction, so t_final must be a positive
+    multiple of dt.  ``dt`` is the linear step; the cubic and transport
     steps are derived from the settings (see run_dispersion_vs_soliton),
     not fields.
     """
@@ -103,8 +102,7 @@ class DichotomySettings:
     observe_every: int = 100
 
     def __post_init__(self):
-        if self.t_final != 0.0 and (
-                problems := validate_solver_config(self.solver_config(), self.grid())):
+        if problems := validate_solver_config(self.solver_config(), self.grid()):
             raise ConfigurationError("; ".join(problems))
 
     @property
@@ -138,16 +136,7 @@ class DichotomyReport:
     def to_dict(self) -> dict:
         return {
             "experiment": "soliton-vs-dispersion",
-            "settings": {
-                "n": self.settings.n,
-                "z_min": self.settings.z_min,
-                "z_max": self.settings.z_max,
-                "amplitude": self.settings.amplitude,
-                "scale": self.settings.sech_scale,
-                "dt": self.settings.dt,
-                "t_final": self.settings.t_final,
-                "observe_every": self.settings.observe_every,
-            },
+            "settings": {**asdict(self.settings), "scale": self.settings.sech_scale},
             "series": {"t": self.times.tolist(),
                        **{k: v.tolist() for k, v in self.widths.items()}},
             "width_ratios": self.ratios,
@@ -189,14 +178,6 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
     """
     s = settings or DichotomySettings()
     psi0 = s.initial_field()
-
-    if s.t_final == 0.0:
-        ratios = {"linear": 1.0, "nls": 1.0, "transport": 1.0}
-        verdicts = {k: "no evolution requested" for k in ratios}
-        w0 = observables(psi0)["rms_width"]
-        widths = {k: np.array([w0]) for k in ratios}
-        return DichotomyReport(s, np.array([0.0]), widths, ratios, verdicts)
-
     base = s.solver_config()
     lin = evolve_linear_schrodinger(psi0, base)
     widest_phase = max(abs(w) for w in ORDERS[4])
@@ -250,10 +231,10 @@ class BarrierSpec:
         if not (0 <= self.seed < 2**64):
             raise ConfigurationError("seed must fit in 64 bits")
 
-    def geometry(self, constants: PhysicalConstants | None = None) -> tuple[float, ...]:
+    def geometry(self) -> tuple[float, ...]:
         """(shifted cutoff f0', guide width w, narrowed width w', gap_lo, gap_hi);
         ConfigurationError when the gap does not fit inside the guide."""
-        k = constants or electron_constants()
+        k = electron_constants()
         f0 = k.cutoff_frequency
         f0_shifted = f0 + self.height / k.h
         width = k.c / (2.0 * f0)
@@ -372,9 +353,7 @@ def _count_trials(words: np.ndarray, gap_words: list[tuple[int, int]],
     return total
 
 
-def run_barrier_monte_carlo(spec: BarrierSpec,
-                            constants: PhysicalConstants | None = None,
-                            parallel_trials: int = 1) -> MonteCarloReport:
+def run_barrier_monte_carlo(spec: BarrierSpec, *, parallel_trials: int = 1) -> MonteCarloReport:
     """Hidden-phase statistics of barrier reflection/transmission.
 
     Model (all choices echoed in the report): the barrier raises the
@@ -393,8 +372,8 @@ def run_barrier_monte_carlo(spec: BarrierSpec,
     u < p one word bound, so each block makes unsigned integer compares
     and no float draw, with the counts of the float formulation.
     """
-    k = constants or electron_constants()
-    f0_shifted, width, width_narrowed, gap_lo, gap_hi = spec.geometry(k)
+    k = electron_constants()
+    f0_shifted, width, width_narrowed, gap_lo, gap_hi = spec.geometry()
     f_wave = (k.rest_energy + spec.energy) / k.h
     above_cutoff = f_wave >= f0_shifted
     p_tunnel = 0.0
@@ -438,7 +417,7 @@ def run_barrier_monte_carlo(spec: BarrierSpec,
         geometric_gap_fraction=gap_fraction,
         expected_fraction=expected,
         z_score=(p_hat - expected) / math.sqrt(variance) if variance > 0.0 else None,
-        linear_transmission=linear_barrier_transmission(spec, k),
+        linear_transmission=linear_barrier_transmission(spec),
         trials=spec.trials,
         seed=spec.seed,
         model={
@@ -504,10 +483,9 @@ def rectangular_barrier_transmission(energy: float, height: float, length: float
     return 1.0 / denom
 
 
-def linear_barrier_transmission(spec: BarrierSpec,
-                                constants: PhysicalConstants | None = None) -> float:
+def linear_barrier_transmission(spec: BarrierSpec) -> float:
     """Transfer-matrix transmission for the spec's barrier, electron SI units."""
-    k = constants or electron_constants()
+    k = electron_constants()
     return rectangular_barrier_transmission(
         spec.energy, spec.height, spec.length, mass=k.m0, hbar=k.hbar)
 
@@ -530,24 +508,16 @@ class BohrOrbit:
     de_broglie_wavelength: float
 
 
-def bohr_orbit(N: int, constants: PhysicalConstants | None = None) -> BohrOrbit:
-    """Solve m v^2 r = e2 and m v r = N hbar for the N-th circular orbit.
+def bohr_orbit(N: int) -> BohrOrbit:
+    """Solve m v^2 r = e2 and m v r = N hbar for hydrogen's N-th circular orbit.
 
-    Nonrelativistic construction; the velocity stays below 0.01 c for
-    hydrogen, and a warning is emitted if a parameter choice pushes it
-    above that regime.
+    Nonrelativistic construction: the velocity is v = alpha c / N, at
+    most 0.0073 c (N = 1), so it never approaches c.
     """
     if N < 1 or int(N) != N:
         raise DomainError(f"quantum number must be a positive integer, got {N}")
-    k = constants or electron_constants()
+    k = electron_constants()
     velocity = k.e2_coulomb / (N * k.hbar)
-    if velocity >= k.c:
-        raise DomainError(f"orbit velocity {velocity:.3e} is not below c")
-    if velocity > 0.01 * k.c:
-        warnings.warn(
-            f"orbit velocity {velocity / k.c:.4f} c exceeds the nonrelativistic regime",
-            stacklevel=2,
-        )
     radius = N**2 * k.hbar**2 / (k.m0 * k.e2_coulomb)
     period = 2.0 * math.pi * radius / velocity
     return BohrOrbit(
@@ -598,8 +568,7 @@ def phase_accordance_mismatch(state: KinematicState, z: np.ndarray) -> float:
     return float(np.max(np.abs(phase_wave - phase_clock) / scale))
 
 
-def bohr_phase_accordance(N: int,
-                          constants: PhysicalConstants | None = None) -> PhaseAccordance:
+def bohr_phase_accordance(N: int) -> PhaseAccordance:
     """Extra-arc time tau = v^2/(c^2 - v^2) T and the quantization check.
 
     Substituting tau into the cycle count f_clock tau collapses, given
@@ -607,9 +576,9 @@ def bohr_phase_accordance(N: int,
     against that value validates the transcription, while the gap
     against N itself measures the nonrelativistic approximation.
     """
-    k = constants or electron_constants()
-    orbit = bohr_orbit(N, k)
-    state = kinematic_state(orbit.velocity, constants=k)
+    k = electron_constants()
+    orbit = bohr_orbit(N)
+    state = kinematic_state(orbit.velocity)
     tau = orbit.velocity**2 / (k.c**2 - orbit.velocity**2) * orbit.period
     phase_quanta = state.f_clock * tau
     z_samples = np.linspace(orbit.orbit_length / 100.0, orbit.orbit_length, 100)
@@ -635,11 +604,10 @@ class PhotonRelations:
     E_zigzag: float
 
 
-def photon_relations(f: float, f0: float,
-                     constants: PhysicalConstants | None = None) -> PhotonRelations:
+def photon_relations(f: float, f0: float) -> PhotonRelations:
     """Pure calculator: f_zigzag = f0^2 / f, E_zigzag = h f0^2 / f."""
     if f <= 0.0 or f0 <= 0.0:
         raise DomainError("frequencies must be positive")
-    k = constants or electron_constants()
+    k = electron_constants()
     f_zz = f0 * f0 / f
     return PhotonRelations(f_zigzag=f_zz, E_zigzag=k.h * f_zz)

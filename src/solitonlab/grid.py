@@ -1,24 +1,23 @@
 """Uniform periodic 1-D grid, complex fields, packets, and observables.
 
 All solver-facing quantities live in normalized units (hbar = m = 1, and
-c = 1 where a light speed appears); :class:`UnitScaling` is the explicit
-record mapping normalized values back to SI.  Grids are periodic with a
-power-of-two point count so spectral transforms are cheap and the
-wavenumber ladder is unambiguous (the Nyquist mode is zeroed on
-odd-order differentiation to keep fields real-compatible).  Grid arrays
-are computed once, at construction, and are read-only.
+c = 1 where a light speed appears); the module converts nothing to SI.
+Grids are periodic with a power-of-two point count so spectral
+transforms are cheap and the wavenumber ladder is unambiguous (the
+Nyquist mode is zeroed on odd-order differentiation to keep fields
+real-compatible).  Grid arrays are computed once, at construction, and
+are read-only.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateFieldError, DomainError
-from .kinematics import PhysicalConstants, electron_constants
+from .errors import ConfigurationError, DegenerateFieldError
 
 #: localized packets must stay below this fraction of their peak at the
 #: periodic boundary, otherwise wrap-around contaminates the run
@@ -244,25 +243,3 @@ def observables(psi: ComplexField) -> dict[str, float]:
         "peak_position": peak_position,
     }
 
-
-@dataclass(frozen=True)
-class UnitScaling:
-    """Mapping between normalized (hbar = m = 1, c = 1) and SI units.
-
-    For reference mass m the natural scales are the reduced Compton
-    length hbar/(m c), time hbar/(m c^2), and energy m c^2.
-    """
-
-    mass_kg: float
-    constants: PhysicalConstants = field(default_factory=electron_constants)
-
-    def __post_init__(self):
-        if self.mass_kg <= 0.0:
-            raise DomainError("reference mass must be positive")
-
-    @property
-    def length_m(self) -> float:
-        return self.constants.hbar / (self.mass_kg * self.constants.c)
-
-    def length_from_si(self, value: float) -> float:
-        return value / self.length_m

@@ -20,27 +20,21 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA 2018 constants in SI units.
+    """CODATA 2018 constants in SI units, the one set every computation uses;
+    it takes no arguments and its instances are read-only.
 
     e2_coulomb is the Coulomb coupling e^2/(4 pi eps0) in J*m, i.e. the
     quantity that makes the hydrogen force balance read m v^2 r = e2.
     """
 
-    c: float = 299792458.0
-    h: float = 6.62607015e-34
-    hbar: float = 6.62607015e-34 / (2.0 * math.pi)
-    m0: float = 9.1093837015e-31
-    e2_coulomb: float = 2.3070775523417355e-28
-    eV: float = 1.602176634e-19
-
-    def __post_init__(self):
-        if not math.isclose(self.hbar, self.h / (2.0 * math.pi), rel_tol=1e-15):
-            raise DomainError("hbar must equal h / (2 pi)")
-        for name in ("c", "h", "hbar", "m0", "e2_coulomb", "eV"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"constant {name} must be positive")
+    __slots__ = ()
+    c = 299792458.0
+    h = 6.62607015e-34
+    hbar = 6.62607015e-34 / (2.0 * math.pi)
+    m0 = 9.1093837015e-31
+    e2_coulomb = 2.3070775523417355e-28
+    eV = 1.602176634e-19
 
     @property
     def rest_energy(self) -> float:
@@ -58,7 +52,7 @@ def electron_constants() -> PhysicalConstants:
     return PhysicalConstants()
 
 
-def guide_width(m0: float, constants: PhysicalConstants | None = None) -> float:
+def guide_width(m0: float) -> float:
     """Guide width w = h / (2 m0 c) set by the rest mass (zero potential).
 
     Equivalently c / (2 f0) with f0 = m0 c^2 / h.  For the electron this
@@ -66,7 +60,7 @@ def guide_width(m0: float, constants: PhysicalConstants | None = None) -> float:
     """
     if m0 <= 0.0 or not math.isfinite(m0):
         raise DomainError(f"mass must be positive and finite, got {m0}")
-    k = constants or electron_constants()
+    k = electron_constants()
     return k.h / (2.0 * m0 * k.c)
 
 
@@ -99,30 +93,23 @@ class KinematicState:
     l_zigzag: float             # 2 w tan(phi), axial length of one bounce cycle
 
 
-def kinematic_state(
-    v: float,
-    m0: float | None = None,
-    constants: PhysicalConstants | None = None,
-) -> KinematicState:
-    """Populate the full kinematic state for axial velocity 0 <= v < c.
+def kinematic_state(v: float) -> KinematicState:
+    """Populate the electron's full kinematic state for axial velocity 0 <= v < c.
 
     The model has no superluminal particle branch: v < 0 or v >= c is a
     domain error.
     """
-    k = constants or electron_constants()
-    mass = k.m0 if m0 is None else m0
-    if mass <= 0.0:
-        raise DomainError(f"mass must be positive, got {mass}")
+    k = electron_constants()
     if not (0.0 <= v < k.c) or not math.isfinite(v):
         raise DomainError(f"velocity must satisfy 0 <= v < c, got {v}")
 
     beta = v / k.c
     gamma_recip = math.sqrt(1.0 - beta * beta)
     phi = math.asin(beta)
-    f0 = mass * k.c**2 / k.h
+    f0 = k.m0 * k.c**2 / k.h
     f_clock = f0 * gamma_recip
     f_wave = f0 / gamma_recip
-    w = k.h / (2.0 * mass * k.c)
+    w = k.h / (2.0 * k.m0 * k.c)
     # sin(phi) = beta by construction, so c/sin(phi) is computed as c/beta:
     # identical analytically, and avoids an asin/sin round trip.
     v_phase = k.c / beta if beta > 0.0 else None

@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NodeError, NumericalError
-from .grid import ComplexField, Grid1D, UnitScaling, real_spectral_derivative, spectral_derivative
-from .kinematics import PhysicalConstants, electron_constants
+from .grid import ComplexField, Grid1D, real_spectral_derivative, spectral_derivative
+from .kinematics import electron_constants
 from .report import RunReport, Snapshot
 from .solvers import Scheme, SolverConfig, _Recorder, _require_valid, evolve_linear_schrodinger
 
@@ -440,19 +440,19 @@ class SolitonAmplitude:
     normalized: float
 
 
-def soliton_amplitude(potential_energy: float,
-                      constants: PhysicalConstants | None = None) -> SolitonAmplitude:
-    """Envelope amplitude r = c h / (4 (m0 c^2 + V)).
+def soliton_amplitude(potential_energy: float) -> SolitonAmplitude:
+    """Envelope amplitude r = c h / (4 (m0 c^2 + V)) of the electron.
 
     At V = 0 this is half the guide width h/(2 m0 c); it decreases
-    monotonically as the potential rises.  Requires m0 c^2 + V > 0.
+    monotonically as the potential rises.  Requires m0 c^2 + V > 0.  The
+    normalized value is r in units of the reduced Compton length
+    hbar/(m0 c).
     """
-    k = constants or electron_constants()
+    k = electron_constants()
     denom = k.rest_energy + potential_energy
     if denom <= 0.0:
         raise DomainError(
             f"m0 c^2 + V must be positive, got {denom} (V = {potential_energy})"
         )
     r_si = k.c * k.h / (4.0 * denom)
-    scaling = UnitScaling(mass_kg=k.m0, constants=k)
-    return SolitonAmplitude(si=r_si, normalized=scaling.length_from_si(r_si))
+    return SolitonAmplitude(si=r_si, normalized=r_si / (k.hbar / (k.m0 * k.c)))

@@ -78,10 +78,12 @@ CONVENTIONS = {
 
 
 def step_count(dt: float, t_final: float) -> int:
-    """Number of steps dt spanning t_final; rejects a non-integer ratio
-    and a dt that is not positive and finite."""
+    """Number of steps dt spanning t_final; rejects a non-integer ratio,
+    a t_final that is not positive and a dt that is not positive and finite."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be positive and finite, got {dt}")
+    if not t_final > 0.0:
+        raise ConfigurationError(f"t_final must be positive, got {t_final}")
     ratio = t_final / dt
     steps = int(round(ratio)) if math.isfinite(ratio) else 0
     if steps < 1 or abs(steps * dt - t_final) > 1e-6 * max(t_final, dt):
@@ -120,7 +122,8 @@ class SolverConfig:
     additional linear part V = g z, kept separate because a linear ramp
     has no honest periodic tabulation.  order is the cubic scheme's order
     of accuracy, a key of ORDERS (2, Strang, or 4, Yoshida); the other
-    schemes have order 2 only.
+    schemes have order 2 only.  omega0 and c are the second-order
+    equation's; the other schemes keep them at 1.
     """
 
     scheme: Scheme
@@ -187,9 +190,13 @@ def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
     elif config.order != 2 and config.scheme is not Scheme.NLS:
         problems.append(f"{config.scheme.value} has only a second-order step; "
                         f"order must be 2, got {config.order}")
-    if config.scheme is Scheme.KLEIN_GORDON and not config.c > 0.0:
+    if config.scheme is not Scheme.KLEIN_GORDON:
+        problems += [f"omega0 and c set the klein_gordon scheme only; {name} must be 1 "
+                     f"on {config.scheme.value}, got {getattr(config, name)}"
+                     for name in ("omega0", "c") if getattr(config, name) != 1.0]
+    elif not config.c > 0.0:
         problems.append(f"c must be positive, got {config.c}")
-    elif config.scheme is Scheme.KLEIN_GORDON:
+    else:
         bound_cfl = LEAPFROG_SAFETY * grid.dz / config.c
         k_max = math.pi / grid.dz
         bound_spectral = LEAPFROG_SAFETY * 2.0 / math.hypot(config.omega0, config.c * k_max)

@@ -291,6 +291,13 @@ def _argv(config: str, overrides: list[str]) -> list[str]:
     ("barrier-gap08.json", ["trials=1000"], None),
     ("gaussian-linear.json", ["scheme=dispersionless_transport"], "scheme"),
     ("gaussian-linear.json", ["solver.potential_slope=0.4"], "potential_slope"),
+    ("breather-v1.json", ["solver.observe_evry=7"], "unknown field solver.observe_evry"),
+    ("gaussian-linear.json", ["packet.sigmaa=2"], "unknown field packet.sigmaa"),
+    ("gaussian-linear.json", ["potential.kind=linear", "potential.slope=0.01",
+                              "potential.height=1"], "unknown field potential.height"),
+    ("dichotomy.json", ["dtt=0.5"], "unknown field dtt"),
+    ("breather-v1.json", ["solver.omega0=5"], "omega0"),
+    ("dichotomy.json", ["t_final=0"], "t_final"),
 ])
 def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)

@@ -60,10 +60,6 @@ class TestDichotomy:
         assert result.verdicts["nls"] == "shape-preserved"
         assert result.verdicts["transport"] == "shape-preserved"
 
-    def test_zero_time_is_identity(self):
-        result = run_dispersion_vs_soliton(DichotomySettings(t_final=0.0))
-        assert all(r == 1.0 for r in result.ratios.values())
-
     def test_mismatched_amplitude_is_not_a_soliton(self):
         # amplitude 2 on a width-1 profile breaks the amplitude-width
         # locking; the envelope starts breathing immediately
@@ -78,6 +74,7 @@ class TestDichotomy:
         ({"observe_every": -1}, "observe_every"),
         ({"t_final": 0.0105}, "integer multiple"),
         ({"dt": 0.0}, "dt"),
+        ({"t_final": 0.0}, "t_final must be positive"),
     ])
     def test_settings_checked_at_construction(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -565,13 +562,6 @@ class TestBohrOrbit:
     def test_invalid_quantum_number(self):
         with pytest.raises(DomainError):
             bohr_orbit(0)
-
-    def test_relativistic_regime_warns(self):
-        # a heavier coupling pushes the first orbit above 0.01 c
-        from solitonlab import PhysicalConstants
-        strong = PhysicalConstants(e2_coulomb=K.e2_coulomb * 2.0)
-        with pytest.warns(UserWarning):
-            bohr_orbit(1, strong)
 
 
 class TestPhaseAccordance:

@@ -14,9 +14,7 @@ from solitonlab import (
     PacketKind,
     PacketSpec,
     Snapshot,
-    UnitScaling,
     build_packet,
-    electron_constants,
     observables,
     read_snapshot_csv,
     spectral_derivative,
@@ -166,17 +164,6 @@ class TestObservables:
         n1 = observables(coarse)["norm"]
         n2 = observables(fine)["norm"]
         assert abs(n2 - n1) / n1 <= 1e-8
-
-
-class TestUnitScaling:
-    def test_length_scale_is_reduced_compton(self):
-        k = electron_constants()
-        s = UnitScaling(mass_kg=k.m0)
-        assert s.length_m == pytest.approx(k.hbar / (k.m0 * k.c), rel=1e-15)
-
-    def test_round_trips(self):
-        s = UnitScaling(mass_kg=electron_constants().m0)
-        assert s.length_from_si(2.5 * s.length_m) == pytest.approx(2.5, rel=1e-15)
 
 
 def test_snapshot_csv_round_trip(tmp_path, grid512):

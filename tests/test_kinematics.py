@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from solitonlab import DomainError, electron_constants, guide_width, kinematic_state
+from solitonlab import (
+    DomainError,
+    PhysicalConstants,
+    electron_constants,
+    guide_width,
+    kinematic_state,
+)
 
 K = electron_constants()
 
@@ -33,6 +39,14 @@ def test_cutoff_frequency():
 def test_constants_all_positive():
     for name in ("c", "h", "hbar", "m0", "e2_coulomb", "eV"):
         assert getattr(K, name) > 0
+
+
+def test_constants_are_one_fixed_set():
+    with pytest.raises(TypeError):
+        PhysicalConstants(e2_coulomb=1.0)
+    with pytest.raises(AttributeError):
+        K.c = 1.0
+    assert PhysicalConstants().m0 == K.m0
 
 
 class TestGuideWidth:
@@ -95,10 +109,6 @@ class TestKinematicState:
     def test_domain_errors(self, v):
         with pytest.raises(DomainError):
             kinematic_state(v)
-
-    def test_invalid_mass(self):
-        with pytest.raises(DomainError):
-            kinematic_state(1e6, m0=-K.m0)
 
     @given(st.floats(min_value=1e-6, max_value=0.999))
     def test_identities_over_velocity(self, beta):
