@@ -1,12 +1,14 @@
 """Batch front door: config ingestion, experiment dispatch, artifact emission.
 
-One experiment per invocation.  Configs are single JSON documents; every
-effective physics value appears in the config echo (no silent defaults
-for physics parameters), command-line overrides use dotted paths
-(``--set solver.dt=1e-3``), and each run that writes files also writes a
-manifest with the config digest, seed, and per-file content digests so a
-run is reconstructible bit for bit.  Data outputs are JSON/CSV only,
-never rendered images.
+One experiment per invocation.  A run's values enter only through its
+config: a single JSON document named by ``--config``, with dotted-path
+overrides (``--set solver.dt=1e-3``); there are no per-command value
+flags (barrier's ``--parallel-trials`` is an execution setting and
+changes wall time only).  Every effective physics value appears in the
+config echo (no silent defaults for physics parameters), and each run
+that writes files also writes a manifest with the config digest, seed,
+and per-file content digests so a run is reconstructible bit for bit.
+Data outputs are JSON/CSV only, never rendered images.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.
@@ -56,6 +58,7 @@ from .solvers import (
     evolve_linear_schrodinger,
     evolve_nls,
     one_branch_time_derivative,
+    require_nonlinear_phase,
 )
 
 EXIT_OK = 0
@@ -295,7 +298,10 @@ def _prepare_evolve(config: dict) -> tuple[SolverConfig, PacketSpec, ComplexFiel
     section = _get(config, "packet", dict)
     packet = PacketSpec(kind=_get(section, "kind", PacketKind, where="packet"),
                         **_fields(PacketSpec, section, "packet"))
-    return solver_config, packet, build_packet(packet, grid)
+    psi0 = build_packet(packet, grid)
+    if scheme is Scheme.NLS:
+        require_nonlinear_phase(psi0, solver_config)
+    return solver_config, packet, psi0
 
 
 def _evolve(inputs) -> RunReport:
@@ -353,7 +359,7 @@ def _run_madelung(inputs, args) -> tuple[dict, list[RunReport]]:
 
 def _prepare_dichotomy(config: dict) -> DichotomySettings:
     settings = DichotomySettings(**_fields(DichotomySettings, config))
-    settings.initial_field()
+    require_nonlinear_phase(settings.initial_field(), settings.cubic_config())
     return settings
 
 
@@ -535,15 +541,26 @@ def _emit(config: dict, result: dict, reports: list[RunReport],
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _number_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",")]
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+#: subcommand -> help line; each takes --config and --set, each but
+#: validate takes --out
+_COMMANDS = {
+    "kinematics": "closed-form guided-particle state",
+    "dispersion": "dispersion relation table",
+    "evolve": "evolve run from a config file",
+    "madelung": "madelung run from a config file",
+    "soliton-vs-dispersion": "three-way width comparison on one sech packet",
+    "barrier": "hidden-phase barrier Monte Carlo",
+    "bohr": "orbit ladder and phase accordance",
+    "photon": "guided-photon frequency relations",
+    "validate": "validate a config without running",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -553,98 +570,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file")
+    for name, text in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=name == "validate", help="JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="PATH=VALUE", help="dotted-path config override")
-        p.add_argument("--out", help="output directory (default: $SOLITONLAB_OUT)")
-
-    p = sub.add_parser("kinematics", help="closed-form guided-particle state")
-    common(p)
-    p.add_argument("--v", help="axial velocity, m/s or multiple of c like 0.6c")
-
-    p = sub.add_parser("dispersion", help="dispersion relation table")
-    common(p)
-    p.add_argument("--branch", choices=["klein_gordon", "schrodinger_approx"])
-    p.add_argument("--k", type=_number_list, help="comma-separated wavenumbers")
-
-    for name in ("evolve", "madelung"):
-        p = sub.add_parser(name, help=f"{name} run from a config file")
-        common(p)
-        if name == "evolve":
-            p.add_argument("--scheme", choices=sorted(s.value for s in Scheme))
-            p.add_argument("--packet", metavar="KIND,KEY=VAL,...",
-                           help="e.g. breather,amplitude=1,velocity=0")
-            p.add_argument("--t-final", type=float, dest="t_final")
-            p.add_argument("--dt", type=float)
-
-    p = sub.add_parser("soliton-vs-dispersion",
-                       help="three-way width comparison on one sech packet")
-    common(p)
-
-    p = sub.add_parser("barrier", help="hidden-phase barrier Monte Carlo")
-    common(p)
-    p.add_argument("--height-ev", type=float)
-    p.add_argument("--length-m", type=float)
-    p.add_argument("--energy-ev", type=float)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--parallel-trials", type=_positive_int, default=1,
-                   help="worker count for Monte Carlo blocks (results identical)")
-
-    p = sub.add_parser("bohr", help="orbit ladder and phase accordance")
-    common(p)
-    p.add_argument("--n-max", type=int)
-
-    p = sub.add_parser("photon", help="guided-photon frequency relations")
-    common(p)
-    p.add_argument("--f", type=float, help="photon frequency, Hz")
-    p.add_argument("--f0", type=float, help="mode cutoff frequency, Hz")
-
-    p = sub.add_parser("validate", help="validate a config without running")
-    p.add_argument("--config", required=True)
-    p.add_argument("--set", dest="overrides", action="append", default=[],
-                   metavar="PATH=VALUE")
+        if name != "validate":
+            p.add_argument("--out", help="output directory (default: $SOLITONLAB_OUT)")
+        if name == "barrier":
+            # an execution setting, not a config value: config_digest ignores it
+            p.add_argument("--parallel-trials", type=_positive_int, default=1,
+                           help="worker count for Monte Carlo blocks (results identical)")
     return parser
 
 
-def _packet_from_flag(text: str) -> dict:
-    kind, *items = (part.strip() for part in text.split(","))
-    section = {"kind": {"breather": "sech_breather"}.get(kind, kind)}
-    for item in items:
-        key, _, value = item.partition("=")
-        try:
-            section[key.strip()] = float(value)
-        except ValueError:
-            raise ConfigurationError(f"packet item {item!r} is not key=number") from None
-    return section
-
-
 def _config_from_args(args) -> dict:
-    if args.config:
-        config = load_config(args.config)
-    elif args.command == "evolve":
-        # quick one-liner form; the assembled config (grid included) is
-        # echoed in full through report.json and the manifest
-        config = {"grid": {"n": 512, "z_min": -25.6, "z_max": 25.6}, "solver": {"dt": 1e-3}}
-    else:
-        config = {}
-    if getattr(args, "packet", None):
-        config["packet"] = _packet_from_flag(args.packet)
-    flags = {
-        "evolve": [("scheme", "scheme"), ("t_final", "solver.t_final"), ("dt", "solver.dt")],
-        "kinematics": [("v", "v")],
-        "dispersion": [("branch", "branch"), ("k", "k_values")],
-        "barrier": [("height_ev", "height_eV"), ("length_m", "length_m"),
-                    ("energy_ev", "energy_eV"), ("trials", "trials"), ("seed", "seed")],
-        "bohr": [("n_max", "n_max")],
-        "photon": [("f", "f_hz"), ("f0", "f0_hz")],
-    }
-    for attr, key in flags.get(args.command, []):
-        value = getattr(args, attr, None)
-        if value is not None:
-            _set_path(config, key, value)
+    config = load_config(args.config) if args.config else {}
     config.setdefault("experiment", args.command)
     apply_overrides(config, args.overrides)
     if config["experiment"] != args.command:

@@ -5,8 +5,9 @@ Two branches:
 * ``KLEIN_GORDON`` -- the exact relativistic relation
   omega(k) = sqrt(omega0^2 + (c k)^2), cutoff at omega0.
 * ``SCHRODINGER_APPROX`` -- the low-energy parabolic approximation
-  omega(k) = omega0 + V/hbar + (c k)^2 / (2 omega0), optionally shifted
-  by a constant potential V.
+  omega(k) = omega0 + V + (c k)^2 / (2 omega0), optionally shifted
+  by a constant potential V (normalized units, hbar = 1, so V is an
+  angular frequency).
 
 Wavenumbers are angular (rad per length) throughout, and returned
 frequencies are angular (rad per time).  The parabolic kinetic term is
@@ -39,22 +40,21 @@ class DispersionBranch:
 
     ``f0`` is a cyclic frequency (Hz, or 1.0 in normalized units); the
     angular cutoff used internally is omega0 = 2 pi f0.  ``potential_V``
-    (energy) and ``hbar`` only participate in the parabolic branch; the
-    exact branch has no potential term and rejects a nonzero one.
-    ``c`` defaults to normalized units.
+    (an angular frequency, hbar = 1) only participates in the parabolic
+    branch; the exact branch has no potential term and rejects a nonzero
+    one.  ``c`` defaults to normalized units.
     """
 
     kind: BranchKind
     f0: float = 1.0
     potential_V: float = 0.0
     c: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.f0 <= 0.0:
             raise DomainError(f"cutoff frequency must be positive, got {self.f0}")
-        if self.c <= 0.0 or self.hbar <= 0.0:
-            raise DomainError("c and hbar must be positive")
+        if self.c <= 0.0:
+            raise DomainError("c must be positive")
         if self.kind is BranchKind.KLEIN_GORDON and self.potential_V != 0.0:
             raise DomainError("the exact branch has no potential term")
 
@@ -71,7 +71,7 @@ def omega(branch: DispersionBranch, k: float) -> float:
     ck = branch.c * k
     if branch.kind is BranchKind.KLEIN_GORDON:
         return math.hypot(w0, ck)
-    return w0 + branch.potential_V / branch.hbar + ck * ck / (2.0 * w0)
+    return w0 + branch.potential_V + ck * ck / (2.0 * w0)
 
 
 def group_velocity(branch: DispersionBranch, k: float) -> float:

@@ -117,6 +117,15 @@ class DichotomySettings:
         return SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=self.dt,
                             t_final=self.t_final, observe_every=self.observe_every)
 
+    def cubic_config(self) -> SolverConfig:
+        """The cubic run's config: the linear one on the stride of _strided,
+        whose bound also keeps the largest Yoshida sub-step phase
+        2 |w0| amplitude^2 m dt within MAX_POTENTIAL_PHASE_PER_STEP."""
+        widest_phase = max(abs(w) for w in ORDERS[4])
+        max_dt = min(TRANSPORT_MAX_DT,
+                     MAX_POTENTIAL_PHASE_PER_STEP / (2.0 * widest_phase * self.amplitude**2))
+        return _strided(self.solver_config(), Scheme.NLS, max_dt)
+
     def initial_field(self) -> ComplexField:
         """The sech packet all three schemes start from."""
         packet = PacketSpec(kind=PacketKind.SECH_BREATHER, amplitude=self.amplitude,
@@ -174,16 +183,14 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
     run steps Yoshida's fourth-order composition on m > 1, and its m also
     keeps the largest sub-step phase 2 |w0| amplitude^2 m dt within
     MAX_POTENTIAL_PHASE_PER_STEP; on m = 1 it is the Strang run at
-    ``settings.dt``.
+    ``settings.dt``, which evolve_nls rejects when its phase 2 amplitude^2
+    dt exceeds that bound.
     """
     s = settings or DichotomySettings()
     psi0 = s.initial_field()
     base = s.solver_config()
     lin = evolve_linear_schrodinger(psi0, base)
-    widest_phase = max(abs(w) for w in ORDERS[4])
-    nls_max_dt = min(TRANSPORT_MAX_DT,
-                     MAX_POTENTIAL_PHASE_PER_STEP / (2.0 * widest_phase * s.amplitude**2))
-    nls = evolve_nls(psi0, _strided(base, Scheme.NLS, nls_max_dt))
+    nls = evolve_nls(psi0, s.cubic_config())
     transport = evolve_dispersionless(
         dispersionless_initial(psi0.grid, s.amplitude, s.sech_scale),
         _strided(base, Scheme.DISPERSIONLESS_TRANSPORT, TRANSPORT_MAX_DT))

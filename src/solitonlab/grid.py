@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -122,6 +122,14 @@ class PacketKind(enum.Enum):
     PLANE_WAVE = "plane_wave"
 
 
+#: the PacketSpec fields each kind leaves unread (see build_packet)
+_UNREAD = {
+    PacketKind.SECH_BREATHER: ("sigma", "k0"),
+    PacketKind.GAUSSIAN: ("velocity", "scale"),
+    PacketKind.PLANE_WAVE: ("center", "velocity", "sigma", "scale"),
+}
+
+
 @dataclass(frozen=True)
 class PacketSpec:
     """Declarative initial condition.
@@ -135,6 +143,8 @@ class PacketSpec:
       GAUSSIAN       amplitude a, center z0, width sigma, carrier k0
                      (profile a*exp(-(z - z0)^2 / (2 sigma^2))*exp(i k0 z))
       PLANE_WAVE     amplitude a, wavenumber k0 (must sit on the grid ladder)
+
+    A field the kind does not read must keep its default.
     """
 
     kind: PacketKind
@@ -152,6 +162,12 @@ class PacketSpec:
             raise ConfigurationError("gaussian width sigma must be positive")
         if self.scale is not None and self.scale <= 0.0:
             raise ConfigurationError("sech scale must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _UNREAD[self.kind] and value != f.default:
+                raise ConfigurationError(
+                    f"a {self.kind.value} packet does not read {f.name}; "
+                    f"{f.name} must keep its default {f.default}, got {value}")
 
     @property
     def sech_scale(self) -> float:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -32,13 +33,13 @@ def _digest_tree(root: Path) -> dict[str, str]:
 
 
 def test_kinematics_flag_form(capsys):
-    assert main(["kinematics", "--v", "0.6c"]) == EXIT_OK
+    assert main(["kinematics", "--set", "v=0.6c"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "gamma_recip" in out and "8.000000000e-01" in out
 
 
 def test_kinematics_rejects_superluminal(capsys):
-    assert main(["kinematics", "--v", "1.5c"]) == EXIT_CONFIG
+    assert main(["kinematics", "--set", "v=1.5c"]) == EXIT_CONFIG
     assert "v < c" in capsys.readouterr().err
 
 
@@ -130,7 +131,7 @@ def test_evolve_reproducible_digests(tmp_path):
 
 def test_manifest_lists_outputs_with_digests(tmp_path):
     out = tmp_path / "run"
-    assert main(["bohr", "--n-max", "3", "--out", str(out)]) == EXIT_OK
+    assert main(["bohr", "--set", "n_max=3", "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == "bohr"
     assert manifest["config_digest"]
@@ -178,10 +179,8 @@ def test_node_error_maps_to_numerical_exit(tmp_path, capsys):
 @pytest.mark.parametrize("config, overrides, quantity", [
     # the plane wave's field is finite, its energy overflows
     ("kg-plane-wave.json", ["packet.amplitude=1e300"], "energy is not finite at step 0"),
-    # |phi|^2 overflows: the observables of step 0, then the field itself;
-    # scale 1 keeps the sech resolved (its width defaults to 1/amplitude)
-    ("breather-v1.json", ["packet.amplitude=1e200", "packet.scale=1"],
-     "norm is not finite at step 0"),
+    # |psi|^2 overflows: the observables of step 0, then the field itself
+    ("gaussian-linear.json", ["packet.amplitude=1e200"], "norm is not finite at step 0"),
 ])
 def test_blow_up_is_a_numerical_failure(config, overrides, quantity, tmp_path, capsys):
     assert validate(apply_overrides(load_config(CONFIG_DIR / config), overrides)) == []
@@ -199,34 +198,9 @@ def test_grid_point_count_is_capped(n, capsys):
     assert f"n must be a power of two between 16 and 1048576, got {n}" in capsys.readouterr().err
 
 
-def test_evolve_inline_flags(tmp_path):
-    args = ["evolve", "--scheme", "nls", "--packet", "breather,amplitude=1,velocity=0",
-            "--t-final", "1"]
-    assert main(args + ["--out", str(tmp_path / "x")]) == EXIT_OK
-    assert main(args + ["--out", str(tmp_path / "y")]) == EXIT_OK
-    assert _digest_tree(tmp_path / "x") == _digest_tree(tmp_path / "y")
-    report = json.loads((tmp_path / "x" / "report.json").read_text())
-    assert report["config"]["grid"]["n"] == 512  # assembled config echoed
-
-
-@pytest.mark.parametrize("flags, path, value", [
-    (["--dt", "0.002"], ("config", "dt"), 0.002),
-    (["--t-final", "0.5"], ("config", "t_final"), 0.5),
-    (["--scheme", "nls"], ("config", "scheme"), "nls"),
-    (["--packet", "gaussian,sigma=2"], ("config", "packet", "sigma"), 2.0),
-])
-def test_evolve_flags_apply_on_top_of_a_config(flags, path, value, tmp_path):
-    out = tmp_path / "run"
-    assert main(["evolve", "--config", str(CONFIG_DIR / "gaussian-linear.json"),
-                 *flags, "--out", str(out)]) == EXIT_OK
-    node = json.loads((out / "report.json").read_text())
-    for key in path:
-        node = node[key]
-    assert node == value
-
-
 def test_dispersion_table(capsys):
-    assert main(["dispersion", "--branch", "klein_gordon", "--k", "0,0.75"]) == EXIT_OK
+    assert main(["dispersion", "--set", "branch=klein_gordon",
+                 "--set", "k_values=[0,0.75]"]) == EXIT_OK
     assert "omega" in capsys.readouterr().out
 
 
@@ -243,13 +217,13 @@ def test_effective_packet_values_in_echo(tmp_path):
 def test_unwritable_output_maps_to_io_exit(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")
-    code = main(["bohr", "--n-max", "1", "--out", str(blocker / "sub")])
+    code = main(["bohr", "--set", "n_max=1", "--out", str(blocker / "sub")])
     assert code == 4
     assert "i/o" in capsys.readouterr().err.lower()
 
 
 def test_photon_flags(capsys):
-    assert main(["photon", "--f", "2e20", "--f0", "1e20"]) == EXIT_OK
+    assert main(["photon", "--set", "f_hz=2e20", "--set", "f0_hz=1e20"]) == EXIT_OK
     assert "5.000000e+19" in capsys.readouterr().out
 
 
@@ -263,10 +237,17 @@ def test_dotted_override_crosses_scalar(tmp_path, capsys):
 # validate and a run read a config through the same prepare step
 # ---------------------------------------------------------------------------
 
+def _config(name: str) -> dict:
+    """A shipped config by file name, or the empty config of an experiment
+    that ships none (its runs take every value from --set)."""
+    return load_config(CONFIG_DIR / name) if name.endswith(".json") else {"experiment": name}
+
+
 def _argv(config: str, overrides: list[str]) -> list[str]:
-    path = CONFIG_DIR / config
-    experiment = json.loads(path.read_text())["experiment"]
-    return [experiment, "--config", str(path)] + [f"--set={o}" for o in overrides]
+    argv = [_config(config)["experiment"]]
+    if config.endswith(".json"):
+        argv += ["--config", str(CONFIG_DIR / config)]
+    return argv + [f"--set={o}" for o in overrides]
 
 
 @pytest.mark.parametrize("config, overrides, field", [
@@ -298,10 +279,22 @@ def _argv(config: str, overrides: list[str]) -> list[str]:
     ("dichotomy.json", ["dtt=0.5"], "unknown field dtt"),
     ("breather-v1.json", ["solver.omega0=5"], "omega0"),
     ("dichotomy.json", ["t_final=0"], "t_final"),
+    # the cubic step's nonlinear phase 2 max|w| max|phi0|^2 dt: 0.36 here
+    ("breather-v1.json", ["packet.amplitude=3", "packet.velocity=0", "solver.dt=0.02",
+                          "solver.t_final=2"], "dt"),
+    ("breather-v1.json", ["packet.amplitude=1e200", "packet.scale=1"], "dt"),
+    # the dichotomy's cubic leg at stride 1 is the Strang run at dt: 0.18
+    ("dichotomy.json", ["amplitude=3", "dt=0.01"], "dt"),
+    ("breather-v1.json", ["packet.sigma=5"], "sigma"),
+    ("breather-v1.json", ["packet.k0=3"], "k0"),
+    ("gaussian-linear.json", ["packet.velocity=1"], "velocity"),
+    ("kg-plane-wave.json", ["packet.center=2"], "center"),
+    ("dispersion", ["branch=klein_gordon", "hbar=7"], "unknown field hbar"),
+    ("dispersion", ["branch=schrodinger_approx", "potential_V=0.5"], None),
 ])
 def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
-    problems = validate(apply_overrides(load_config(CONFIG_DIR / config), overrides))
+    problems = validate(apply_overrides(_config(config), overrides))
     code = main(_argv(config, overrides))
     assert code == (EXIT_CONFIG if problems else EXIT_OK)
     if field is None:
@@ -312,14 +305,63 @@ def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch)
 
 
 @pytest.mark.parametrize("argv, field", [
-    (["evolve", "--packet", "breather,amplitude=x"], "amplitude=x"),
-    (["evolve", "--packet", "breather,amplitude"], "amplitude"),
-    (["kinematics", "--v", "abcc"], "v"),
-    (["bohr", "--n-max", "0"], "n_max"),
+    (["dispersion", "--set", "branch=parabolic"], "branch"),
+    (["photon", "--set", "f_hz=-1", "--set", "f0_hz=1e20"], "f_hz"),
+    (["kinematics", "--set", "v=abcc"], "v"),
+    (["bohr", "--set", "n_max=0"], "n_max"),
 ])
 def test_flag_forms_fail_as_config_errors(argv, field, capsys):
     assert main(argv) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kinematics", "--v", "0.6c"],
+    ["dispersion", "--branch", "klein_gordon"],
+    ["dispersion", "--k", "0,0.75"],
+    ["evolve", "--scheme", "nls"],
+    ["evolve", "--dt", "0.002"],
+    ["evolve", "--t-final", "1"],
+    ["evolve", "--packet", "breather,amplitude=1"],
+    ["barrier", "--height-ev", "1"],
+    ["barrier", "--length-m", "1e-12"],
+    ["barrier", "--energy-ev", "1"],
+    ["barrier", "--trials", "10"],
+    ["barrier", "--seed", "1"],
+    ["bohr", "--n-max", "5"],
+    ["photon", "--f", "2e20"],
+    ["photon", "--f0", "1e20"],
+], ids=" ".join)
+def test_removed_value_flags_exit_2(argv, capsys):
+    # every config value enters through --config and --set only
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_CONFIG
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_evolve_has_no_default_grid(capsys):
+    argv = ["evolve", "--set", "scheme=nls", "--set", "packet.kind=sech_breather",
+            "--set", "solver.dt=1e-3", "--set", "solver.t_final=1"]
+    assert main(argv) == EXIT_CONFIG
+    assert "missing required field 'grid'" in capsys.readouterr().err
+
+
+def _readme_cli_lines() -> list[str]:
+    """The solitonlab command lines of README's CLI block."""
+    text = (CONFIG_DIR.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("solitonlab ")]
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_examples_run(line, tmp_path, monkeypatch):
+    monkeypatch.chdir(CONFIG_DIR.parent)
+    monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
+    argv = shlex.split(line)[1:]
+    if argv[0] != "validate":
+        argv += ["--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_OK
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
