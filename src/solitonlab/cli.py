@@ -65,6 +65,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+#: the largest Bohr table: the bound on n_max, on each of n_values and on
+#: their count
+MAX_BOHR_N = 1000
 
 # ---------------------------------------------------------------------------
 # config plumbing
@@ -117,12 +120,12 @@ _REQUIRED = object()
 _KINDS = {"int": int, "float": float, "int | None": int, "float | None": float}
 
 
-def _check(value, kind, name: str, lo=None):
+def _check(value, kind, name: str, lo=None, hi=None):
     """value as kind, or a ConfigurationError naming the field.
 
     Floats must be finite (ints are accepted, bools are not); ints must be
     integral (2.0 reads as 2, 2.5 is rejected); an enum kind takes the
-    member whose value is named; lo is an inclusive bound.
+    member whose value is named; lo and hi are inclusive bounds.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float and number and abs(value) <= sys.float_info.max:
@@ -139,10 +142,13 @@ def _check(value, kind, name: str, lo=None):
         raise ConfigurationError(f"{name} must be {finite}{kind.__name__}, got {value!r}")
     if lo is not None and value < lo:
         raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ConfigurationError(f"{name} must be <= {hi}, got {value}")
     return value
 
 
-def _get(section: dict, key: str, kind, default=_REQUIRED, where: str = "", lo=None):
+def _get(section: dict, key: str, kind, default=_REQUIRED, where: str = "", lo=None,
+         hi=None):
     """section[key] checked by _check; null is accepted only where the
     default is None, and a missing field without a default is an error."""
     name = f"{where}.{key}" if where else key
@@ -152,7 +158,7 @@ def _get(section: dict, key: str, kind, default=_REQUIRED, where: str = "", lo=N
         return default
     if section[key] is None and default is None:
         return None
-    return _check(section[key], kind, name, lo)
+    return _check(section[key], kind, name, lo, hi)
 
 
 def _fields(cls, section: dict, where: str = "", keys: dict | None = None) -> dict:
@@ -397,9 +403,12 @@ def _run_barrier(spec: BarrierSpec, args) -> tuple[dict, list[RunReport]]:
 
 
 def _prepare_bohr(config: dict) -> list[int]:
-    n_max = _get(config, "n_max", int, 20, lo=1)
-    n_values = _get(config, "n_values", list, None) or range(1, n_max + 1)
-    return [_check(n, int, "n_values[]", lo=1) for n in n_values]
+    n_max = _get(config, "n_max", int, 20, lo=1, hi=MAX_BOHR_N)
+    n_values = _get(config, "n_values", list, None)
+    if n_values is None:
+        return list(range(1, n_max + 1))
+    _check(len(n_values), int, "the length of n_values", lo=1, hi=MAX_BOHR_N)
+    return [_check(n, int, "n_values[]", lo=1, hi=MAX_BOHR_N) for n in n_values]
 
 
 def _run_bohr(n_values: list[int], args) -> tuple[dict, list[RunReport]]:
@@ -460,13 +469,15 @@ _EXPERIMENTS = {
 
 
 def _prepare(experiment: str, config: dict):
-    """The experiment's prepare step on config.  A key it leaves unread,
-    other than the dispatch key and the seed the manifest records, is an
-    unknown field, so a misspelt key cannot fall back to a default."""
+    """The experiment's prepare step on config, after checking the seed the
+    manifest records.  A key it leaves unread, other than the dispatch key,
+    is an unknown field, so a misspelt key cannot fall back to a default."""
     section = _Section(config)
+    if "seed" in section:
+        _check(section["seed"], int, "seed", lo=0)
     inputs = _EXPERIMENTS[experiment][0](section)
     for path in _untaken(section):
-        if path not in ("experiment", "seed"):
+        if path != "experiment":
             raise ConfigurationError(f"unknown field {path}")
     return inputs
 

@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .dispersion import evanescent_kappa
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, NumericalError
 from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet
 from .kinematics import KinematicState, electron_constants, kinematic_state
 from .madelung import dispersionless_initial, evolve_dispersionless
@@ -476,16 +476,20 @@ def rectangular_barrier_transmission(energy: float, height: float, length: float
         return 1.0
     k1 = math.sqrt(2.0 * mass * energy) / hbar
     k2_sq = 2.0 * mass * (energy - height) / hbar**2
-    if abs(k2_sq) * length**2 < 1e-16:
+    # products, not float powers: a product overflows to inf, a power raises
+    if abs(k2_sq) * length * length < 1e-16:
         # degenerate interior (linear solutions): analytic limit of the
         # matrix product as k2 -> 0
-        return 1.0 / (1.0 + mass * height**2 * length**2 / (2.0 * energy * hbar**2))
+        hl = height * length
+        return 1.0 / (1.0 + mass * hl * hl / (2.0 * energy * hbar**2))
     k2 = np.sqrt(complex(k2_sq))
     with np.errstate(over="ignore", invalid="ignore"):
         m_total = _interface_matrix(k2, k1, length) @ _interface_matrix(k1, k2, 0.0)
         m22 = m_total[1, 1]
         denom = abs(m22) ** 2
     if not math.isfinite(denom):
+        if k2_sq > 0.0:
+            raise NumericalError(f"the interior phase k L overflows at length {length:.3g}")
         return 0.0  # opaque barrier: interior growth overflowed
     return 1.0 / denom
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NumericalError
 from .grid import ComplexField
 
 
@@ -94,10 +95,15 @@ def read_snapshot_csv(path: Path) -> tuple[float, dict[str, np.ndarray]]:
 
 
 def write_json(path: Path, obj) -> None:
-    """Indented JSON with sorted keys and a closing newline, so equal
-    objects give byte-identical files."""
+    """Indented strict JSON with sorted keys and a closing newline, so equal
+    objects give byte-identical files.  A non-finite float raises
+    NumericalError naming the file before the file is opened."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise NumericalError(f"{path}: {err}") from None
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
 
 

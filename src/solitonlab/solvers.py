@@ -13,22 +13,16 @@ factor of two in the kinetic term):
 
 All four schemes take one SolverConfig, checked by validate_solver_config.
 
-The Schrodinger-type equations use Strang split-step Fourier: half
-sub-steps of the potential (linear) or kinetic (cubic) part around a full
-step of the other.  Each scheme merges the closing half step of one step
-with the opening one of the next (Weideman & Herbst 1986).  The cubic
-scheme then costs one FFT pair per step, taken in place on buffers
-allocated once per run.  At SolverConfig.order = 4 the cubic step is
-Yoshida's symmetric composition of three Strang steps of w1 dt, w0 dt and
-w1 dt (w1 = 1/(2 - 2^(1/3)), w0 = 1 - 2 w1; Yoshida 1990): three
-nonlinear phases with the kinetic halves between them merged the same
-way, so three FFT pairs per step, at an error of O(dt^4) instead of
-O(dt^2).  The linear scheme holds its
-state as a spectrum between steps: with a potential a step costs one FFT
-pair, without one the step is a single diagonal multiplication.  Every
-sub-step is a pointwise or diagonal phase multiplication, so the scheme
-is exactly unitary up to roundoff, and the nonlinear sub-flow of the
-cubic equation integrates exactly (|phi| is invariant under it).  The
+The Schrodinger-type equations share one Strang split-step loop: half
+steps of an outer factor, diagonal in z for the linear scheme (the
+potential phase) and in k for the cubic one (the kinetic step), around a
+full step of the inner factor in the other space.  Adjacent outer halves
+are merged (Weideman & Herbst 1986), so a step costs one FFT pair per
+sub-step, in place on buffers allocated once per run; without a potential
+the linear step is a single diagonal multiplication.  At
+SolverConfig.order = 4 the cubic step is Yoshida's symmetric composition
+of three Strang sub-steps (Yoshida 1990), O(dt^4) instead of O(dt^2).
+Every factor is a phase, so both schemes are unitary up to roundoff.  The
 second-order equation is integrated by leapfrog with a spectral
 Laplacian.  It has constant coefficients, so the leapfrog steps the
 spectra mode by mode, in three rotating buffers, and makes no FFT per
@@ -51,6 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -326,100 +321,93 @@ class _Recorder:
         )
 
 
-def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunReport:
-    """Strang split-step for i psi_t = -(1/2) psi_zz + V psi.
-
-    Half potential phase H = exp(-i V dt / 2), full spectral kinetic step
-    exp(-i k^2 dt / 2), half potential phase.  The state is held as its
-    spectrum between steps, and the closing half phase of one step and the
-    opening one of the next are applied as one full phase exp(-i V dt).  A
-    record step reads H ifft(spectrum) and does not perturb the run.  Without
-    a potential every phase is the identity, so only record steps make an
-    FFT; with one, a step makes one FFT pair.  Exactly norm-preserving up to
-    roundoff.
+def _split_step(psi0: ComplexField, config: SolverConfig,
+                inner: Callable[[np.ndarray, float], None], outer: np.ndarray | None,
+                outer_in_k: bool) -> RunReport:
+    """The Strang loop of both Schrodinger-type schemes: a step composes the
+    sub-steps O(w dt / 2) I(w dt) O(w dt / 2) over w in ORDERS[config.order].
+    O(tau) = exp(-i outer tau) is diagonal in k if outer_in_k, else in z
+    (outer None: the identity); inner(state, w) applies I(w dt) in place in
+    the other space, where the state is held.  Adjacent outer halves are
+    merged, so a sub-step makes one FFT pair, and with outer None the state
+    changes space only on record steps.  A record step reads the closing
+    half off a copy and does not perturb the run.
     """
-    grid = psi0.grid
-    _require_valid(config, grid, Scheme.LINEAR_SCHRODINGER)
-    n_steps = config.n_steps()
-    kinetic = np.exp(-0.5j * grid.k**2 * config.dt)
-    if config.potential is None:
-        half_pot = full_pot = None
+    n_steps, dt = config.n_steps(), config.dt
+    weights = ORDERS[config.order]
+    last = len(weights) - 1
+    to_outer, to_inner = (np.fft.fft, np.fft.ifft) if outer_in_k else (np.fft.ifft, np.fft.fft)
+    if outer is None:
+        half = merged = None
     else:
-        v = np.asarray(config.potential, float)
-        half_pot = np.exp(-0.5j * v * config.dt)
-        full_pot = np.exp(-1j * v * config.dt)
+        # the weights are symmetric: the opening and closing halves agree
+        half = np.exp(-0.5j * outer * (weights[0] * dt))
+        # after the inner factor of sub-step j: the outer step to the next
+        # sub-step's inner factor, or from the last one to the first of the next step
+        merged = [np.exp(-1j * outer * (0.5 * (w + w_next) * dt))
+                  for w, w_next in zip(weights, weights[1:] + weights[:1])]
 
-    rec = _Recorder(config, grid)
+    rec = _Recorder(config, psi0.grid)
     rec.record(0, psi0.values)
-    spec = np.fft.fft(psi0.values if half_pot is None else half_pot * psi0.values)
+    state = np.fft.fft(psi0.values) if outer_in_k else psi0.values
+    state = to_inner(state if half is None else half * state)
+    buf = np.empty_like(state)
     for step in range(1, n_steps + 1):
-        spec *= kinetic
-        recording = rec.due(step)
-        kick = full_pot is not None and step < n_steps
-        if recording or kick:
-            psi = np.fft.ifft(spec)
-        if recording:
-            rec.record(step, psi if half_pot is None else half_pot * psi)
-        if kick:
-            psi *= full_pot
-            spec = np.fft.fft(psi)
+        for j, w in enumerate(weights):
+            inner(state, w)
+            recording = j == last and rec.due(step)
+            if merged is None and not recording:
+                continue
+            to_outer(state, out=buf)
+            if recording:
+                closed = buf if half is None else half * buf
+                rec.record(step, np.fft.ifft(closed) if outer_in_k else closed)
+            if merged is None or (j == last and step == n_steps):
+                continue
+            np.multiply(merged[j], buf, out=state)
+            to_inner(state, out=state)
     return rec.build()
 
 
-def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
-    """Split-step for i phi_t + phi_zz + 2|phi|^2 phi = 0, of config.order.
+def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunReport:
+    """Strang split-step for i psi_t = -(1/2) psi_zz + V psi: the potential
+    phase exp(-i V tau) is the outer factor, in z, and the kinetic step
+    exp(-i k^2 dt / 2) the inner one, on the spectrum.  Without a potential
+    only record steps make an FFT; with one, a step makes one FFT pair.
+    """
+    _require_valid(config, psi0.grid, Scheme.LINEAR_SCHRODINGER)
+    k2 = psi0.grid.k**2
+    kinetic = {w: np.exp(-0.5j * k2 * (w * config.dt)) for w in ORDERS[config.order]}
 
-    A Strang sub-step of weight w is a half spectral kinetic step
-    exp(-i k^2 w dt / 2), a full nonlinear phase exp(2 i |phi|^2 w dt) --
-    exact for its sub-flow since |phi| is invariant under it -- then the
-    second kinetic half step.  A step composes the sub-steps of
-    ORDERS[config.order]: one of weight 1 (Strang), or three of weights
-    w1, w0, w1 (Yoshida).  Adjacent kinetic half steps, within a step and
-    between consecutive steps, are applied as one multiplier
-    exp(-i k^2 (w + w') dt / 2), so a step makes one FFT pair per
-    sub-step; a record step reads its state off the spectrum with one more
-    inverse FFT of the closing half step and does not perturb the run.
+    def kinetic_step(spectrum: np.ndarray, w: float) -> None:
+        spectrum *= kinetic[w]
+
+    potential = None if config.potential is None else np.asarray(config.potential, float)
+    return _split_step(psi0, config, kinetic_step, potential, outer_in_k=False)
+
+
+def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
+    """Split-step for i phi_t + phi_zz + 2|phi|^2 phi = 0, of config.order:
+    the kinetic step exp(-i k^2 tau) is the outer factor, on the spectrum,
+    and the nonlinear phase exp(2 i |phi|^2 w dt) the inner one, in z,
+    exact for its sub-flow since |phi| is invariant under it.
     """
     grid = psi0.grid
     _require_valid(config, grid, Scheme.NLS)
     require_nonlinear_phase(psi0, config)
-    n_steps = config.n_steps()
-    dt = config.dt
-    weights = ORDERS[config.order]
-    k2 = grid.k**2
-    # the weights are symmetric: the opening and closing halves agree
-    half_kinetic = np.exp(-0.5j * k2 * (weights[0] * dt))
-    # after the phase of sub-step j: the kinetic step to the next sub-step's
-    # phase, or from the last one to the first of the next step
-    angles = [2.0 * w * dt for w in weights]
-    kinetic = [np.exp(-1j * k2 * (0.5 * (w + w_next) * dt))
-               for w, w_next in zip(weights, weights[1:] + weights[:1])]
-    last = len(weights) - 1
-
-    rec = _Recorder(config, grid)
-    rec.record(0, psi0.values)
-    psi = np.fft.ifft(half_kinetic * np.fft.fft(psi0.values))
-    spectrum = np.empty_like(psi)
     theta = np.empty(grid.n)
-    phase = np.empty_like(psi)
-    for step in range(1, n_steps + 1):
-        for j in range(last + 1):
-            # nonlinear phase exp(i theta), theta = 2 w dt |psi|^2
-            np.abs(psi, out=theta)
-            theta *= theta
-            theta *= angles[j]
-            np.cos(theta, out=phase.real)
-            np.sin(theta, out=phase.imag)
-            psi *= phase
-            np.fft.fft(psi, out=spectrum)
-            if j == last:
-                if rec.due(step):
-                    rec.record(step, np.fft.ifft(half_kinetic * spectrum))
-                if step == n_steps:
-                    break
-            np.multiply(kinetic[j], spectrum, out=psi)
-            np.fft.ifft(psi, out=psi)
-    return rec.build()
+    phase = np.empty(grid.n, dtype=complex)
+
+    def nonlinear_phase(psi: np.ndarray, w: float) -> None:
+        # exp(i theta), theta = 2 w dt |psi|^2
+        np.abs(psi, out=theta)
+        np.multiply(theta, theta, out=theta)
+        np.multiply(theta, 2.0 * w * config.dt, out=theta)
+        np.cos(theta, out=phase.real)
+        np.sin(theta, out=phase.imag)
+        psi *= phase
+
+    return _split_step(psi0, config, nonlinear_phase, grid.k**2, outer_in_k=True)
 
 
 def _spectral_energy(spec: np.ndarray, spec_t: np.ndarray, lam: np.ndarray,

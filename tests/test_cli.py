@@ -291,6 +291,12 @@ def _argv(config: str, overrides: list[str]) -> list[str]:
     ("kg-plane-wave.json", ["packet.center=2"], "center"),
     ("dispersion", ["branch=klein_gordon", "hbar=7"], "unknown field hbar"),
     ("dispersion", ["branch=schrodinger_approx", "potential_V=0.5"], None),
+    ("gaussian-linear.json", ["seed=[1]"], "seed"),
+    ("madelung-gaussian.json", ["seed=-1"], "seed"),
+    ("barrier-gap08.json", ["seed=1.5"], "seed"),
+    ("bohr", ["n_values=[]"], "n_values"),
+    ("bohr", ["n_max=1001"], "n_max"),
+    ("bohr", ["n_max=1000"], None),
 ])
 def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
@@ -309,10 +315,31 @@ def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch)
     (["photon", "--set", "f_hz=-1", "--set", "f0_hz=1e20"], "f_hz"),
     (["kinematics", "--set", "v=abcc"], "v"),
     (["bohr", "--set", "n_max=0"], "n_max"),
+    (["bohr", "--set", "n_max=100000000000000000000"], "n_max"),
+    (["bohr", "--set", "n_max=1e300"], "n_max"),
+    (["bohr", "--set", "n_values=[]"], "n_values"),
+    (["bohr", "--set", f"n_values={list(range(1, 1002))}"], "n_values"),
+    (["bohr", "--set", "n_values=[1e300]"], "n_values"),
+    (["evolve", "--config", str(CONFIG_DIR / "gaussian-linear.json"), "--set", "seed=[1]"],
+     "seed"),
+    (["kinematics", "--set", "v=0.6c", "--set", 'seed="x"'], "seed"),
 ])
 def test_flag_forms_fail_as_config_errors(argv, field, capsys):
     assert main(argv) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["photon", "--set", "f_hz=1e308", "--set", "f0_hz=1e308"], "report.json"),
+    (["photon", "--set", "f_hz=1e-320", "--set", "f0_hz=1e300"], "report.json"),
+    (["barrier", "--config", str(CONFIG_DIR / "barrier-gap08.json"), "--set", "trials=10",
+      "--set", "length_m=1e300"], "length"),
+])
+def test_non_finite_results_exit_3(argv, message, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "run")]) == EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
+    # the strict serialisation fails before any file is opened
+    assert not list(tmp_path.rglob("*.json"))
 
 
 @pytest.mark.parametrize("argv", [
