@@ -49,7 +49,7 @@ from .dispersion import BranchKind, DispersionBranch, group_velocity, omega
 from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet
 from .kinematics import KinematicState, electron_constants, kinematic_state
 from .madelung import DEFAULT_NODE_THRESHOLD, check_node_threshold, polar_residuals
-from .report import RunReport, write_json, write_report, write_snapshots
+from .report import RunReport, strict_json, write_json, write_report, write_snapshots
 from .solvers import (
     Scheme,
     SolverConfig,
@@ -124,13 +124,16 @@ def _check(value, kind, name: str, lo=None, hi=None):
     """value as kind, or a ConfigurationError naming the field.
 
     Floats must be finite (ints are accepted, bools are not); ints must be
-    integral (2.0 reads as 2, 2.5 is rejected); an enum kind takes the
-    member whose value is named; lo and hi are inclusive bounds.
+    integral (2.0 reads as 2, 2.5 is rejected) and, spelt as floats, at
+    most 2^53 in magnitude, so an int is never read off a float's rounding
+    (1e300 would read as a 301-digit int); an enum kind takes the member
+    whose value is named; lo and hi are inclusive bounds.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float and number and abs(value) <= sys.float_info.max:
         value = float(value)
-    elif kind is int and number and (isinstance(value, int) or value.is_integer()):
+    elif kind is int and number and (
+            isinstance(value, int) or (value.is_integer() and abs(value) <= 2.0**53)):
         value = int(value)
     elif issubclass(kind, enum.Enum):
         names = sorted(member.value for member in kind)
@@ -248,7 +251,7 @@ def _prepare_dispersion(config: dict) -> tuple[DispersionBranch, list]:
                               **_fields(DispersionBranch, config))
     ks = _get(config, "k_values", list, None)
     if ks is None:
-        return branch, list(np.linspace(0.0, 3.0 * branch.omega0 / branch.c, 31))
+        return branch, list(np.linspace(0.0, 3.0 * branch.omega0, 31))
     return branch, [_check(k, float, "k_values[]") for k in ks]
 
 
@@ -317,7 +320,7 @@ def _evolve(inputs) -> RunReport:
     elif solver_config.scheme is Scheme.NLS:
         report = evolve_nls(psi0, solver_config)
     else:
-        dpsi0 = one_branch_time_derivative(psi0, solver_config.omega0, solver_config.c)
+        dpsi0 = one_branch_time_derivative(psi0)
         report = evolve_klein_gordon(psi0, dpsi0, solver_config)
     # no silent defaults: the fully resolved packet joins the config echo
     report.config["packet"] = {
@@ -520,16 +523,22 @@ def _emit(config: dict, result: dict, reports: list[RunReport],
           out_dir: Path | None, started: str) -> None:
     if out_dir is None:
         return
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    write_json(report_path, result)
+    run_dirs = [] if len(reports) == 1 else [
+        out_dir / f"run-{i}-{run.scheme}" for i, run in enumerate(reports)]
+    # every JSON output is serialised before the first directory is made, so
+    # a non-finite value (exit 3) leaves nothing behind
+    text = strict_json(report_path, result)
+    for run_dir, run in zip(run_dirs, reports):
+        strict_json(run_dir / "report.json", run.summary_dict())
+    out_dir.mkdir(parents=True, exist_ok=True)
+    report_path.write_text(text)
     outputs = [report_path]
     if len(reports) == 1:
         # the run summary is already embedded in report.json; emit snapshots only
         outputs.extend(write_snapshots(reports[0].snapshots, out_dir / "snapshots"))
-    else:
-        for i, run in enumerate(reports):
-            outputs.extend(write_report(run, out_dir / f"run-{i}-{run.scheme}"))
+    for run_dir, run in zip(run_dirs, reports):
+        outputs.extend(write_report(run, run_dir))
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = {
         "tool_version": __version__,

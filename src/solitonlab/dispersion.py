@@ -3,16 +3,17 @@
 Two branches:
 
 * ``KLEIN_GORDON`` -- the exact relativistic relation
-  omega(k) = sqrt(omega0^2 + (c k)^2), cutoff at omega0.
+  omega(k) = sqrt(omega0^2 + k^2), cutoff at omega0.
 * ``SCHRODINGER_APPROX`` -- the low-energy parabolic approximation
-  omega(k) = omega0 + V + (c k)^2 / (2 omega0), optionally shifted
+  omega(k) = omega0 + V + k^2 / (2 omega0), optionally shifted
   by a constant potential V (normalized units, hbar = 1, so V is an
   angular frequency).
 
+Both branches take the wave speed c = 1 (z -> z / c absorbs any other).
 Wavenumbers are angular (rad per length) throughout, and returned
 frequencies are angular (rad per time).  The parabolic kinetic term is
-(c k)^2 / (2 omega0): this is the unique form whose group velocity is
-c^2 k / omega0, which anchors the approximation.
+k^2 / (2 omega0): this is the unique form whose group velocity is
+k / omega0, which anchors the approximation.
 
 ``evanescent_kappa`` works in cyclic frequencies (Hz) because cutoff
 bookkeeping in the kinematics module is cyclic; it returns the angular
@@ -42,19 +43,16 @@ class DispersionBranch:
     angular cutoff used internally is omega0 = 2 pi f0.  ``potential_V``
     (an angular frequency, hbar = 1) only participates in the parabolic
     branch; the exact branch has no potential term and rejects a nonzero
-    one.  ``c`` defaults to normalized units.
+    one.
     """
 
     kind: BranchKind
     f0: float = 1.0
     potential_V: float = 0.0
-    c: float = 1.0
 
     def __post_init__(self):
         if self.f0 <= 0.0:
             raise DomainError(f"cutoff frequency must be positive, got {self.f0}")
-        if self.c <= 0.0:
-            raise DomainError("c must be positive")
         if self.kind is BranchKind.KLEIN_GORDON and self.potential_V != 0.0:
             raise DomainError("the exact branch has no potential term")
 
@@ -68,24 +66,23 @@ def omega(branch: DispersionBranch, k: float) -> float:
     if not math.isfinite(k):
         raise DomainError(f"wavenumber must be finite, got {k}")
     w0 = branch.omega0
-    ck = branch.c * k
     if branch.kind is BranchKind.KLEIN_GORDON:
-        return math.hypot(w0, ck)
-    return w0 + branch.potential_V + ck * ck / (2.0 * w0)
+        return math.hypot(w0, k)
+    return w0 + branch.potential_V + k * k / (2.0 * w0)
 
 
 def group_velocity(branch: DispersionBranch, k: float) -> float:
     """d omega / d k, analytically.
 
-    Parabolic branch: exactly c^2 k / omega0 (linear in k, exceeds c for
-    c k > omega0 -- a documented artifact of the approximation).  Exact
-    branch: c^2 k / omega(k), always below c.
+    Parabolic branch: exactly k / omega0 (linear in k, exceeds c = 1 for
+    k > omega0 -- a documented artifact of the approximation).  Exact
+    branch: k / omega(k), always below 1.
     """
     if not math.isfinite(k):
         raise DomainError(f"wavenumber must be finite, got {k}")
     if branch.kind is BranchKind.SCHRODINGER_APPROX:
-        return branch.c**2 * k / branch.omega0
-    return branch.c**2 * k / omega(branch, k)
+        return k / branch.omega0
+    return k / omega(branch, k)
 
 
 def evanescent_kappa(f: float, f0_eff: float, c: float = 1.0) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -44,8 +45,8 @@ class Grid1D:
         if not 16 <= self.n <= MAX_GRID_POINTS or (self.n & (self.n - 1)) != 0:
             raise ConfigurationError(
                 f"n must be a power of two between 16 and {MAX_GRID_POINTS}, got {self.n}")
-        if not self.z_max > self.z_min:
-            raise ConfigurationError("z_max must exceed z_min")
+        if not 0.0 < self.z_max - self.z_min < math.inf:
+            raise ConfigurationError("z_max must exceed z_min by a finite length")
         # cached outside the dataclass fields, so eq/hash/repr ignore them;
         # _ik_half is i k on the real-FFT half spectrum, Nyquist zeroed
         z = self.z_min + self.dz * np.arange(self.n)
@@ -177,33 +178,50 @@ class PacketSpec:
 def build_packet(spec: PacketSpec, grid: Grid1D) -> ComplexField:
     """Sample the packet at t = 0, guarding against boundary contamination.
 
-    Localized kinds must satisfy |psi| < 1e-8 * peak at the periodic
-    boundary; a plane wave's k0 must sit on the grid's wavenumber ladder
-    (otherwise it is discontinuous across the seam).  Every kind must keep
-    its spectral tail, the fraction of |psi^|^2 at |k| > (2/3) k_max, within
+    The carrier wavenumber (|k0|, or |velocity| / 2 for a breather) must
+    sit at or below (2/3) k_max: the grid samples a faster carrier as an
+    aliased slower one, so no later guard could see it.  Localized kinds
+    must satisfy |psi| < 1e-8 * peak at the periodic boundary; a plane
+    wave's k0 must sit on the grid's wavenumber ladder (otherwise it is
+    discontinuous across the seam).  Every kind must keep its spectral
+    tail, the fraction of |psi^|^2 at |k| > (2/3) k_max, within
     SPECTRAL_TAIL_FRACTION; the tail is taken on psi / peak, so it cannot
-    overflow.
+    overflow, and the peak must be a finite normal float (an extreme
+    amplitude, width or center samples to zero, inf or nan).
     """
+    k_cut = (2.0 / 3.0) * math.pi / grid.dz
+    breather = spec.kind is PacketKind.SECH_BREATHER
+    name, carrier = ("velocity", abs(spec.velocity) / 2.0) if breather else ("k0", abs(spec.k0))
+    if not carrier <= k_cut:
+        raise ConfigurationError(
+            f"packet {name} puts the carrier at |k| = {carrier:.4g}, above (2/3) k_max = "
+            f"{k_cut:.4g}, where the grid aliases it; lower {name} or refine the grid")
     z = grid.z
-    if spec.kind is PacketKind.SECH_BREATHER:
-        with np.errstate(over="ignore"):  # cosh overflows to inf, where a/inf = 0 is the sech
+    # extreme values sample to 0 (cosh or the square overflowing), inf or
+    # nan without a warning; the peak check below rejects all three
+    with np.errstate(all="ignore"):
+        if breather:
             vals = (spec.amplitude * np.exp(0.5j * spec.velocity * z)
                     / np.cosh(spec.sech_scale * (z - spec.center)))
-    elif spec.kind is PacketKind.GAUSSIAN:
-        envelope = np.exp(-((z - spec.center) ** 2) / (2.0 * spec.sigma**2))
-        vals = spec.amplitude * envelope * np.exp(1j * spec.k0 * z)
-    elif spec.kind is PacketKind.PLANE_WAVE:
-        dk = 2.0 * np.pi / grid.length
-        mode = spec.k0 / dk
-        if abs(mode - round(mode)) > 1e-9:
-            raise ConfigurationError(
-                f"plane-wave k0 = {spec.k0} is not on the grid ladder (spacing {dk})"
-            )
-        vals = spec.amplitude * np.exp(1j * spec.k0 * z)
-    else:  # pragma: no cover
-        raise ConfigurationError(f"unknown packet kind {spec.kind}")
+        elif spec.kind is PacketKind.GAUSSIAN:
+            envelope = np.exp(-((z - spec.center) ** 2) / (2.0 * spec.sigma * spec.sigma))
+            vals = spec.amplitude * envelope * np.exp(1j * spec.k0 * z)
+        elif spec.kind is PacketKind.PLANE_WAVE:
+            dk = 2.0 * np.pi / grid.length
+            mode = spec.k0 / dk
+            if abs(mode - round(mode)) > 1e-9:
+                raise ConfigurationError(
+                    f"plane-wave k0 = {spec.k0} is not on the grid ladder (spacing {dk})"
+                )
+            vals = spec.amplitude * np.exp(1j * spec.k0 * z)
+        else:  # pragma: no cover
+            raise ConfigurationError(f"unknown packet kind {spec.kind}")
 
     peak = float(np.max(np.abs(vals)))
+    if not sys.float_info.min <= peak < math.inf:
+        raise ConfigurationError(
+            f"packet peak |psi| = {peak:.3g} on the grid is zero, subnormal or not finite; "
+            "check the amplitude, width and center against the grid")
     if spec.kind is not PacketKind.PLANE_WAVE:
         edge = max(abs(vals[0]), abs(vals[-1]))
         if edge >= BOUNDARY_AMPLITUDE_FRACTION * peak:
@@ -212,7 +230,7 @@ def build_packet(spec: PacketSpec, grid: Grid1D) -> ComplexField:
                 f">= {BOUNDARY_AMPLITUDE_FRACTION:.0e}); enlarge the domain or recenter"
             )
     power = np.abs(np.fft.fft(vals / peak)) ** 2
-    tail = float(np.sum(power[np.abs(grid.k) > (2.0 / 3.0) * math.pi / grid.dz]) / np.sum(power))
+    tail = float(np.sum(power[np.abs(grid.k) > k_cut]) / np.sum(power))
     if tail > SPECTRAL_TAIL_FRACTION:
         raise ConfigurationError(
             f"packet is not resolved by the grid (spectral tail at |k| > (2/3) k_max = "

@@ -94,17 +94,21 @@ def read_snapshot_csv(path: Path) -> tuple[float, dict[str, np.ndarray]]:
     return t, {name: data[:, i] for i, name in enumerate(header)}
 
 
-def write_json(path: Path, obj) -> None:
+def strict_json(path: Path, obj) -> str:
     """Indented strict JSON with sorted keys and a closing newline, so equal
     objects give byte-identical files.  A non-finite float raises
-    NumericalError naming the file before the file is opened."""
+    NumericalError naming path, the file the text is for."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as err:
         raise NumericalError(f"{path}: {err}") from None
+
+
+def write_json(path: Path, obj) -> None:
+    """Write strict_json(path, obj) to path, which is not opened if it raises."""
+    text = strict_json(path, obj)
     with open(path, "w") as fh:
         fh.write(text)
-        fh.write("\n")
 
 
 def write_report(report: RunReport, out_dir: Path) -> list[Path]:

@@ -8,6 +8,7 @@ factor of two in the kinetic term):
 * linear Schrodinger (hbar = m = 1):   i psi_t = -(1/2) psi_zz + V psi
 * cubic NLS (as-printed normalization): i phi_t + phi_zz + 2|phi|^2 phi = 0
 * second-order (Klein-Gordon form):     psi_tt = c^2 psi_zz - omega0^2 psi
+  at omega0 = c = 1 (t -> omega0 t, z -> (omega0/c) z absorbs both); no V
 * dispersionless transport (madelung): the Hamilton-Jacobi and continuity
   pair of the first equation with the curvature term removed
 
@@ -56,7 +57,7 @@ from .report import RunReport, Snapshot
 
 #: accuracy guard for split-step potential phases
 MAX_POTENTIAL_PHASE_PER_STEP = 0.1
-#: CFL safety factor for the leapfrog scheme
+#: safety factor on the leapfrog's spectral stability bound
 LEAPFROG_SAFETY = 0.9
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 #: the cubic scheme's step per order, as the weights of its Strang sub-steps:
@@ -117,8 +118,7 @@ class SolverConfig:
     additional linear part V = g z, kept separate because a linear ramp
     has no honest periodic tabulation.  order is the cubic scheme's order
     of accuracy, a key of ORDERS (2, Strang, or 4, Yoshida); the other
-    schemes have order 2 only.  omega0 and c are the second-order
-    equation's; the other schemes keep them at 1.
+    schemes have order 2 only.
     """
 
     scheme: Scheme
@@ -127,8 +127,6 @@ class SolverConfig:
     snapshot_every: int = 0
     observe_every: int = 10
     potential: np.ndarray | None = None
-    omega0: float = 1.0
-    c: float = 1.0
     probe_index: int | None = None
     potential_slope: float = 0.0
     order: int = 2
@@ -148,7 +146,7 @@ class SolverConfig:
             "potential": "zero" if self.potential is None else "tabulated",
         }
         if self.scheme is Scheme.KLEIN_GORDON:
-            echo.update(omega0=self.omega0, c=self.c)
+            echo.update(omega0=1.0, c=1.0)
         if self.scheme is Scheme.NLS:
             echo["order"] = self.order
         if self.scheme is Scheme.DISPERSIONLESS_TRANSPORT:
@@ -170,8 +168,9 @@ def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
             problems.append(
                 f"potential must have grid length {grid.n}, got shape {pot.shape}"
             )
-        elif config.scheme is Scheme.NLS and np.any(pot != 0.0):
-            problems.append("the cubic scheme has no potential term; potential must be zero")
+        elif config.scheme in (Scheme.NLS, Scheme.KLEIN_GORDON) and np.any(pot != 0.0):
+            problems.append(f"{config.scheme.value} has no potential term; "
+                            "potential must be zero")
         elif config.dt * float(np.max(np.abs(pot))) > MAX_POTENTIAL_PHASE_PER_STEP:
             problems.append(
                 f"dt * max|V| = {config.dt * float(np.max(np.abs(pot))):.3g} exceeds the "
@@ -185,24 +184,13 @@ def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
     elif config.order != 2 and config.scheme is not Scheme.NLS:
         problems.append(f"{config.scheme.value} has only a second-order step; "
                         f"order must be 2, got {config.order}")
-    if config.scheme is not Scheme.KLEIN_GORDON:
-        problems += [f"omega0 and c set the klein_gordon scheme only; {name} must be 1 "
-                     f"on {config.scheme.value}, got {getattr(config, name)}"
-                     for name in ("omega0", "c") if getattr(config, name) != 1.0]
-    elif not config.c > 0.0:
-        problems.append(f"c must be positive, got {config.c}")
-    else:
-        bound_cfl = LEAPFROG_SAFETY * grid.dz / config.c
-        k_max = math.pi / grid.dz
-        bound_spectral = LEAPFROG_SAFETY * 2.0 / math.hypot(config.omega0, config.c * k_max)
-        if config.dt > bound_cfl:
-            problems.append(
-                f"leapfrog dt = {config.dt} violates dt <= {LEAPFROG_SAFETY} dz/c = {bound_cfl:.3g}"
-            )
-        if config.dt > bound_spectral:
+    if config.scheme is Scheme.KLEIN_GORDON:
+        # the largest eigenvalue of the spectral operator is 1 + k_max^2
+        bound = LEAPFROG_SAFETY * 2.0 / math.hypot(1.0, math.pi / grid.dz)
+        if config.dt > bound:
             problems.append(
                 f"leapfrog dt = {config.dt} violates the spectral stability bound "
-                f"2/sqrt(omega0^2 + (c k_max)^2) (= {bound_spectral:.3g} with safety factor)"
+                f"2/sqrt(1 + k_max^2) (= {bound:.3g} with safety factor)"
             )
     if config.probe_index is not None and not (0 <= config.probe_index < grid.n):
         problems.append(f"probe_index {config.probe_index} outside grid")
@@ -419,34 +407,32 @@ def _spectral_energy(spec: np.ndarray, spec_t: np.ndarray, lam: np.ndarray,
         return float(total * dz / spec.size)
 
 
-def kg_energy(psi: np.ndarray, psi_t: np.ndarray, grid: Grid1D,
-              omega0: float, c: float) -> float:
-    """Discrete energy integral(|psi_t|^2 + c^2 |psi_z|^2 + omega0^2 |psi|^2) dz
+def kg_energy(psi: np.ndarray, psi_t: np.ndarray, grid: Grid1D) -> float:
+    """Discrete energy integral(|psi_t|^2 + |psi_z|^2 + |psi|^2) dz
     with the spectral psi_z (Nyquist mode kept), summed over the spectra by
     Parseval; inf or nan, without a floating-point warning, when the density
     overflows."""
-    lam = omega0**2 + (c * grid.k) ** 2
+    lam = 1.0 + grid.k**2
     return _spectral_energy(np.fft.fft(psi), np.fft.fft(psi_t), lam, grid.dz)
 
 
-def one_branch_time_derivative(psi0: ComplexField, omega0: float = 1.0,
-                               c: float = 1.0) -> ComplexField:
+def one_branch_time_derivative(psi0: ComplexField) -> ComplexField:
     """psi_t(0) for a forward-propagating (single-branch) initial condition.
 
-    Applies -i omega(k) mode by mode with omega(k) = sqrt(omega0^2 + c^2 k^2),
-    so the packet contains no counter-propagating admixture.
+    Applies -i omega(k) mode by mode with omega(k) = sqrt(1 + k^2), so the
+    packet contains no counter-propagating admixture.
     """
     grid = psi0.grid
-    om = np.hypot(omega0, c * grid.k)
+    om = np.hypot(1.0, grid.k)
     return ComplexField(grid, np.fft.ifft(-1j * om * np.fft.fft(psi0.values)))
 
 
 def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
                         config: SolverConfig) -> RunReport:
-    """Leapfrog for psi_tt = c^2 psi_zz - omega0^2 psi with spectral Laplacian.
+    """Leapfrog for psi_tt = psi_zz - psi with spectral Laplacian.
 
     The equation is diagonal in k, psi_tt = -lambda(k) psi with
-    lambda = omega0^2 + c^2 k^2, so the leapfrog recursion is stepped on the
+    lambda = 1 + k^2, so the leapfrog recursion is stepped on the
     spectra: the same scheme mode by mode, with no FFT per step.  A record
     step makes one inverse FFT, for the field.  The reported "energy"
     observable is summed over the spectra by Parseval,
@@ -460,8 +446,8 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
         raise ConfigurationError("psi0 and dpsi0_dt must share a grid")
     n_steps = config.n_steps()
     dt = config.dt
-    # eigenvalues of -(c^2 d_zz - omega0^2) on the Fourier ladder
-    lam = config.omega0**2 + (config.c * grid.k) ** 2
+    # eigenvalues of -(d_zz - 1) on the Fourier ladder
+    lam = 1.0 + grid.k**2
     lam_dt2 = dt**2 * lam
 
     rec = _Recorder(config, grid)

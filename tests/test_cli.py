@@ -1,8 +1,10 @@
 import hashlib
 import json
 import shlex
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,12 +13,14 @@ from solitonlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
+    _emit,
     apply_overrides,
     load_config,
     main,
     validate,
 )
-from solitonlab.errors import ConfigurationError
+from solitonlab.errors import ConfigurationError, NumericalError
+from solitonlab.report import RunReport
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
@@ -64,7 +68,7 @@ def test_kg_cfl_violation_names_bound(capsys):
     code = main(["validate", "--config", str(CONFIG_DIR / "kg-plane-wave.json"),
                  "--set", "solver.dt=0.2"])
     assert code == EXIT_CONFIG
-    assert "dz/c" in capsys.readouterr().err
+    assert "spectral stability" in capsys.readouterr().err
 
 
 def test_boundary_contamination_diagnostic(capsys):
@@ -297,6 +301,22 @@ def _argv(config: str, overrides: list[str]) -> list[str]:
     ("bohr", ["n_values=[]"], "n_values"),
     ("bohr", ["n_max=1001"], "n_max"),
     ("bohr", ["n_max=1000"], None),
+    # the second-order scheme has no potential term
+    ("kg-plane-wave.json", ["potential.kind=barrier", "potential.height=5",
+                            "potential.start=0", "potential.length=3"], "potential"),
+    # a carrier above (2/3) k_max is sampled as an aliased slower one
+    ("madelung-gaussian.json", ["packet.k0=200"], "k0"),
+    ("kg-plane-wave.json", ["packet.k0=64.75"], "k0"),
+    ("kg-plane-wave.json", ["packet.k0=1e308"], "k0"),
+    ("breather-v1.json", ["packet.velocity=120", "solver.t_final=0.5"], "velocity"),
+    # sigma^2 overflows: the envelope is flat and touches the boundary
+    ("gaussian-linear.json", ["packet.sigma=1e300"], "boundary"),
+    # packets that sample to zero, or to a subnormal peak
+    ("breather-v1.json", ["packet.center=1e300"], "peak"),
+    ("gaussian-linear.json", ["packet.sigma=1e-320"], "peak"),
+    ("kg-plane-wave.json", ["packet.amplitude=1e-320"], "peak"),
+    ("kg-plane-wave.json", ["grid.z_min=-1e308", "grid.z_max=1e308", "packet.k0=0"],
+     "finite length"),
 ])
 def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
@@ -340,6 +360,42 @@ def test_non_finite_results_exit_3(argv, message, tmp_path, capsys):
     assert message in capsys.readouterr().err
     # the strict serialisation fails before any file is opened
     assert not list(tmp_path.rglob("*.json"))
+
+
+def test_failed_serialisation_leaves_no_directory(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["photon", "--set", "f_hz=1e308", "--set", "f0_hz=1e308", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERICAL
+    assert not out.exists()
+
+
+def test_emit_serialises_every_run_report_first(tmp_path):
+    # a multi-run experiment whose second run report is not finite
+    def run(value):
+        return RunReport(scheme="nls", config={}, times=np.zeros(1), observables={},
+                         snapshots=[], conservation={"drift": value})
+
+    out = tmp_path / "run"
+    with pytest.raises(NumericalError, match="run-1-nls"):
+        _emit({}, {"experiment": "x"}, [run(0.0), run(float("nan"))], out, "")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, override, message", [
+    ("bohr", "n_max=1e300", "n_max must be int, got 1e+300"),
+    ("bohr", "n_values=[-1e300]", "n_values[] must be int, got -1e+300"),
+    ("gaussian-linear.json", "grid.n=1e300", "grid.n must be int, got 1e+300"),
+    ("kg-plane-wave.json", "solver.probe_index=-1e300",
+     "solver.probe_index must be int, got -1e+300"),
+    ("gaussian-linear.json", "solver.observe_every=1e300",
+     "solver.observe_every must be int, got 1e+300"),
+    ("dichotomy.json", "seed=1e300", "seed must be int, got 1e+300"),
+])
+def test_float_spelt_int_beyond_2_53_is_rejected_briefly(config, override, message, capsys):
+    # read as an int, 1e300 would print as a 301-digit number
+    assert main(_argv(config, [override])) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and len(err) < 200
 
 
 @pytest.mark.parametrize("argv", [
@@ -411,10 +467,21 @@ def _field_paths(node: dict, prefix: str = ""):
 FUZZ_FIELDS = [(config.name, path) for config in SHIPPED
                for path in _field_paths(json.loads(config.read_text()))]
 FUZZ_VALUES = ["NaN", "Infinity", "-Infinity", "-1", "0", "1.5", '"x"', "[]", "{}",
-               "null", "true", "3", "1e-3", "[1,2]"]
+               "null", "true", "3", "1e-3", "[1,2]", "1e300", "-1e300", "1e-320"]
+#: a base config, as overrides, for each experiment that ships none
+MINIMAL = {
+    "kinematics": {"v": "0.6c"},
+    "dispersion": {"branch": "schrodinger_approx", "f0": 1.0, "potential_V": 0.0,
+                   "k_values": [0.0, 0.75]},
+    "bohr": {"n_max": 5, "n_values": [1, 3]},
+    "photon": {"f_hz": 2e20, "f0_hz": 1e20},
+}
+RUN_FUZZ_FIELDS = FUZZ_FIELDS + [(name, path) for name, base in MINIMAL.items()
+                                 for path in _field_paths(base)]
 # runs stay a few hundred steps and trials at most 1e4; applied after the
 # drawn override, so they win where both set the same field
-RUN_PINS = {"dichotomy.json": ["t_final=0.05"], "barrier-gap08.json": ["trials=1000"]}
+RUN_PINS = {"dichotomy.json": ["t_final=0.05"], "barrier-gap08.json": ["trials=1000"],
+            **{name: [] for name in MINIMAL}}
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -425,15 +492,29 @@ def test_validate_exit_code_property(field, value):
     assert code in (EXIT_OK, EXIT_CONFIG)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True,
+def _reject_constant(token):
+    raise ValueError(f"non-finite constant {token}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
+@given(field=st.sampled_from(RUN_FUZZ_FIELDS), value=st.sampled_from(FUZZ_VALUES))
 def test_run_agrees_with_validate_property(field, value, monkeypatch):
+    # no traceback; exit 2 exactly when validate reports a problem, else 0
+    # or 3 (a non-finite result); only a run that exits 0 leaves files, and
+    # each report.json it writes is strict JSON
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
     config, path = field
-    overrides = [f"{path}={value}"] + RUN_PINS.get(config, ["solver.t_final=0.05"])
+    base = [f"{key}={json.dumps(v)}" for key, v in MINIMAL.get(config, {}).items()]
+    overrides = base + [f"{path}={value}"] + RUN_PINS.get(config, ["solver.t_final=0.05"])
     try:
-        problems = validate(apply_overrides(load_config(CONFIG_DIR / config), overrides))
+        problems = validate(apply_overrides(_config(config), overrides))
     except ConfigurationError:  # an override path crosses a non-object
         problems = ["override"]
-    assert main(_argv(config, overrides)) == (EXIT_CONFIG if problems else EXIT_OK)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        code = main(_argv(config, overrides) + ["--out", str(out)])
+        assert code == EXIT_CONFIG if problems else code in (EXIT_OK, EXIT_NUMERICAL)
+        assert out.exists() == (code == EXIT_OK)
+        for report in out.rglob("report.json"):
+            json.loads(report.read_text(), parse_constant=_reject_constant)

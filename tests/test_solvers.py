@@ -203,9 +203,9 @@ class TestNLS:
 def _kg_plane_wave_run(ck: float, dt: float = 1e-3, t_final: float = 10.0):
     grid = Grid1D(512, -8 * np.pi, 8 * np.pi)  # ladder spacing exactly 0.125
     psi0 = build_packet(PacketSpec(PacketKind.PLANE_WAVE, k0=ck), grid)
-    v0 = one_branch_time_derivative(psi0, omega0=1.0, c=1.0)
+    v0 = one_branch_time_derivative(psi0)
     config = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=dt, t_final=t_final,
-                          observe_every=10, omega0=1.0, c=1.0, probe_index=7)
+                          observe_every=10, probe_index=7)
     return evolve_klein_gordon(psi0, v0, config)
 
 
@@ -225,11 +225,11 @@ class TestKleinGordon:
     def test_rest_mode_oscillates_at_cutoff(self):
         grid = Grid1D(64, -8.0, 8.0)
         psi0 = build_packet(PacketSpec(PacketKind.PLANE_WAVE, k0=0.0), grid)
-        v0 = one_branch_time_derivative(psi0, omega0=1.3, c=1.0)
+        v0 = one_branch_time_derivative(psi0)
         rep = evolve_klein_gordon(psi0, v0, SolverConfig(
             scheme=Scheme.KLEIN_GORDON, dt=1e-3, t_final=10.0,
-            observe_every=10, omega0=1.3, probe_index=5))
-        assert _probe_frequency(rep) == pytest.approx(1.3, rel=1e-3)
+            observe_every=10, probe_index=5))
+        assert _probe_frequency(rep) == pytest.approx(1.0, rel=1e-3)
 
     def test_energy_drift_over_1e4_steps(self):
         rep = _kg_plane_wave_run(0.75, dt=1e-3, t_final=10.0)
@@ -239,7 +239,7 @@ class TestKleinGordon:
         grid = Grid1D(1024, -16 * np.pi, 16 * np.pi)
         psi0 = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=6.0,
                                        center=-10.0, k0=0.75), grid)
-        v0 = one_branch_time_derivative(psi0, omega0=1.0, c=1.0)
+        v0 = one_branch_time_derivative(psi0)
         rep = evolve_klein_gordon(psi0, v0, SolverConfig(
             scheme=Scheme.KLEIN_GORDON, dt=2e-3, t_final=20.0, observe_every=100))
         vg = np.polyfit(rep.times, rep.observable("centroid"), 1)[0]
@@ -249,7 +249,7 @@ class TestKleinGordon:
         grid = Grid1D(64, -8.0, 8.0)
         config = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=0.5, t_final=1.0)
         problems = validate_solver_config(config, grid)
-        assert any("dz/c" in p for p in problems)
+        assert any("spectral stability" in p for p in problems)
 
     def test_spectral_stability_guard_tighter_than_cfl(self):
         # 0.9 dz/c alone is not stable for a spectral Laplacian; the
@@ -297,17 +297,11 @@ def test_negative_cadence_rejected(grid512, cadence):
     assert any(cadence in p for p in validate_solver_config(config, grid512))
 
 
-def test_klein_gordon_needs_positive_c(grid512):
-    config = SolverConfig(scheme=Scheme.KLEIN_GORDON, dt=1e-3, t_final=0.1, c=0.0)
-    assert validate_solver_config(config, grid512) == ["c must be positive, got 0.0"]
-
-
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_only_klein_gordon_echoes_omega0_and_c(grid512, scheme):
-    echo = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, omega0=2.0, c=0.5).config_echo(
-        grid512)
+    echo = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1).config_echo(grid512)
     if scheme is Scheme.KLEIN_GORDON:
-        assert (echo["omega0"], echo["c"]) == (2.0, 0.5)
+        assert (echo["omega0"], echo["c"]) == (1.0, 1.0)
     else:
         assert "omega0" not in echo and "c" not in echo
 
@@ -367,7 +361,7 @@ def _conservation_cases():
         "nls": lambda: evolve_nls(breather, SolverConfig(
             scheme=Scheme.NLS, dt=1e-3, t_final=0.5, observe_every=25, snapshot_every=40)),
         "kg": lambda: evolve_klein_gordon(
-            narrow, one_branch_time_derivative(narrow, kg.omega0, kg.c), kg),
+            narrow, one_branch_time_derivative(narrow), kg),
         "transport": lambda: evolve_dispersionless(
             dispersionless_initial(grid, velocity=1.0, center=-5.0), transport),
     }
