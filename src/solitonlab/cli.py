@@ -37,6 +37,7 @@ from .errors import (
     NumericalError,
 )
 from .experiments import (
+    MAX_PARALLEL_TRIALS,
     BarrierSpec,
     DichotomySettings,
     bohr_orbit,
@@ -561,10 +562,11 @@ def _emit(config: dict, result: dict, reports: list[RunReport],
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-def _positive_int(text: str) -> int:
+def _worker_count(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if not 1 <= value <= MAX_PARALLEL_TRIALS:
+        raise argparse.ArgumentTypeError(
+            f"must be between 1 and {MAX_PARALLEL_TRIALS}, got {value}")
     return value
 
 
@@ -599,7 +601,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", help="output directory (default: $SOLITONLAB_OUT)")
         if name == "barrier":
             # an execution setting, not a config value: config_digest ignores it
-            p.add_argument("--parallel-trials", type=_positive_int, default=1,
+            p.add_argument("--parallel-trials", type=_worker_count, default=1,
                            help="worker count for Monte Carlo blocks (results identical)")
     return parser
 

@@ -51,8 +51,8 @@ class DispersionBranch:
     potential_V: float = 0.0
 
     def __post_init__(self):
-        if self.f0 <= 0.0:
-            raise DomainError(f"cutoff frequency must be positive, got {self.f0}")
+        if not 0.0 < self.f0 or not math.isfinite(3.0 * self.omega0):
+            raise DomainError(f"f0 must be positive with 3 omega0 = 6 pi f0 finite, got {self.f0}")
         if self.kind is BranchKind.KLEIN_GORDON and self.potential_V != 0.0:
             raise DomainError("the exact branch has no potential term")
 

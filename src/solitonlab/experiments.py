@@ -8,13 +8,14 @@
 * the planetary-orbit quantization chain and its phase-accordance law;
 * the frequency-converter relations for a guided photon mode.
 
-Monte Carlo trial i owns words 2i and 2i+1 of a counter-based Philox
-stream keyed by the seed, so reports are bit-identical regardless of
-execution order or worker count.  A trial's outcome is a pure function of
-those two raw 64-bit words: the gap and the tunnel coin are turned once
-per spec into exact integer word thresholds, and each block counts its
-trials with unsigned compares on the raw words, giving the same counts
-as evaluating the float draws u = (w >> 11) 2^-53 trial by trial.
+Monte Carlo trial i owns draw i of two PCG64 streams spawned from the
+seed: stream 0 gives its bounce phase, stream 1 its tunnel coin (drawn
+below cutoff only).  Each worker advances its streams to its first
+trial, so reports are bit-identical regardless of execution order,
+worker count or buffer size.  The gap is turned once per spec into
+exact intervals of the float draw u = (w >> 11) 2^-53, so a trial is
+counted with plain float compares, giving the same counts as evaluating
+its transverse position trial by trial.
 """
 
 from __future__ import annotations
@@ -42,13 +43,15 @@ from .solvers import (
     validate_solver_config,
 )
 
-#: draws consumed per Monte Carlo trial (position phase, tunneling coin)
-_DRAWS_PER_TRIAL = 2
 #: Generator.random maps a raw 64-bit word w to u = (w >> 11) 2^-53
 _UNIFORM_BITS = 53
 _WORD_SHIFT = 64 - _UNIFORM_BITS
-#: trials per RNG block; fixed so worker count cannot affect substreams
+#: draws per buffer fill of a Monte Carlo worker: sets the buffer size and
+#: the split into worker chunks, never a result
 _TRIALS_PER_BLOCK = 1 << 16
+#: most Monte Carlo workers; fixed, not the machine's CPU count, so that
+#: whether a worker count is accepted does not depend on the machine
+MAX_PARALLEL_TRIALS = 64
 
 #: width-ratio bands for the dichotomy verdicts
 DISPERSED_MIN_RATIO = 3.0
@@ -274,20 +277,12 @@ class MonteCarloReport:
         return {"experiment": "barrier", **asdict(self)}
 
 
-def _trial_words(seed: int, block: int, count: int) -> np.ndarray:
-    """Raw Philox words for trials [block*B, block*B + count), shape (count, 2).
-
-    Trial i always owns stream positions (2i, 2i+1) of the counter-based
-    generator keyed by the seed, independent of blocking or threading.
-    Philox advances in counter ticks of 4 output words, so block starts
-    are kept 4-aligned (checked by a regression test against the
-    single-stream sequence).
-    """
-    skip = _DRAWS_PER_TRIAL * block * _TRIALS_PER_BLOCK
-    assert skip % 4 == 0, "block starts must be 4-aligned for Philox advance"
-    bitgen = np.random.Philox(np.random.SeedSequence(seed))
-    bitgen.advance(skip // 4)
-    return bitgen.random_raw(_DRAWS_PER_TRIAL * count).reshape(count, 2)
+def _stream(seed: int, index: int, first: int) -> np.random.Generator:
+    """Monte Carlo stream `index` (child `index` of SeedSequence(seed).spawn(2))
+    positioned at its draw `first`: PCG64's advance jumps there exactly."""
+    bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
+    bitgen.advance(first)
+    return np.random.Generator(bitgen)
 
 
 def _gap_word_ranges(width: float, gap_lo: float, gap_hi: float) -> list[tuple[int, int]]:
@@ -324,39 +319,32 @@ def _gap_word_ranges(width: float, gap_lo: float, gap_hi: float) -> list[tuple[i
             for a, b in (rising, falling) if a <= b]
 
 
-def _tunnel_last_word(p: float) -> int:
-    """Largest raw word whose draw u satisfies u < p, -1 when none (p = 0).
-    u < p holds exactly when (w >> 11) < ceil(p 2^53), as scaling by 2^53
-    is exact."""
-    return (math.ceil(p * 2.0**_UNIFORM_BITS) << _WORD_SHIFT) - 1
-
-
-def _count_trials(words: np.ndarray, gap_words: list[tuple[int, int]],
-                  tunnel_last: int | None = None) -> int:
-    """Trials (rows of raw words) whose first word lies in one of the
-    disjoint inclusive gap ranges [lo, hi], given in increasing order, and,
-    unless tunnel_last is None, whose second word is at most tunnel_last.
-
-    Each range is one unsigned compare (w - lo) <= hi - lo, which wraps
-    for words below lo; the differences are taken once and shifted in
-    place from one range to the next.
-    """
-    tunnels = None
-    if tunnel_last is not None:
-        if tunnel_last < 0:
-            return 0
-        tunnels = words[:, 1] <= np.uint64(tunnel_last)
-    total, diff, base = 0, None, 0
-    for lo, hi in gap_words:
-        if diff is None:
-            diff = words[:, 0] - np.uint64(lo)
-        else:
-            diff -= np.uint64(lo - base)
-        base = lo
-        hit = diff <= np.uint64(hi - lo)
-        if tunnels is not None:
-            hit &= tunnels
-        total += int(np.count_nonzero(hit))
+def _count_chunk(seed: int, first: int, stop: int, gaps: list[tuple[float, float]],
+                 p_tunnel: float | None) -> int:
+    """Trials in [first, stop) whose phase draw lies in one of the disjoint
+    closed intervals `gaps` and, unless p_tunnel is None (above cutoff),
+    whose coin draw is below p_tunnel.  The generators and buffers are made
+    once and filled in place block by block."""
+    size = min(_TRIALS_PER_BLOCK, stop - first)
+    draws = np.empty(size)
+    hit, upper, tunnels = (np.empty(size, dtype=bool) for _ in range(3))
+    phase = _stream(seed, 0, first)
+    coin = None if p_tunnel is None else _stream(seed, 1, first)
+    total = 0
+    for start in range(first, stop, size):
+        n = min(size, stop - start)
+        u, h, b, t = draws[:n], hit[:n], upper[:n], tunnels[:n]
+        if coin is not None:  # the coins first, so one buffer takes both streams
+            coin.random(out=u)
+            np.less(u, p_tunnel, out=t)
+        phase.random(out=u)
+        for lo, hi in gaps:
+            np.greater_equal(u, lo, out=h)
+            np.less_equal(u, hi, out=b)
+            h &= b
+            if coin is not None:
+                h &= t
+            total += int(np.count_nonzero(h))
     return total
 
 
@@ -374,11 +362,17 @@ def run_barrier_monte_carlo(spec: BarrierSpec, *, parallel_trials: int = 1) -> M
     The analytic transmission of the linear equation for the same
     rectangular barrier rides along as the comparator.
 
-    Trials are counted on the raw Philox words: the gap becomes at most
-    two exact word ranges (``_gap_word_ranges``) and the tunnel coin
-    u < p one word bound, so each block makes unsigned integer compares
-    and no float draw, with the counts of the float formulation.
+    Trial i owns draw i of stream 0 (its phase) and of stream 1 (its coin,
+    drawn below cutoff only); see ``_stream``.  The trials split into at
+    most ``parallel_trials`` contiguous chunks of whole _TRIALS_PER_BLOCK
+    blocks, each with its own generators and buffers, so no count depends
+    on the worker count or the block size.  The gap is at most two exact
+    intervals of the draw u (``_gap_word_ranges``), so the compares give
+    the counts of the float formulation; the coin is u < p.
     """
+    if not 1 <= parallel_trials <= MAX_PARALLEL_TRIALS:
+        raise ConfigurationError(f"parallel_trials must be between 1 and "
+                                 f"{MAX_PARALLEL_TRIALS}, got {parallel_trials}")
     k = electron_constants()
     f0_shifted, width, width_narrowed, gap_lo, gap_hi = spec.geometry()
     f_wave = (k.rest_energy + spec.energy) / k.h
@@ -389,25 +383,25 @@ def run_barrier_monte_carlo(spec: BarrierSpec, *, parallel_trials: int = 1) -> M
         kappa = evanescent_kappa(f_wave, f0_shifted, c=k.c)
         p_tunnel = math.exp(-2.0 * kappa * spec.length)
 
-    gap_words = _gap_word_ranges(width, gap_lo, gap_hi)
-    tunnel_last = _tunnel_last_word(p_tunnel)
+    # word range [lo, hi] is the draw interval [(lo >> 11) 2^-53, (hi >> 11) 2^-53]
+    gaps = [((lo >> _WORD_SHIFT) * 2.0**-_UNIFORM_BITS, (hi >> _WORD_SHIFT) * 2.0**-_UNIFORM_BITS)
+            for lo, hi in _gap_word_ranges(width, gap_lo, gap_hi)]
+    coin_p = None if above_cutoff else p_tunnel
+
+    def count(first: int, stop: int) -> int:
+        return _count_chunk(spec.seed, first, stop, gaps, coin_p)
+
     n_blocks = -(-spec.trials // _TRIALS_PER_BLOCK)
-
-    def run_block(block: int) -> tuple[int, int]:
-        count = min(_TRIALS_PER_BLOCK, spec.trials - block * _TRIALS_PER_BLOCK)
-        words = _trial_words(spec.seed, block, count)
-        if above_cutoff:
-            return _count_trials(words, gap_words), 0
-        return 0, _count_trials(words, gap_words, tunnel_last)
-
-    if parallel_trials > 1:
-        with ThreadPoolExecutor(max_workers=parallel_trials) as pool:
-            results = list(pool.map(run_block, range(n_blocks)))
+    workers = min(parallel_trials, n_blocks)
+    bounds = [min(spec.trials, n_blocks * w // workers * _TRIALS_PER_BLOCK)
+              for w in range(workers + 1)]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            crossed = sum(pool.map(count, bounds[:-1], bounds[1:]))
     else:
-        results = [run_block(b) for b in range(n_blocks)]
+        crossed = count(0, spec.trials)
 
-    transmitted = sum(r[0] for r in results)
-    tunneled = sum(r[1] for r in results)
+    transmitted, tunneled = (crossed, 0) if above_cutoff else (0, crossed)
     reflected = spec.trials - transmitted - tunneled
     p_hat = (transmitted + tunneled) / spec.trials
     gap_fraction = width_narrowed / width
@@ -439,7 +433,8 @@ def run_barrier_monte_carlo(spec: BarrierSpec, *, parallel_trials: int = 1) -> M
             "above_cutoff": above_cutoff,
             "evanescent_kappa_per_m": kappa,
             "tunnel_probability": p_tunnel,
-            "rng": "philox counter stream, 2 draws per trial",
+            "rng": "PCG64 streams 0 and 1 of SeedSequence(seed).spawn(2), phase and "
+                   "tunnel coin: trial i takes draw i of each; the coin below cutoff only",
         },
     )
 

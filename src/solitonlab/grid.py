@@ -47,6 +47,9 @@ class Grid1D:
                 f"n must be a power of two between 16 and {MAX_GRID_POINTS}, got {self.n}")
         if not 0.0 < self.z_max - self.z_min < math.inf:
             raise ConfigurationError("z_max must exceed z_min by a finite length")
+        if not (self.dz > 0.0 and math.pi / self.dz < math.inf):
+            raise ConfigurationError(f"grid spacing dz = {self.dz:.3g} is too fine: "
+                                     "the Nyquist wavenumber pi/dz must be finite")
         # cached outside the dataclass fields, so eq/hash/repr ignore them;
         # _ik_half is i k on the real-FFT half spectrum, Nyquist zeroed
         z = self.z_min + self.dz * np.arange(self.n)

@@ -317,6 +317,11 @@ def _argv(config: str, overrides: list[str]) -> list[str]:
     ("kg-plane-wave.json", ["packet.amplitude=1e-320"], "peak"),
     ("kg-plane-wave.json", ["grid.z_min=-1e308", "grid.z_max=1e308", "packet.k0=0"],
      "finite length"),
+    # the spacing underflows, so the Nyquist wavenumber pi/dz is infinite
+    ("kg-plane-wave.json", ["grid.z_min=0", "grid.z_max=1e-320", "packet.k0=0"], "grid"),
+    ("gaussian-linear.json", ["grid.z_min=0", "grid.z_max=1e-320", "packet.k0=0"], "grid"),
+    # omega0 = 2 pi f0 overflows, and with it the default k grid up to 3 omega0
+    ("dispersion", ["branch=klein_gordon", "f0=1e308"], "f0"),
 ])
 def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
@@ -452,6 +457,14 @@ def test_parallel_trials_below_one_rejected(workers, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["barrier", "--config", str(CONFIG_DIR / "barrier-gap08.json"),
               "--parallel-trials", workers])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--parallel-trials" in capsys.readouterr().err
+
+
+def test_parallel_trials_above_cap_rejected(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["barrier", "--config", str(CONFIG_DIR / "barrier-gap08.json"),
+              "--parallel-trials", "65"])
     assert exit_info.value.code == EXIT_CONFIG
     assert "--parallel-trials" in capsys.readouterr().err
 

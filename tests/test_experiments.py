@@ -28,12 +28,8 @@ from solitonlab import (
     run_barrier_monte_carlo,
     run_dispersion_vs_soliton,
 )
-from solitonlab.experiments import (
-    TRANSPORT_MAX_DT,
-    _count_trials,
-    _gap_word_ranges,
-    _tunnel_last_word,
-)
+from solitonlab import experiments
+from solitonlab.experiments import TRANSPORT_MAX_DT, _count_chunk, _gap_word_ranges
 from solitonlab.solvers import MAX_POTENTIAL_PHASE_PER_STEP, ORDERS
 
 K = electron_constants()
@@ -235,14 +231,14 @@ class TestBarrierMonteCarlo:
         assert serial == parallel
 
     def test_blocked_stream_matches_single_stream(self):
-        # regression canary for the counter-based substream alignment
+        # regression canary for the advanced phase stream
         spec = _spec_gap_08(trials=150_000, seed=12345)
         report = run_barrier_monte_carlo(spec)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(spec.seed)))
-        draws = rng.random(2 * spec.trials).reshape(-1, 2)
+        phase_seed = np.random.SeedSequence(spec.seed).spawn(2)[0]
+        draws = np.random.Generator(np.random.PCG64(phase_seed)).random(spec.trials)
         w = K.c / (2 * K.cutoff_frequency)
         w_narrow = w / 1.25
-        x = w * (1 - np.abs(1 - 2 * draws[:, 0]))
+        x = w * (1 - np.abs(1 - 2 * draws))
         hits = int(np.count_nonzero((x >= (w - w_narrow) / 2) & (x <= (w + w_narrow) / 2)))
         assert report.transmitted == hits
 
@@ -260,7 +256,7 @@ class TestBarrierMonteCarlo:
         # the criterion-12 spec: above cutoff, the expectation is w'/w
         spec = _spec_gap_08(trials=10**6, seed=20240817)
         report = run_barrier_monte_carlo(spec)
-        assert report.transmitted == 800198  # the RNG stream is unchanged
+        assert report.transmitted == 799845  # pins the RNG stream layout
         assert report.expected_fraction == report.geometric_gap_fraction
         sigma = math.sqrt(0.8 * 0.2 / spec.trials)
         assert report.z_score == pytest.approx(
@@ -353,33 +349,45 @@ def _vanishing_spec(trials=10, seed=3) -> BarrierSpec:
                        trials=trials, seed=seed)
 
 
-def _float_block_counts(spec: BarrierSpec, p_tunnel: float | None) -> tuple[int, int]:
-    """(transmitted, tunneled) from the float draws u = Generator.random, block
-    by block: the float formulation of the Monte Carlo; p_tunnel None above
-    cutoff."""
+def _float_counts(spec: BarrierSpec, p_tunnel: float | None) -> tuple[int, int]:
+    """(transmitted, tunneled) from one unblocked Generator.random sequence per
+    stream of SeedSequence(seed).spawn(2): the float formulation of the
+    Monte Carlo; p_tunnel None above cutoff."""
     _, width, _, gap_lo, gap_hi = spec.geometry()
-    transmitted = tunneled = 0
-    for block in range(-(-spec.trials // BLOCK)):
-        count = min(BLOCK, spec.trials - block * BLOCK)
-        bitgen = np.random.Philox(np.random.SeedSequence(spec.seed))
-        bitgen.advance(2 * block * BLOCK // 4)
-        draws = np.random.Generator(bitgen).random(2 * count).reshape(count, 2)
-        position = width * (1.0 - np.abs(1.0 - 2.0 * draws[:, 0]))
-        in_gap = (position >= gap_lo) & (position <= gap_hi)
-        if p_tunnel is None:
-            transmitted += int(np.count_nonzero(in_gap))
-        else:
-            tunneled += int(np.count_nonzero(in_gap & (draws[:, 1] < p_tunnel)))
-    return transmitted, tunneled
+    phase_seed, coin_seed = np.random.SeedSequence(spec.seed).spawn(2)
+    u = np.random.Generator(np.random.PCG64(phase_seed)).random(spec.trials)
+    position = width * (1.0 - np.abs(1.0 - 2.0 * u))
+    in_gap = (position >= gap_lo) & (position <= gap_hi)
+    if p_tunnel is None:
+        return int(np.count_nonzero(in_gap)), 0
+    coin = np.random.Generator(np.random.PCG64(coin_seed)).random(spec.trials)
+    return 0, int(np.count_nonzero(in_gap & (coin < p_tunnel)))
+
+
+def _replay_streams(monkeypatch, phases, coins=()) -> None:
+    """Make experiments._stream replay the given draws (stream 0 the phases,
+    stream 1 the coins) from trial `first` on."""
+    draws = {0: np.array(phases, dtype=float), 1: np.array(coins, dtype=float)}
+
+    class Replay:
+        def __init__(self, index, first):
+            self.pos, self.values = first, draws[index]
+
+        def random(self, out):
+            out[:] = self.values[self.pos:self.pos + len(out)]
+            self.pos += len(out)
+
+    monkeypatch.setattr(experiments, "_stream", lambda seed, index, first: Replay(index, first))
 
 
 class TestBarrierWordThresholds:
     def test_uniform_draw_is_the_top_53_bits(self):
         # the premise: Generator.random gives u = (w >> 11) 2^-53 for raw word w
         seed = np.random.SeedSequence(5)
-        u = np.random.Generator(np.random.Philox(seed)).random(1000)
-        words = np.random.Philox(seed).random_raw(1000)
-        assert np.array_equal(u, (words >> np.uint64(11)).astype(float) * 2.0**-53)
+        for bit_generator in (np.random.PCG64, np.random.Philox):
+            u = np.random.Generator(bit_generator(seed)).random(1000)
+            words = bit_generator(seed).random_raw(1000)
+            assert np.array_equal(u, (words >> np.uint64(11)).astype(float) * 2.0**-53)
 
     @pytest.mark.parametrize("geometry", [
         *[(width, gap_lo, gap_hi) for _, width, _, gap_lo, gap_hi in (
@@ -413,30 +421,45 @@ class TestBarrierWordThresholds:
         else:
             assert hi1 >> 11 == HALF_M and lo2 >> 11 == HALF_M + 1
 
-    def test_trial_count_at_the_range_ends(self):
-        ranges = [(5 << 11, (9 << 11) - 1), (1 << 63, (1 << 64) - 2)]
-        ends = [r[i] + d for r in ranges for i, d in ((0, -1), (0, 0), (1, 0), (1, 1))]
-        first = [0, *ends]
-        inside = [False, False, True, True, False, False, True, True, False]
-        second = [7, 0, 6, 8, 0, 0, 9, 7, 0]  # against tunnel_last = 7
-        words = np.array([first, second], dtype=np.uint64).T
-        assert _count_trials(words, ranges) == sum(inside) == 4
-        assert _count_trials(words, ranges, tunnel_last=7) == 2
-        assert _count_trials(words, ranges, tunnel_last=-1) == 0
-        assert _count_trials(words, []) == 0
+    def test_trial_count_at_the_range_ends(self, monkeypatch):
+        # phase draws one step inside and outside each end of the gap
+        # intervals, coin draws on both sides of p: the run counts exactly
+        # the trials of the float formulation
+        for spec in (_above_spec(trials=8), _below_spec(trials=8)):
+            model = run_barrier_monte_carlo(spec).model
+            _, width, _, gap_lo, gap_hi = spec.geometry()
+            ends = [m + d for lo, hi in _gap_word_ranges(width, gap_lo, gap_hi)
+                    for m, d in ((lo >> 11, -1), (lo >> 11, 0), (hi >> 11, 0), (hi >> 11, 1))]
+            in_gap = [gap_lo <= _position(width, m) <= gap_hi for m in ends]
+            assert all(0 <= m <= TOP_M for m in ends)
+            assert in_gap == [False, True, True, False] * 2
+            p = model["tunnel_probability"]
+            last = math.ceil(p * 2.0**53) - 1  # the last coin draw m 2^-53 below p
+            coins = [m * 2.0**-53 for m in (last, last + 1) * 4]
+            with monkeypatch.context() as patch:
+                _replay_streams(patch, [m * 2.0**-53 for m in ends], coins)
+                report = run_barrier_monte_carlo(spec)
+            if model["above_cutoff"]:
+                assert (report.transmitted, report.tunneled) == (4, 0)
+            else:
+                assert (report.transmitted, report.tunneled) == (0, 2)
+                assert sum(g and c < p for g, c in zip(in_gap, coins)) == 2
 
-    def test_tunnel_bound_at_a_dyadic_probability(self):
-        last = _tunnel_last_word(0.5)
-        below, at = ((1 << 52) - 1) << 11 | 0x7FF, (1 << 52) << 11
-        assert (below >> 11) * 2.0**-53 < 0.5 <= (at >> 11) * 2.0**-53
-        assert below <= last < at
+    def test_tunnel_bound_at_a_dyadic_probability(self, monkeypatch):
+        below, at = (1 << 52) - 1, 1 << 52
+        assert below * 2.0**-53 < 0.5 <= at * 2.0**-53
+        _replay_streams(monkeypatch, [0.5, 0.5], [below * 2.0**-53, at * 2.0**-53])
+        assert _count_chunk(0, 0, 2, [(0.0, 1.0)], 0.5) == 1
 
     @pytest.mark.parametrize("p, last_m", [
         (0.0, -1), (5e-324, 0), (2.0**-53, 0), (0.3, math.ceil(0.3 * 2.0**53) - 1),
         (1.0, TOP_M),
     ])
-    def test_tunnel_bound_edges(self, p, last_m):
-        assert _tunnel_last_word(p) == ((last_m + 1) << 11) - 1
+    def test_tunnel_bound_edges(self, p, last_m, monkeypatch):
+        # coin draws m 2^-53 at the last one below p and the next: only the first tunnels
+        coins = [m for m in (last_m, last_m + 1) if 0 <= m <= TOP_M]
+        _replay_streams(monkeypatch, [0.5] * len(coins), [m * 2.0**-53 for m in coins])
+        assert _count_chunk(0, 0, len(coins), [(0.0, 1.0)], p) == int(last_m >= 0)
         if last_m >= 0:
             assert last_m * 2.0**-53 < p
         if last_m < TOP_M:
@@ -467,8 +490,49 @@ class TestBarrierWordThresholds:
         report = run_barrier_monte_carlo(spec, parallel_trials=workers)
         model = report.model
         p_tunnel = None if model["above_cutoff"] else model["tunnel_probability"]
-        assert (report.transmitted, report.tunneled) == _float_block_counts(spec, p_tunnel)
+        assert (report.transmitted, report.tunneled) == _float_counts(spec, p_tunnel)
         assert report.transmitted + report.tunneled + report.reflected == spec.trials
+
+    @pytest.mark.parametrize("block", [1000, 4096])
+    def test_block_size_changes_no_report(self, block, monkeypatch):
+        specs = [_above_spec(0.05, trials=3 * BLOCK + 7, seed=21),
+                 _below_spec(0.05, trials=3 * BLOCK + 7, seed=22)]
+        default = [run_barrier_monte_carlo(spec, parallel_trials=3) for spec in specs]
+        monkeypatch.setattr(experiments, "_TRIALS_PER_BLOCK", block)
+        for spec, report in zip(specs, default):
+            for workers in (1, 3):
+                assert run_barrier_monte_carlo(spec, parallel_trials=workers) == report
+
+    # 1 and BLOCK - 1 trials make one block, 3 BLOCK + 7 four: fewer than 8 workers
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, 3 * BLOCK + 7])
+    def test_worker_counts_give_one_report(self, trials):
+        for spec in (_above_spec(trials=trials, seed=23), _below_spec(trials=trials, seed=24)):
+            serial = run_barrier_monte_carlo(spec)
+            for workers in (2, 3, 8):
+                assert run_barrier_monte_carlo(spec, parallel_trials=workers) == serial
+
+    @pytest.mark.parametrize("spec, streams", [
+        (_above_spec(trials=3 * BLOCK + 7), [0]),
+        (_below_spec(trials=3 * BLOCK + 7), [0, 1]),
+    ], ids=["above", "below"])
+    def test_coin_stream_built_below_cutoff_only(self, spec, streams, monkeypatch):
+        # three chunks over four blocks: each builds its streams at its first trial
+        built = []
+
+        def spy(seed, index, first, stream=experiments._stream):
+            built.append((index, first))
+            return stream(seed, index, first)
+
+        monkeypatch.setattr(experiments, "_stream", spy)
+        report = run_barrier_monte_carlo(spec, parallel_trials=3)
+        assert sorted(built) == [(j, first) for j in streams for first in (0, BLOCK, 2 * BLOCK)]
+        p_tunnel = None if report.model["above_cutoff"] else report.model["tunnel_probability"]
+        assert (report.transmitted, report.tunneled) == _float_counts(spec, p_tunnel)
+
+    @pytest.mark.parametrize("workers", [0, 65])
+    def test_worker_count_outside_the_cap(self, workers):
+        with pytest.raises(ConfigurationError, match="parallel_trials must be between 1 and 64"):
+            run_barrier_monte_carlo(_above_spec(), parallel_trials=workers)
 
 
 # ---------------------------------------------------------------------------
