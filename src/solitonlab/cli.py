@@ -4,10 +4,11 @@ One experiment per invocation.  A run's values enter only through its
 config: a single JSON document named by ``--config``, with dotted-path
 overrides (``--set solver.dt=1e-3``); there are no per-command value
 flags (barrier's ``--parallel-trials`` is an execution setting and
-changes wall time only).  Every effective physics value appears in the
-config echo (no silent defaults for physics parameters), and each run
-that writes files also writes a manifest with the config digest, seed,
-and per-file content digests so a run is reconstructible bit for bit.
+changes wall time only).  The reader records every value it checks,
+defaults included, spelled one canonical way; each run that writes files
+also writes a manifest with that record, its digest, the seed and
+per-file content digests, so a run is reconstructible bit for bit and
+spellings of one physical config (``1024`` and ``1024.0``) share a digest.
 Data outputs are JSON/CSV only, never rendered images.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
@@ -121,14 +122,16 @@ _REQUIRED = object()
 _KINDS = {"int": int, "float": float, "int | None": int, "float | None": float}
 
 
-def _check(value, kind, name: str, lo=None, hi=None):
+def _check(value, kind, name: str, lo=None, hi=None, of=None):
     """value as kind, or a ConfigurationError naming the field.
 
     Floats must be finite (ints are accepted, bools are not); ints must be
     integral (2.0 reads as 2, 2.5 is rejected) and, spelt as floats, at
     most 2^53 in magnitude, so an int is never read off a float's rounding
     (1e300 would read as a 301-digit int); an enum kind takes the member
-    whose value is named; lo and hi are inclusive bounds.
+    whose value is named; lo and hi are inclusive bounds.  A list kind
+    with element kind `of` is its elements checked as `of`; lo and hi bound
+    its length first, then each element.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if kind is float and number and abs(value) <= sys.float_info.max:
@@ -144,6 +147,9 @@ def _check(value, kind, name: str, lo=None, hi=None):
     elif kind in (int, float) or not isinstance(value, kind):
         finite = "a finite " if kind is float else ""
         raise ConfigurationError(f"{name} must be {finite}{kind.__name__}, got {value!r}")
+    if of is not None:
+        _check(len(value), int, f"the length of {name}", lo, hi)
+        return [_check(item, of, f"{name}[]", lo, hi) for item in value]
     if lo is not None and value < lo:
         raise ConfigurationError(f"{name} must be >= {lo}, got {value}")
     if hi is not None and value > hi:
@@ -151,18 +157,23 @@ def _check(value, kind, name: str, lo=None, hi=None):
     return value
 
 
-def _get(section: dict, key: str, kind, default=_REQUIRED, where: str = "", lo=None,
-         hi=None):
-    """section[key] checked by _check; null is accepted only where the
-    default is None, and a missing field without a default is an error."""
+def _get(section: _Section, key: str, kind, default=_REQUIRED, where: str = "", lo=None,
+         hi=None, of=None):
+    """section[key] checked by _check and recorded in section.read (an enum
+    by its value, an object by its own record); null is accepted only where
+    the default is None, and a missing field without a default is an error."""
     name = f"{where}.{key}" if where else key
     if key not in section:
         if default is _REQUIRED:
             raise ConfigurationError(f"missing required field {name!r}")
-        return default
-    if section[key] is None and default is None:
-        return None
-    return _check(section[key], kind, name, lo, hi)
+        value = default
+    elif section[key] is None and default is None:
+        value = None
+    else:
+        value = _check(section[key], kind, name, lo, hi, of)
+    section.read[key] = (value.read if isinstance(value, _Section)
+                         else value.value if isinstance(value, enum.Enum) else value)
+    return value
 
 
 def _fields(cls, section: dict, where: str = "", keys: dict | None = None) -> dict:
@@ -177,23 +188,19 @@ def _fields(cls, section: dict, where: str = "", keys: dict | None = None) -> di
 
 
 class _Section(dict):
-    """A config object that records the keys its reader takes with [], as
-    _get does; nested objects become _Sections too."""
+    """A config object and, in .read, the values _get took from it;
+    nested objects become _Sections too."""
 
     def __init__(self, items: dict):
         super().__init__({key: _Section(value) if isinstance(value, dict) else value
                           for key, value in items.items()})
-        self.taken = set()
-
-    def __getitem__(self, key):
-        self.taken.add(key)
-        return super().__getitem__(key)
+        self.read = {}
 
 
 def _untaken(section: _Section, where: str = ""):
     """Dotted paths of the keys no reader took, in config order."""
     for key, value in section.items():
-        if key not in section.taken:
+        if key not in section.read:
             yield where + key
         elif isinstance(value, _Section):
             yield from _untaken(value, f"{where}{key}.")
@@ -218,8 +225,10 @@ def _parse_velocity(text) -> float:
 # prepare step, so they cannot disagree on whether a config runs.
 # ---------------------------------------------------------------------------
 
-def _prepare_kinematics(config: dict) -> KinematicState:
-    return kinematic_state(_parse_velocity(_get(config, "v", object)))
+def _prepare_kinematics(config: _Section) -> KinematicState:
+    v = _parse_velocity(_get(config, "v", object))
+    config.read["v"] = v  # recorded in m/s, however it was spelt
+    return kinematic_state(v)
 
 
 def _run_kinematics(state: KinematicState, args) -> tuple[dict, list[RunReport]]:
@@ -250,10 +259,10 @@ def _run_kinematics(state: KinematicState, args) -> tuple[dict, list[RunReport]]
 def _prepare_dispersion(config: dict) -> tuple[DispersionBranch, list]:
     branch = DispersionBranch(kind=_get(config, "branch", BranchKind),
                               **_fields(DispersionBranch, config))
-    ks = _get(config, "k_values", list, None)
+    ks = _get(config, "k_values", list, None, of=float)
     if ks is None:
         return branch, list(np.linspace(0.0, 3.0 * branch.omega0, 31))
-    return branch, [_check(k, float, "k_values[]") for k in ks]
+    return branch, ks
 
 
 def _run_dispersion(inputs, args) -> tuple[dict, list[RunReport]]:
@@ -285,8 +294,7 @@ def _potential(config: dict, grid: Grid1D) -> np.ndarray | None:
     if kind == "linear":
         return _get(section, "slope", float, where="potential") * z
     if kind == "tabulated":
-        values = np.array([_check(v, float, "potential.values[]")
-                           for v in _get(section, "values", list, where="potential")])
+        values = np.array(_get(section, "values", list, where="potential", of=float))
         if values.shape != (grid.n,):
             raise ConfigurationError(
                 f"potential.values must have grid length {grid.n}, got {values.shape}"
@@ -408,11 +416,8 @@ def _run_barrier(spec: BarrierSpec, args) -> tuple[dict, list[RunReport]]:
 
 def _prepare_bohr(config: dict) -> list[int]:
     n_max = _get(config, "n_max", int, 20, lo=1, hi=MAX_BOHR_N)
-    n_values = _get(config, "n_values", list, None)
-    if n_values is None:
-        return list(range(1, n_max + 1))
-    _check(len(n_values), int, "the length of n_values", lo=1, hi=MAX_BOHR_N)
-    return [_check(n, int, "n_values[]", lo=1, hi=MAX_BOHR_N) for n in n_values]
+    n_values = _get(config, "n_values", list, None, lo=1, hi=MAX_BOHR_N, of=int)
+    return list(range(1, n_max + 1)) if n_values is None else n_values
 
 
 def _run_bohr(n_values: list[int], args) -> tuple[dict, list[RunReport]]:
@@ -459,31 +464,36 @@ def _run_photon(inputs, args) -> tuple[dict, list[RunReport]]:
             "f_zigzag_hz": rel.f_zigzag, "E_zigzag_J": rel.E_zigzag}, []
 
 
-#: experiment name -> (prepare, run)
+#: experiment name -> (help line, prepare, run); each is a subcommand
+#: taking --config, --set and --out
 _EXPERIMENTS = {
-    "kinematics": (_prepare_kinematics, _run_kinematics),
-    "dispersion": (_prepare_dispersion, _run_dispersion),
-    "evolve": (_prepare_evolve, _run_evolve),
-    "madelung": (_prepare_madelung, _run_madelung),
-    "soliton-vs-dispersion": (_prepare_dichotomy, _run_dichotomy),
-    "barrier": (_prepare_barrier, _run_barrier),
-    "bohr": (_prepare_bohr, _run_bohr),
-    "photon": (_prepare_photon, _run_photon),
+    "kinematics": ("closed-form guided-particle state", _prepare_kinematics, _run_kinematics),
+    "dispersion": ("dispersion relation table", _prepare_dispersion, _run_dispersion),
+    "evolve": ("evolve run from a config file", _prepare_evolve, _run_evolve),
+    "madelung": ("madelung run from a config file", _prepare_madelung, _run_madelung),
+    "soliton-vs-dispersion": ("three-way width comparison on one sech packet",
+                              _prepare_dichotomy, _run_dichotomy),
+    "barrier": ("hidden-phase barrier Monte Carlo", _prepare_barrier, _run_barrier),
+    "bohr": ("orbit ladder and phase accordance", _prepare_bohr, _run_bohr),
+    "photon": ("guided-photon frequency relations", _prepare_photon, _run_photon),
 }
 
 
-def _prepare(experiment: str, config: dict):
-    """The experiment's prepare step on config, after checking the seed the
-    manifest records.  A key it leaves unread, other than the dispatch key,
-    is an unknown field, so a misspelt key cannot fall back to a default."""
+def _prepare(experiment: str, config: dict) -> tuple[object, dict]:
+    """The experiment's prepare step on config, and the record of what it
+    read: the experiment, the seed if given, and every field with its
+    checked value, defaults included, so two spellings of one physical
+    config give one record.  A key it leaves unread is an unknown field,
+    so a misspelt key cannot fall back to a default."""
     section = _Section(config)
+    section.read["experiment"] = experiment
     if "seed" in section:
-        _check(section["seed"], int, "seed", lo=0)
-    inputs = _EXPERIMENTS[experiment][0](section)
-    for path in _untaken(section):
-        if path != "experiment":
-            raise ConfigurationError(f"unknown field {path}")
-    return inputs
+        _get(section, "seed", int, lo=0)
+    inputs = _EXPERIMENTS[experiment][1](section)
+    unread = next(_untaken(section), None)
+    if unread is not None:
+        raise ConfigurationError(f"unknown field {unread}")
+    return inputs, section.read
 
 
 def validate(config: dict) -> list[str]:
@@ -520,7 +530,7 @@ def _resolve_out_dir(explicit: str | None, experiment: str, seed) -> Path | None
     return Path(root) / f"{experiment}-{stamp}-{seed}"
 
 
-def _emit(config: dict, result: dict, reports: list[RunReport],
+def _emit(record: dict, result: dict, reports: list[RunReport],
           out_dir: Path | None, started: str) -> None:
     if out_dir is None:
         return
@@ -543,10 +553,10 @@ def _emit(config: dict, result: dict, reports: list[RunReport],
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = {
         "tool_version": __version__,
-        "experiment": config.get("experiment"),
-        "config": config,
-        "config_digest": config_digest(config),
-        "seed": config.get("seed"),
+        "experiment": record.get("experiment"),
+        "config": record,
+        "config_digest": config_digest(record),
+        "seed": record.get("seed"),
         "started_utc": started,
         "finished_utc": finished,
         "outputs": [
@@ -570,21 +580,6 @@ def _worker_count(text: str) -> int:
     return value
 
 
-#: subcommand -> help line; each takes --config and --set, each but
-#: validate takes --out
-_COMMANDS = {
-    "kinematics": "closed-form guided-particle state",
-    "dispersion": "dispersion relation table",
-    "evolve": "evolve run from a config file",
-    "madelung": "madelung run from a config file",
-    "soliton-vs-dispersion": "three-way width comparison on one sech packet",
-    "barrier": "hidden-phase barrier Monte Carlo",
-    "bohr": "orbit ladder and phase accordance",
-    "photon": "guided-photon frequency relations",
-    "validate": "validate a config without running",
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="solitonlab",
@@ -592,7 +587,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in _COMMANDS.items():
+    helps = {name: text for name, (text, _, _) in _EXPERIMENTS.items()}
+    for name, text in {**helps, "validate": "validate a config without running"}.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=name == "validate", help="JSON config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
@@ -629,13 +625,12 @@ def main(argv: list[str] | None = None) -> int:
             print("config is runnable")
             return EXIT_OK
 
-        config = _config_from_args(args)
-        inputs = _prepare(args.command, config)
-        run = _EXPERIMENTS[args.command][1]
+        inputs, record = _prepare(args.command, _config_from_args(args))
+        run = _EXPERIMENTS[args.command][2]
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         result, reports = run(inputs, args)
-        out_dir = _resolve_out_dir(args.out, config["experiment"], config.get("seed", 0))
-        _emit(config, result, reports, out_dir, started)
+        out_dir = _resolve_out_dir(args.out, record["experiment"], record.get("seed", 0))
+        _emit(record, result, reports, out_dir, started)
         return EXIT_OK
     except (ConfigurationError, DomainError, FileNotFoundError, json.JSONDecodeError) as err:
         print(f"configuration error: {err}", file=sys.stderr)

@@ -15,11 +15,13 @@ from solitonlab.cli import (
     EXIT_OK,
     _emit,
     apply_overrides,
+    canonical_json,
     load_config,
     main,
     validate,
 )
 from solitonlab.errors import ConfigurationError, NumericalError
+from solitonlab.kinematics import electron_constants
 from solitonlab.report import RunReport
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -322,6 +324,8 @@ def _argv(config: str, overrides: list[str]) -> list[str]:
     ("gaussian-linear.json", ["grid.z_min=0", "grid.z_max=1e-320", "packet.k0=0"], "grid"),
     # omega0 = 2 pi f0 overflows, and with it the default k grid up to 3 omega0
     ("dispersion", ["branch=klein_gordon", "f0=1e308"], "f0"),
+    # about 40 days of trials on one worker
+    ("barrier-gap08.json", ["trials=1000000000000000"], "trials"),
 ])
 def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
@@ -531,3 +535,77 @@ def test_run_agrees_with_validate_property(field, value, monkeypatch):
         assert out.exists() == (code == EXIT_OK)
         for report in out.rglob("report.json"):
             json.loads(report.read_text(), parse_constant=_reject_constant)
+
+
+# ---------------------------------------------------------------------------
+# the manifest records the config as read: one digest per physical config
+# ---------------------------------------------------------------------------
+
+def _manifest(argv: list[str], out: Path) -> dict:
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    return json.loads((out / "manifest.json").read_text())
+
+
+def _spelt(name: str, *overrides: str, drop: str | None = None) -> dict:
+    """_config(name) with overrides applied and the top-level key drop left out."""
+    config = apply_overrides(_config(name), list(overrides))
+    config.pop(drop, None)
+    return config
+
+
+#: two spellings of one physical config each (the dichotomy cut to t = 1)
+SPELLING_TWINS = {
+    "k_values": (_spelt("dispersion", "branch=klein_gordon", "k_values=[0,0.75]"),
+                 _spelt("dispersion", "branch=klein_gordon", "k_values=[0.0,0.75]")),
+    "n": (_spelt("dichotomy.json", "n=1024", "t_final=1"),
+          _spelt("dichotomy.json", "n=1024.0", "t_final=1")),
+    "observe_every": (_spelt("dichotomy.json", "t_final=1", drop="observe_every"),
+                      _spelt("dichotomy.json", "t_final=1", "observe_every=100")),
+    "t_final": (_spelt("gaussian-linear.json", "solver.t_final=2"),
+                _spelt("gaussian-linear.json", "solver.t_final=2.0")),
+    "v": (_spelt("kinematics", "v=0.6c"),
+          _spelt("kinematics", f"v={0.6 * electron_constants().c!r}")),
+}
+
+
+@pytest.mark.parametrize("twin", SPELLING_TWINS.values(), ids=list(SPELLING_TWINS))
+def test_spelling_twins_share_digest_and_outputs(twin, tmp_path):
+    assert canonical_json(twin[0]) != canonical_json(twin[1])
+    manifests = []
+    for i, config in enumerate(twin):
+        path = tmp_path / f"config-{i}.json"
+        path.write_text(json.dumps(config))
+        manifests.append(
+            _manifest([config["experiment"], "--config", str(path)], tmp_path / f"run-{i}"))
+    assert manifests[0]["config"] == manifests[1]["config"]
+    assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
+    assert _digest_tree(tmp_path / "run-0") == _digest_tree(tmp_path / "run-1")
+
+
+def test_manifest_config_holds_every_value_read(tmp_path):
+    config = _config("gaussian-linear.json")
+    del config["solver"]["observe_every"], config["packet"]["sigma"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    manifest = _manifest(["evolve", "--config", str(path), "--set", "solver.t_final=0.1"], out)
+    record = manifest["config"]
+    assert set(_field_paths(config)) <= set(_field_paths(record))
+    # the defaults the run used are recorded, as the report echoes them
+    echo = json.loads((out / "report.json").read_text())["config"]
+    assert record["solver"]["observe_every"] == echo["observe_every"] == 10
+    assert record["packet"]["sigma"] == echo["packet"]["sigma"] == 1.0
+    assert record["potential"] is None and record["solver"]["order"] == 2
+    assert record["solver"]["t_final"] == 0.1
+    assert (manifest["experiment"], record["experiment"]) == ("evolve", "evolve")
+    assert manifest["seed"] == record["seed"] == 0
+    assert manifest["config_digest"] == hashlib.sha256(canonical_json(record).encode()).hexdigest()
+
+
+def test_digest_follows_a_physical_value(tmp_path):
+    digests = {
+        _manifest(["dispersion", "--set", "branch=klein_gordon", "--set", f"k_values={ks}"],
+                  tmp_path / str(i))["config_digest"]
+        for i, ks in enumerate(["[0,0.75]", "[0,0.8]"])
+    }
+    assert len(digests) == 2

@@ -29,7 +29,7 @@ from solitonlab import (
     run_dispersion_vs_soliton,
 )
 from solitonlab import experiments
-from solitonlab.experiments import TRANSPORT_MAX_DT, _count_chunk, _gap_word_ranges
+from solitonlab.experiments import MAX_TRIALS, TRANSPORT_MAX_DT, _count_chunk, _gap_intervals
 from solitonlab.solvers import MAX_POTENTIAL_PHASE_PER_STEP, ORDERS
 
 K = electron_constants()
@@ -318,13 +318,18 @@ class TestBarrierMonteCarlo:
         with pytest.raises(ConfigurationError):
             BarrierSpec(height=1.0, length=1e-12, energy=1.0, trials=0, seed=0)
 
+    def test_trials_bound(self):
+        BarrierSpec(height=1.0, length=1e-12, energy=1.0, trials=MAX_TRIALS, seed=0)
+        with pytest.raises(ConfigurationError, match="trials"):
+            BarrierSpec(height=1.0, length=1e-12, energy=1.0, trials=MAX_TRIALS + 1, seed=0)
+
 
 # ---------------------------------------------------------------------------
-# barrier Monte Carlo on raw words
+# barrier Monte Carlo on exact draw intervals
 # ---------------------------------------------------------------------------
 
 GUIDE_WIDTH = K.c / (2 * K.cutoff_frequency)
-HALF_M = 1 << 52  # m = w >> 11 at u = 1/2
+HALF_M = 1 << 52  # m = u 2^53 at u = 1/2
 TOP_M = (1 << 53) - 1
 BLOCK = 1 << 16
 
@@ -332,6 +337,13 @@ BLOCK = 1 << 16
 def _position(width: float, m: int) -> float:
     # the transverse position of the float draw u = m 2^-53
     return width * (1.0 - abs(1.0 - 2.0 * (m * 2.0**-53)))
+
+
+def _m(u: float) -> int:
+    # m with u = m 2^-53, which must hold exactly
+    m = u * 2.0**53
+    assert m.is_integer()
+    return int(m)
 
 
 def _above_spec(offset=0.0, trials=10, seed=1) -> BarrierSpec:
@@ -404,22 +416,20 @@ class TestBarrierWordThresholds:
         def in_gap(m):
             return 0 <= m <= TOP_M and gap_lo <= _position(width, m) <= gap_hi
 
-        ranges = _gap_word_ranges(width, gap_lo, gap_hi)
-        assert len(ranges) == 2  # one on each side of the tent's peak
-        for (lo, hi), (first, last) in zip(ranges, [(0, HALF_M), (HALF_M + 1, TOP_M)]):
-            assert lo & 0x7FF == 0 and hi & 0x7FF == 0x7FF
-            a, b = lo >> 11, hi >> 11
+        intervals = _gap_intervals(width, gap_lo, gap_hi)
+        assert len(intervals) == 2  # one on each side of the tent's peak
+        (a1, b1), (a2, b2) = ((_m(lo), _m(hi)) for lo, hi in intervals)
+        for a, b, first, last in ((a1, b1, 0, HALF_M), (a2, b2, HALF_M + 1, TOP_M)):
             assert first <= a <= b <= last
             assert in_gap(a) and in_gap(b)
-            # a neighbour outside the range is outside the gap or on the other half
+            # a neighbour outside the interval is outside the gap or on the other half
             assert a == first or not in_gap(a - 1)
             assert b == last or not in_gap(b + 1)
-        (lo1, hi1), (lo2, hi2) = ranges
-        if 0 < lo1 and hi1 >> 11 < HALF_M:
+        if 0 < a1 and b1 < HALF_M:
             # the falling half mirrors the rising one: position(m) = position(2^53 - m)
-            assert (lo2 >> 11, hi2 >> 11) == ((1 << 53) - (hi1 >> 11), (1 << 53) - (lo1 >> 11))
+            assert (a2, b2) == ((1 << 53) - b1, (1 << 53) - a1)
         else:
-            assert hi1 >> 11 == HALF_M and lo2 >> 11 == HALF_M + 1
+            assert b1 == HALF_M and a2 == HALF_M + 1
 
     def test_trial_count_at_the_range_ends(self, monkeypatch):
         # phase draws one step inside and outside each end of the gap
@@ -428,8 +438,8 @@ class TestBarrierWordThresholds:
         for spec in (_above_spec(trials=8), _below_spec(trials=8)):
             model = run_barrier_monte_carlo(spec).model
             _, width, _, gap_lo, gap_hi = spec.geometry()
-            ends = [m + d for lo, hi in _gap_word_ranges(width, gap_lo, gap_hi)
-                    for m, d in ((lo >> 11, -1), (lo >> 11, 0), (hi >> 11, 0), (hi >> 11, 1))]
+            ends = [m + d for lo, hi in _gap_intervals(width, gap_lo, gap_hi)
+                    for m, d in ((_m(lo), -1), (_m(lo), 0), (_m(hi), 0), (_m(hi), 1))]
             in_gap = [gap_lo <= _position(width, m) <= gap_hi for m in ends]
             assert all(0 <= m <= TOP_M for m in ends)
             assert in_gap == [False, True, True, False] * 2
@@ -481,7 +491,7 @@ class TestBarrierWordThresholds:
         _below_spec(0.0, trials=3 * BLOCK + 7),
         _below_spec(0.05, trials=100_003, seed=8),
         _below_spec(-0.0999999, trials=100_003, seed=9),
-        _below_spec(0.0, trials=70_001, length=1e-30),  # p = 1: every word tunnels
+        _below_spec(0.0, trials=70_001, length=1e-30),  # p = 1: every gap draw tunnels
         _below_spec(0.0, trials=70_001, length=1e-9),  # p = 0: none does
         _above_spec(0.0, trials=1, seed=16),
     ], ids=["gap08", "+0.05w", "-0.05w", "+0.0999999w", "-0.0999999w", "vanishing",
