@@ -426,7 +426,7 @@ def evolve_dispersionless(initial: MadelungField, config: SolverConfig) -> RunRe
         kappa = kappa + dt / 6.0 * (dkappa + 2.0 * dkappa + 2.0 * dkappa + dkappa)
         if not np.all(np.isfinite(y)):
             raise NumericalError(f"transport state blew up at step {step}")
-        if rec.due(step):
+        if step == rec.next:
             record(step, y[0], y[1], kappa)
 
     return rec.build()

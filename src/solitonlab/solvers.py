@@ -239,7 +239,8 @@ class _Recorder:
     {conserved}_final and max_relative_{w}_drift, with w the first word
     of the name.  A record step whose field or recorded quantity is not
     finite raises NumericalError, so a run that blew up cannot report
-    success.
+    success.  next is the first record step not yet recorded, worked out
+    once per record, so a stepping loop compares one integer per step.
     """
 
     def __init__(self, config: SolverConfig, grid: Grid1D):
@@ -250,6 +251,7 @@ class _Recorder:
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {}
         self.snapshots: list[Snapshot] = []
+        self.next = 0
 
     def observe_now(self, step: int) -> bool:
         if step == 0 or step == self.n_steps:
@@ -261,9 +263,12 @@ class _Recorder:
             return True
         return self.config.snapshot_every > 0 and step % self.config.snapshot_every == 0
 
-    def due(self, step: int) -> bool:
-        """Whether step is a record step (an observation, a snapshot or both)."""
-        return self.observe_now(step) or self.snapshot_now(step)
+    def _after(self, step: int) -> int:
+        """The first record step after step: the next multiple of either
+        cadence, or the final step."""
+        cadences = (self.config.observe_every, self.config.snapshot_every)
+        return min([self.n_steps,
+                    *((step // every + 1) * every for every in cadences if every > 0)])
 
     def record(self, step: int, values: np.ndarray, extra: dict[str, float] | None = None,
                snapshot_extra: dict[str, np.ndarray] | None = None) -> None:
@@ -289,6 +294,7 @@ class _Recorder:
                 self.series.setdefault(key, []).append(value)
         if self.snapshot_now(step):
             self.snapshots.append(Snapshot(t, field, snapshot_extra or {}))
+        self.next = self._after(step)
 
     def build(self) -> RunReport:
         series = {k: np.array(v) for k, v in self.series.items()}
@@ -343,7 +349,7 @@ def _split_step(psi0: ComplexField, config: SolverConfig,
     for step in range(1, n_steps + 1):
         for j, w in enumerate(weights):
             inner(state, w)
-            recording = j == last and rec.due(step)
+            recording = j == last and step == rec.next
             if merged is None and not recording:
                 continue
             to_outer(state, out=buf)
@@ -466,7 +472,7 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
         nxt -= prev
         np.multiply(lam_dt2, cur, out=work)
         nxt -= work
-        if rec.due(step):
+        if step == rec.next:
             extra = None
             if rec.observe_now(step):
                 # centered time derivative at `step` uses the freshly computed state

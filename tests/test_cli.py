@@ -23,6 +23,8 @@ from solitonlab.cli import (
 from solitonlab.errors import ConfigurationError, NumericalError
 from solitonlab.kinematics import electron_constants
 from solitonlab.report import RunReport
+from solitonlab.solvers import nls_breather_exact
+from test_spectral_kernels import _count_ffts
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
@@ -106,6 +108,43 @@ def test_nls_order_four_from_config(tmp_path):
     assert main(_argv("breather-v1.json", overrides) + ["--out", str(tmp_path)]) == EXIT_OK
     config = json.loads((tmp_path / "report.json").read_text())["config"]
     assert (config["order"], config["dt"]) == (4, 0.01)
+
+
+def _breather_run(out: Path, overrides: list[str]) -> tuple[dict, float, int]:
+    """(report, L2 error of the final snapshot against the exact breather,
+    numpy.fft calls) of breather-v1 through main."""
+    with pytest.MonkeyPatch.context() as patch:
+        counts = _count_ffts(patch)
+        assert main(_argv("breather-v1.json", overrides) + ["--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    packet, dz = report["config"]["packet"], report["config"]["grid"]["dz"]
+    final = sorted((out / "snapshots").glob("snapshot-*.csv"))[-1]
+    z, re, im = np.loadtxt(final, delimiter=",", skiprows=3, usecols=(0, 1, 2)).T
+    exact = nls_breather_exact(z, report["snapshot_times"][-1], packet["amplitude"],
+                               packet["velocity"], packet["center"])
+    error = float(np.sqrt(np.sum(np.abs(re + 1j * im - exact) ** 2) * dz))
+    return report, error, sum(counts.values())
+
+
+def test_shipped_breather_beats_strang_at_equal_error(tmp_path):
+    # the shipped order-4 run at dt 1e-2 against the Strang run at dt 1e-3
+    # it replaced, on the same packet and outputs: no larger error, at most
+    # a third of the FFTs
+    _, error, ffts = _breather_run(tmp_path / "shipped", [])
+    strang = ["solver.order=2", "solver.dt=0.001", "solver.snapshot_every=5000",
+              "solver.observe_every=100"]
+    _, strang_error, strang_ffts = _breather_run(tmp_path / "strang", strang)
+    assert error <= strang_error
+    assert 3 * ffts <= strang_ffts
+
+
+def test_shipped_breather_output_layout(tmp_path):
+    report, _, _ = _breather_run(tmp_path, [])
+    assert report["snapshot_times"] == [0.0, 5.0, 10.0]
+    times = np.array(report["series"]["t"])
+    assert len(times) == 101 and times[0] == 0.0
+    assert np.diff(times) == pytest.approx(np.full(100, 0.1))
+    assert report["config"]["order"] == 4
 
 
 def test_unknown_experiment(tmp_path, capsys):
