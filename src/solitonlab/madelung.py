@@ -402,10 +402,9 @@ def evolve_dispersionless(initial: MadelungField, config: SolverConfig) -> RunRe
             fld = MadelungField(grid, r_now, s_full,
                                 support=r_now >= DEFAULT_NODE_THRESHOLD * float(r_now.max()))
             columns = {"R": r_now, "S": s_full, "Q": quantum_potential(fld)}
-        # recompose as a bare array: the recorder makes the one checked copy
-        rec.record(step, r_now * np.exp(1j * s_full),
-                   extra={"rho_integral": float(np.sum(rho_c) * grid.dz)},
-                   snapshot_extra=columns)
+        extra = {"rho_integral": float(np.sum(rho_c) * grid.dz)} if rec.observe_now(step) else None
+        # recompose as a one-row block: the recorder copies it only for a snapshot
+        rec.record(step, r_now * np.exp(1j * s_full), extra=extra, snapshot_extra=columns)
 
     record(0, y[0], y[1], kappa)
     for step in range(1, n_steps + 1):

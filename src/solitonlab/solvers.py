@@ -24,16 +24,16 @@ the linear step is a single diagonal multiplication.  At
 SolverConfig.order = 4 the cubic step is Yoshida's symmetric composition
 of three Strang sub-steps (Yoshida 1990), O(dt^4) instead of O(dt^2).
 Every factor is a phase, so both schemes are unitary up to roundoff.  The
-second-order equation is integrated by leapfrog with a spectral
-Laplacian.  It has constant coefficients, so the leapfrog steps the
-spectra mode by mode, in three rotating buffers, and makes no FFT per
-step; its energy is summed over the spectra (Parseval).  Its initial
+second-order equation, diagonal in k with no potential, is not stepped:
+each mode's closed form is evaluated at the record steps, in blocks of
+rows, and its energy summed over the spectra (Parseval).  Its initial
 time derivative is caller-supplied because the equation genuinely needs
 two Cauchy data.
 
 Observable extraction and snapshot recording run on a configurable
 cadence decoupled from stepping; only a record step transforms a
-spectral state back to z, and the recorder keeps copies, so a reused
+spectral state back to z.  The recorder takes a block of rows (one row
+from a stepping scheme) and copies only the snapshot rows, so a reused
 step buffer never reaches a record.  A record step whose field or
 recorded quantity is not finite raises NumericalError.  The recorder
 also builds the report: each scheme names the observable it conserves
@@ -48,17 +48,19 @@ import enum
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .grid import ComplexField, Grid1D, observables
+from .grid import ComplexField, Grid1D, row_observables
 from .report import RunReport, Snapshot
 
 #: accuracy guard for split-step potential phases
 MAX_POTENTIAL_PHASE_PER_STEP = 0.1
-#: safety factor on the leapfrog's spectral stability bound
-LEAPFROG_SAFETY = 0.9
+#: complex values in one block of Klein-Gordon record rows (16 rows at n = 512;
+#: one row at a time from n = 2^13 up)
+KG_BLOCK_VALUES = 2**13
 _YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 #: the cubic scheme's step per order, as the weights of its Strang sub-steps:
 #: order 4 is Yoshida's symmetric composition (Yoshida 1990), with a
@@ -184,14 +186,6 @@ def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
     elif config.order != 2 and config.scheme is not Scheme.NLS:
         problems.append(f"{config.scheme.value} has only a second-order step; "
                         f"order must be 2, got {config.order}")
-    if config.scheme is Scheme.KLEIN_GORDON:
-        # the largest eigenvalue of the spectral operator is 1 + k_max^2
-        bound = LEAPFROG_SAFETY * 2.0 / math.hypot(1.0, math.pi / grid.dz)
-        if config.dt > bound:
-            problems.append(
-                f"leapfrog dt = {config.dt} violates the spectral stability bound "
-                f"2/sqrt(1 + k_max^2) (= {bound:.3g} with safety factor)"
-            )
     if config.probe_index is not None and not (0 <= config.probe_index < grid.n):
         problems.append(f"probe_index {config.probe_index} outside grid")
     return problems
@@ -221,13 +215,6 @@ def require_nonlinear_phase(psi0: ComplexField, config: SolverConfig) -> None:
             f"accuracy guard {MAX_POTENTIAL_PHASE_PER_STEP}; reduce dt = {config.dt}")
 
 
-def _require_finite(quantities: dict[str, float], step: int, t: float) -> None:
-    """Raise NumericalError naming the first quantity that is not finite."""
-    for name, value in quantities.items():
-        if not math.isfinite(value):
-            raise NumericalError(f"{name} is not finite at step {step} (t = {t:.6g})")
-
-
 class _Recorder:
     """Accumulates a run's record on the set cadence and builds its report.
 
@@ -251,6 +238,7 @@ class _Recorder:
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {}
         self.snapshots: list[Snapshot] = []
+        self.cadences = [e for e in (config.observe_every, config.snapshot_every) if e > 0]
         self.next = 0
 
     def observe_now(self, step: int) -> bool:
@@ -266,35 +254,63 @@ class _Recorder:
     def _after(self, step: int) -> int:
         """The first record step after step: the next multiple of either
         cadence, or the final step."""
-        cadences = (self.config.observe_every, self.config.snapshot_every)
-        return min([self.n_steps,
-                    *((step // every + 1) * every for every in cadences if every > 0)])
+        after = self.n_steps
+        for every in self.cadences:
+            after = min(after, (step // every + 1) * every)
+        return after
 
-    def record(self, step: int, values: np.ndarray, extra: dict[str, float] | None = None,
+    def record_steps(self) -> list[int]:
+        """Every record step of the run, ascending."""
+        return sorted({0, self.n_steps}.union(*(range(e, self.n_steps, e) for e in self.cadences)))
+
+    def record(self, steps: int | list[int], rows: np.ndarray, extra: dict | None = None,
                snapshot_extra: dict[str, np.ndarray] | None = None) -> None:
-        t = step * self.config.dt
+        """Record rows[i], the field at record step steps[i] (ascending; a
+        step and a 1-D field make a one-row block), with extra quantities,
+        a value per observation row, and snapshot_extra columns, a row per
+        snapshot row.  Only the snapshot rows are copied.  The block is
+        checked before anything is kept: the first row that is not finite
+        raises NumericalError naming its step and first failing quantity,
+        in the order field, extra, observables, probe.  A row that is not
+        finite has a norm that is not, and ComplexField checks the snapshot
+        rows, so no row is scanned twice."""
+        if rows.ndim == 1:
+            steps, rows = [steps], rows[None]
+        dt = self.config.dt
         extra = extra or {}
-        try:
-            # copies the values and scans them once; a grid-length array
-            # can fail only the finiteness check
-            field = ComplexField(self.grid, values)
-        except ConfigurationError:
-            raise NumericalError(f"field is not finite at step {step} (t = {t:.6g})") from None
-        _require_finite(extra, step, t)
-        if self.observe_now(step):
-            obs = {**observables(field), **extra}
+        observed = [i for i, step in enumerate(steps) if self.observe_now(step)]
+        snapped = [i for i, step in enumerate(steps) if self.snapshot_now(step)]
+        series = {}
+        if observed:
+            at = rows if len(observed) == len(rows) else rows[observed]
+            series = row_observables(self.grid, at)
+            series.update((name, np.atleast_1d(value).tolist()) for name, value in extra.items())
             if self.config.probe_index is not None:
-                probe = field.values[self.config.probe_index]
-                obs["probe_re"] = float(probe.real)
-                obs["probe_im"] = float(probe.imag)
-            # the observables of a finite field can still overflow
-            _require_finite(obs, step, t)
-            self.times.append(t)
-            for key, value in obs.items():
-                self.series.setdefault(key, []).append(value)
-        if self.snapshot_now(step):
-            self.snapshots.append(Snapshot(t, field, snapshot_extra or {}))
-        self.next = self._after(step)
+                probe = at[:, self.config.probe_index]
+                series.update(probe_re=probe.real.tolist(), probe_im=probe.imag.tolist())
+        columns = {name: np.atleast_2d(value) for name, value in (snapshot_extra or {}).items()}
+        try:
+            snapshots = [Snapshot(steps[i] * dt, ComplexField(self.grid, rows[i]),
+                                  {name: value[j] for name, value in columns.items()})
+                         for j, i in enumerate(snapped)]
+        except ConfigurationError:
+            snapshots = None
+        if snapshots is None or not all(map(math.isfinite, chain(*series.values()))):
+            finite = np.isfinite(rows).all(axis=-1)
+            names = sorted(series, key=lambda name: name not in extra)
+            for i, step in enumerate(steps):
+                failed = [] if finite[i] else ["field"]
+                if i in observed:
+                    j = observed.index(i)
+                    failed += [name for name in names if not math.isfinite(series[name][j])]
+                if failed:
+                    raise NumericalError(
+                        f"{failed[0]} is not finite at step {step} (t = {step * dt:.6g})")
+        self.times.extend([steps[i] * dt for i in observed])
+        for name, values in series.items():
+            self.series.setdefault(name, []).extend(values)
+        self.snapshots.extend(snapshots)
+        self.next = self._after(steps[-1])
 
     def build(self) -> RunReport:
         series = {k: np.array(v) for k, v in self.series.items()}
@@ -405,19 +421,19 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
 
 
 def _spectral_energy(spec: np.ndarray, spec_t: np.ndarray, lam: np.ndarray,
-                     dz: float) -> float:
-    """dz/n sum(|spec_t|^2 + lam |spec|^2): by Parseval, the energy integral
-    of the fields whose spectra are spec and spec_t."""
+                     dz: float):
+    """dz/n sum(|spec_t|^2 + lam |spec|^2) over the last axis: by Parseval, the
+    energy integral of each row of the fields whose spectra are spec and spec_t."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = np.vdot(spec_t, spec_t).real + np.vdot(spec, lam * spec).real
-        return float(total * dz / spec.size)
+        total = np.vecdot(spec_t, spec_t).real + np.vecdot(spec, lam * spec).real
+        return total * dz / spec.shape[-1]
 
 
-def kg_energy(psi: np.ndarray, psi_t: np.ndarray, grid: Grid1D) -> float:
-    """Discrete energy integral(|psi_t|^2 + |psi_z|^2 + |psi|^2) dz
-    with the spectral psi_z (Nyquist mode kept), summed over the spectra by
-    Parseval; inf or nan, without a floating-point warning, when the density
-    overflows."""
+def kg_energy(psi: np.ndarray, psi_t: np.ndarray, grid: Grid1D):
+    """Discrete energy integral(|psi_t|^2 + |psi_z|^2 + |psi|^2) dz of each row
+    (a float for one field) with the spectral psi_z (Nyquist mode kept), summed
+    over the spectra by Parseval; inf or nan, without a floating-point
+    warning, when the density overflows."""
     lam = 1.0 + grid.k**2
     return _spectral_energy(np.fft.fft(psi), np.fft.fft(psi_t), lam, grid.dz)
 
@@ -435,53 +451,35 @@ def one_branch_time_derivative(psi0: ComplexField) -> ComplexField:
 
 def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
                         config: SolverConfig) -> RunReport:
-    """Leapfrog for psi_tt = psi_zz - psi with spectral Laplacian.
-
-    The equation is diagonal in k, psi_tt = -lambda(k) psi with
-    lambda = 1 + k^2, so the leapfrog recursion is stepped on the
-    spectra: the same scheme mode by mode, with no FFT per step.  A record
-    step makes one inverse FFT, for the field.  The reported "energy"
-    observable is summed over the spectra by Parseval,
-    dz/n sum(|psi_t^|^2 + lambda |psi^|^2), with the centered-difference
-    time derivative (nxt - prev) / (2 dt) at interior and final steps and
-    the supplied derivative at step 0; a snapshot-only step skips it.
+    """The exact flow of psi_tt = psi_zz - psi at its record steps: with
+    omega = sqrt(1 + k^2), each mode has the closed form (Hochbruck &
+    Ostermann 2010, Acta Numerica 19:209)
+      psi^(t)   = psi^_0 cos(omega t) + psi^_t0 sin(omega t) / omega
+      psi^_t(t) = psi^_t0 cos(omega t) - psi^_0 omega sin(omega t),
+    so dt is only the unit of the record cadence.  After step 0 (psi0
+    itself) the record steps go in blocks of max(1, KG_BLOCK_VALUES // n)
+    rows, one inverse FFT each.  The "energy" observable is summed over
+    the spectra by Parseval, dz/n sum(|psi_t^|^2 + omega^2 |psi^|^2).
     """
     grid = psi0.grid
     _require_valid(config, grid, Scheme.KLEIN_GORDON)
     if dpsi0_dt.grid != grid:
         raise ConfigurationError("psi0 and dpsi0_dt must share a grid")
-    n_steps = config.n_steps()
-    dt = config.dt
-    # eigenvalues of -(d_zz - 1) on the Fourier ladder
-    lam = 1.0 + grid.k**2
-    lam_dt2 = dt**2 * lam
-
+    omega = np.hypot(1.0, grid.k)
+    spec0, vel0 = np.fft.fft(psi0.values), np.fft.fft(dpsi0_dt.values)
     rec = _Recorder(config, grid)
-    prev = np.fft.fft(psi0.values)
-    vel0 = np.fft.fft(dpsi0_dt.values)
-    # third-order Taylor start keeps the startup error below the scheme order
-    cur = prev + dt * vel0 - (dt**2 / 2.0) * lam * prev - (dt**3 / 6.0) * lam * vel0
-
-    rec.record(0, psi0.values, extra={"energy": _spectral_energy(prev, vel0, lam, grid.dz)})
-
-    nxt = np.empty_like(cur)
-    work = np.empty_like(cur)
-    for step in range(1, n_steps + 1):
-        # nxt = 2 cur - prev - lam_dt2 cur
-        np.multiply(2.0, cur, out=nxt)
-        nxt -= prev
-        np.multiply(lam_dt2, cur, out=work)
-        nxt -= work
-        if step == rec.next:
-            extra = None
-            if rec.observe_now(step):
-                # centered time derivative at `step` uses the freshly computed state
-                np.subtract(nxt, prev, out=work)
-                work /= 2.0 * dt
-                extra = {"energy": _spectral_energy(cur, work, lam, grid.dz)}
-            rec.record(step, np.fft.ifft(cur), extra=extra)
-        prev, cur, nxt = cur, nxt, prev
-
+    rec.record(0, psi0.values, extra={"energy": _spectral_energy(spec0, vel0, omega**2, grid.dz)})
+    steps = rec.record_steps()[1:]
+    rows = max(1, KG_BLOCK_VALUES // grid.n)
+    for first in range(0, len(steps), rows):
+        block = steps[first:first + rows]
+        phase = np.multiply.outer(np.array(block) * config.dt, omega)
+        cos, sin = np.cos(phase), np.sin(phase)
+        spec = cos * spec0 + sin * (vel0 / omega)
+        observed = [i for i, step in enumerate(block) if rec.observe_now(step)]
+        spec_t = cos[observed] * vel0 - sin[observed] * (omega * spec0)
+        energy = _spectral_energy(spec[observed], spec_t, omega**2, grid.dz)
+        rec.record(block, np.fft.ifft(spec), extra={"energy": energy})
     return rec.build()
 
 

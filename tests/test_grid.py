@@ -20,7 +20,7 @@ from solitonlab import (
     spectral_derivative,
     write_snapshot_csv,
 )
-from solitonlab.grid import MAX_GRID_POINTS
+from solitonlab.grid import MAX_GRID_POINTS, row_observables
 
 SECH_RMS = math.pi / (2 * math.sqrt(3))  # sqrt(pi^2/12), second moment of sech^2
 
@@ -164,6 +164,25 @@ class TestObservables:
         n1 = observables(coarse)["norm"]
         n2 = observables(fine)["norm"]
         assert abs(n2 - n1) / n1 <= 1e-8
+
+    def test_equal_bit_for_bit_to_their_row_in_a_block(self, grid512):
+        rng = np.random.default_rng(3)
+        fields = [
+            build_packet(PacketSpec(PacketKind.SECH_BREATHER, velocity=1.0), grid512),
+            build_packet(PacketSpec(PacketKind.GAUSSIAN, center=2.0, k0=1.0), grid512),
+            build_packet(PacketSpec(PacketKind.PLANE_WAVE, k0=2 * math.pi / 51.2), grid512),
+            ComplexField(grid512, rng.normal(size=512) + 1j * rng.normal(size=512)),
+            # the peak at index 0: its parabolic fit takes the last point as neighbour
+            ComplexField(grid512, np.exp(-((np.arange(512) + 256) % 512 - 256) ** 2 / 50.0)),
+        ]
+        block = row_observables(grid512, np.array([f.values for f in fields]))
+        assert list(block) == ["norm", "centroid", "rms_width", "peak_position"]
+        for i, f in enumerate(fields):
+            one = observables(f)
+            assert list(one) == list(block)
+            for key, value in one.items():
+                assert type(value) is float
+                assert value == block[key][i]
 
 
 def test_snapshot_csv_round_trip(tmp_path, grid512):

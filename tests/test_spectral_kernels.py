@@ -1,12 +1,13 @@
 """The FFT-bound step kernels: cached grid arrays, the real-FFT derivative,
 the batched transport RK4, the merged NLS Strang and Yoshida steps, the
-spectral Klein-Gordon leapfrog and linear Schrodinger step, how many FFTs
-each step makes, and that no reused step buffer reaches a record.
+Klein-Gordon exact propagator in blocks of record rows and the linear
+Schrodinger step, how many FFTs each step or block makes, and that no
+reused step buffer reaches a record.
 
 The references here are written out in the tests (the unmerged Strang
-and Yoshida loops, the leapfrog in z, the tuple-form transport RK4 with complex-FFT
-derivatives) so the kernels are checked against the straightforward form
-of the same arithmetic.
+and Yoshida loops, the Klein-Gordon closed form one record at a time, the
+tuple-form transport RK4 with complex-FFT derivatives) so the kernels are
+checked against the straightforward form of the same arithmetic.
 """
 
 import dataclasses
@@ -35,7 +36,7 @@ from solitonlab import (
     one_branch_time_derivative,
     spectral_derivative,
 )
-from solitonlab import madelung
+from solitonlab import madelung, solvers
 from solitonlab.grid import real_spectral_derivative
 
 COMPLEX_FFTS = ("fft", "ifft")
@@ -270,29 +271,18 @@ def _relative(got, expected) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Klein-Gordon leapfrog on the spectra
+# Klein-Gordon exact propagator, in blocks of record rows
 # ---------------------------------------------------------------------------
 
-def _leapfrog_in_z(psi0: ComplexField, dpsi0: ComplexField, config: SolverConfig,
-                   record_steps: list[int]):
-    """The leapfrog stepped in z, one FFT pair per acceleration, with the
-    same Taylor start.  Returns {step: (psi, energy)} on record_steps."""
-    grid, dt = psi0.grid, config.dt
-    lam = 1.0 + grid.k**2
-
-    def accel(values):
-        return -np.fft.ifft(lam * np.fft.fft(values))
-
-    prev, vel0 = psi0.values.copy(), dpsi0.values
-    cur = prev + dt * vel0 + (dt**2 / 2.0) * accel(prev) + (dt**3 / 6.0) * accel(vel0)
-    states = {0: (prev.copy(), kg_energy(prev, vel0, grid))}
-    for step in range(1, config.n_steps() + 1):
-        nxt = 2.0 * cur - prev + dt**2 * accel(cur)
-        if step in record_steps:
-            psi_t = (nxt - prev) / (2.0 * dt)
-            states[step] = (cur, kg_energy(cur, psi_t, grid))
-        prev, cur = cur, nxt
-    return states
+def _kg_closed_form(psi0: ComplexField, dpsi0: ComplexField, t: float):
+    """(psi, psi_t) at time t, each mode by its closed form
+    psi^(t) = psi^_0 cos(w t) + psi^_t0 sin(w t) / w, w = sqrt(1 + k^2),
+    for one record at a time."""
+    omega = np.sqrt(1.0 + psi0.grid.k**2)
+    spec, vel = np.fft.fft(psi0.values), np.fft.fft(dpsi0.values)
+    cos, sin = np.cos(omega * t), np.sin(omega * t)
+    return (np.fft.ifft(spec * cos + vel * sin / omega),
+            np.fft.ifft(vel * cos - spec * omega * sin))
 
 
 _PLANE_WAVE_GRID = Grid1D(512, -8 * np.pi, 8 * np.pi)
@@ -302,9 +292,11 @@ _PLANE_WAVE_GRID = Grid1D(512, -8 * np.pi, 8 * np.pi)
     (_PLANE_WAVE_GRID, PacketSpec(kind=PacketKind.PLANE_WAVE, k0=0.75), 2000, 10, 0, 7),
     (Grid1D(512, -25.6, 25.6), PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0),
      500, 7, 13, None),
-], ids=["plane-wave", "gaussian"])
-def test_spectral_leapfrog_matches_leapfrog_in_z(grid, packet, n_steps, observe_every,
-                                                  snapshot_every, probe_index):
+    (Grid1D(64, -25.6, 25.6), PacketSpec(kind=PacketKind.GAUSSIAN, sigma=3.0, k0=0.5),
+     3000, 1, 0, 20),
+], ids=["plane-wave", "gaussian", "coarse-grid-many-records"])
+def test_kg_matches_closed_form(grid, packet, n_steps, observe_every, snapshot_every,
+                                probe_index):
     dt = 1e-3
     psi0 = build_packet(packet, grid)
     dpsi0 = one_branch_time_derivative(psi0)
@@ -313,18 +305,16 @@ def test_spectral_leapfrog_matches_leapfrog_in_z(grid, packet, n_steps, observe_
                           probe_index=probe_index)
     report = evolve_klein_gordon(psi0, dpsi0, config)
     observed, snapped = _cadence(n_steps, observe_every), _cadence(n_steps, snapshot_every)
-    states = _leapfrog_in_z(psi0, dpsi0, config, observed + snapped)
 
     assert [round(t / dt) for t in report.times] == observed
-    assert _relative(report.observable("energy"),
-                     np.array([states[s][1] for s in observed])) <= 1e-10
     assert [round(snap.t / dt) for snap in report.snapshots] == snapped
     for snap, step in zip(report.snapshots, snapped):
-        assert _relative(snap.field.values, states[step][0]) <= 1e-10
+        assert _relative(snap.field.values, _kg_closed_form(psi0, dpsi0, step * dt)[0]) <= 1e-12
     if probe_index is not None:
-        probe = np.array([states[s][0][probe_index] for s in observed])
+        probe = np.array([_kg_closed_form(psi0, dpsi0, s * dt)[0][probe_index]
+                          for s in observed])
         got = report.observable("probe_re") + 1j * report.observable("probe_im")
-        assert _relative(got, probe) <= 1e-10
+        assert _relative(got, probe) <= 1e-12
 
 
 def _energy_in_z(psi: np.ndarray, psi_t: np.ndarray, grid: Grid1D) -> float:
@@ -333,23 +323,6 @@ def _energy_in_z(psi: np.ndarray, psi_t: np.ndarray, grid: Grid1D) -> float:
     psi_z = np.fft.ifft(1j * grid.k * np.fft.fft(psi))
     density = np.abs(psi_t) ** 2 + np.abs(psi_z) ** 2 + np.abs(psi) ** 2
     return float(np.sum(density) * grid.dz)
-
-
-def _kg_fields_in_z(psi0: ComplexField, dpsi0: ComplexField, config: SolverConfig,
-                    record_steps: list[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The spectral leapfrog with every record state transformed back to z:
-    {step: (psi, centered psi_t)} on record_steps, (psi0, dpsi0) at step 0."""
-    grid, dt = psi0.grid, config.dt
-    lam = 1.0 + grid.k**2
-    prev, vel0 = np.fft.fft(psi0.values), np.fft.fft(dpsi0.values)
-    cur = prev + dt * vel0 - (dt**2 / 2.0) * lam * prev - (dt**3 / 6.0) * lam * vel0
-    fields = {0: (psi0.values, dpsi0.values)}
-    for step in range(1, config.n_steps() + 1):
-        nxt = 2.0 * cur - prev - dt**2 * lam * cur
-        if step in record_steps:
-            fields[step] = (np.fft.ifft(cur), np.fft.ifft((nxt - prev) / (2.0 * dt)))
-        prev, cur = cur, nxt
-    return fields
 
 
 @pytest.mark.parametrize("grid,packet,observe_every", [
@@ -364,28 +337,64 @@ def test_spectral_kg_energy_matches_energy_in_z(grid, packet, observe_every):
                           observe_every=observe_every)
     report = evolve_klein_gordon(psi0, dpsi0, config)
     observed = _cadence(n_steps, observe_every)
-    fields = _kg_fields_in_z(psi0, dpsi0, config, observed)
+    fields = [_kg_closed_form(psi0, dpsi0, s * dt) for s in observed]
 
-    in_z = np.array([_energy_in_z(*fields[s], grid) for s in observed])
+    in_z = np.array([_energy_in_z(psi, psi_t, grid) for psi, psi_t in fields])
     assert _relative(report.observable("energy"), in_z) <= 1e-13
-    public = np.array([kg_energy(*fields[s], grid) for s in observed])
+    # the public kg_energy is row-wise: one value per row of a block
+    rows, rows_t = (np.array(column) for column in zip(*fields))
+    public = kg_energy(rows, rows_t, grid)
+    assert public.shape == (len(observed),)
     assert _relative(public, in_z) <= 1e-13
+    assert isinstance(kg_energy(*fields[0], grid), float)
 
 
-def test_kg_record_step_makes_one_fft(monkeypatch, grid512):
-    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, k0=1.0), grid512)
+def test_kg_snapshot_only_steps_report_no_energy(monkeypatch):
+    # observe_every 10 and snapshot_every 8 over 200 steps: 21 observation
+    # steps among 41 record steps; energy is summed for the 21 only
+    grid = Grid1D(512, -25.6, 25.6)
+    narrow = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=0.5, k0=2.0), grid)
+    dpsi0 = one_branch_time_derivative(narrow)
+    rows_summed = []
+    original = solvers._spectral_energy
+
+    def counted(spec, *args):
+        rows_summed.append(1 if spec.ndim == 1 else len(spec))
+        return original(spec, *args)
+
+    monkeypatch.setattr(solvers, "_spectral_energy", counted)
+    rep = evolve_klein_gordon(narrow, dpsi0, SolverConfig(
+        scheme=Scheme.KLEIN_GORDON, dt=0.01, t_final=2.0, observe_every=10, snapshot_every=8))
+    assert len(rep.snapshots) == 26 and len(rep.times) == 21
+    assert sum(rows_summed) == 21
+    # the reported series is that of the same run with no mid-run snapshots
+    plain = evolve_klein_gordon(narrow, dpsi0, SolverConfig(
+        scheme=Scheme.KLEIN_GORDON, dt=0.01, t_final=2.0, observe_every=10))
+    assert np.array_equal(rep.observable("energy"), plain.observable("energy"))
+
+
+@pytest.mark.parametrize("n", [64, 512, 8192])
+def test_kg_fft_count_is_two_plus_one_per_block(monkeypatch, n):
+    grid = Grid1D(n, -25.6, 25.6)
+    psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, sigma=3.0, k0=0.5), grid)
     dpsi0 = one_branch_time_derivative(psi0)
+    rows = max(1, solvers.KG_BLOCK_VALUES // n)  # 128, 16 and 1 rows per block
     counts = _count_ffts(monkeypatch)
 
-    def total(n_steps):
+    def total(records, every):
         counts.clear()
         evolve_klein_gordon(psi0, dpsi0, SolverConfig(
-            scheme=Scheme.KLEIN_GORDON, dt=1e-3, t_final=n_steps * 1e-3, observe_every=1))
+            scheme=Scheme.KLEIN_GORDON, dt=1e-3, t_final=records * every * 1e-3,
+            observe_every=every))
         assert counts["rfft"] + counts["irfft"] == 0
         return counts["fft"] + counts["ifft"]
 
-    assert total(20) - total(10) == 10
-    assert total(1) == 3  # the two opening ffts and the final record step's ifft
+    for records in (1, 16, 17, 40):
+        # the two opening ffts, then one ifft per block of the records after step 0
+        expected = 2 + -(-records // rows)
+        assert total(records, 1) == expected
+        # none between records: ten times the steps, the same records
+        assert total(records, 10) == expected
 
 
 # ---------------------------------------------------------------------------
