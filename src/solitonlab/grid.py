@@ -249,7 +249,7 @@ def observables(psi: ComplexField) -> dict[str, float]:
 
 
 def row_observables(grid: Grid1D, rows: np.ndarray) -> dict[str, list[float]]:
-    """observables of each row of an (m, n) block of fields on grid, m floats a name.
+    """The observables of each row of an (m, n) block of fields on grid, m floats a name.
 
     The norm integral uses the rectangle rule, which on a periodic grid
     coincides with the trapezoid rule and is spectrally accurate for

@@ -69,8 +69,7 @@ def test_negative_dt_names_field(capsys):
 
 
 def test_kg_dt_is_only_the_record_cadence(tmp_path):
-    # the exact propagator takes no time step: dt 0.2, past any leapfrog
-    # stability bound at this grid (0.056), only spaces the records
+    # the exact propagator takes no time step, so dt 0.2 only spaces the records
     overrides = ["solver.dt=0.2"]
     assert validate(apply_overrides(load_config(CONFIG_DIR / "kg-plane-wave.json"),
                                     overrides)) == []
