@@ -349,30 +349,6 @@ def test_spectral_kg_energy_matches_energy_in_z(grid, packet, observe_every):
     assert isinstance(kg_energy(*fields[0], grid), float)
 
 
-def test_kg_snapshot_only_steps_report_no_energy(monkeypatch):
-    # observe_every 10 and snapshot_every 8 over 200 steps: 21 observation
-    # steps among 41 record steps; energy is summed for the 21 only
-    grid = Grid1D(512, -25.6, 25.6)
-    narrow = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=0.5, k0=2.0), grid)
-    dpsi0 = one_branch_time_derivative(narrow)
-    rows_summed = []
-    original = solvers._spectral_energy
-
-    def counted(spec, *args):
-        rows_summed.append(1 if spec.ndim == 1 else len(spec))
-        return original(spec, *args)
-
-    monkeypatch.setattr(solvers, "_spectral_energy", counted)
-    rep = evolve_klein_gordon(narrow, dpsi0, SolverConfig(
-        scheme=Scheme.KLEIN_GORDON, dt=0.01, t_final=2.0, observe_every=10, snapshot_every=8))
-    assert len(rep.snapshots) == 26 and len(rep.times) == 21
-    assert sum(rows_summed) == 21
-    # the reported series is that of the same run with no mid-run snapshots
-    plain = evolve_klein_gordon(narrow, dpsi0, SolverConfig(
-        scheme=Scheme.KLEIN_GORDON, dt=0.01, t_final=2.0, observe_every=10))
-    assert np.array_equal(rep.observable("energy"), plain.observable("energy"))
-
-
 @pytest.mark.parametrize("n", [64, 512, 8192])
 def test_kg_fft_count_is_two_plus_one_per_block(monkeypatch, n):
     grid = Grid1D(n, -25.6, 25.6)
