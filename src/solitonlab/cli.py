@@ -540,16 +540,16 @@ def _emit(record: dict, result: dict, reports: list[RunReport],
     # every JSON output is serialised before the first directory is made, so
     # a non-finite value (exit 3) leaves nothing behind
     text = strict_json(report_path, result)
-    for run_dir, run in zip(run_dirs, reports):
-        strict_json(run_dir / "report.json", run.summary_dict())
+    run_texts = [strict_json(run_dir / "report.json", run.summary_dict())
+                 for run_dir, run in zip(run_dirs, reports)]
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path.write_text(text)
     outputs = [report_path]
     if len(reports) == 1:
         # the run summary is already embedded in report.json; emit snapshots only
         outputs.extend(write_snapshots(reports[0].snapshots, out_dir / "snapshots"))
-    for run_dir, run in zip(run_dirs, reports):
-        outputs.extend(write_report(run, run_dir))
+    for run_dir, run, run_text in zip(run_dirs, reports, run_texts):
+        outputs.extend(write_report(run, run_dir, run_text))
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = {
         "tool_version": __version__,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError
-from .grid import ComplexField
+from .grid import ComplexField, Grid1D
 
 
 @dataclass(frozen=True)
@@ -61,24 +61,27 @@ class RunReport:
         }
 
 
-def write_snapshot_csv(path: Path, snapshot: Snapshot) -> None:
+def write_snapshot_csv(path: Path, snapshot: Snapshot, z_text: list[str] | None = None) -> None:
     """CSV with columns (z, re, im, abs2) plus any extra columns.
 
     Grid metadata and the snapshot time ride in '#' comment lines before
     the header row.  Values are written as repr(float) and rows end in
     "\r\n", as csv.writer writes them; a float repr never needs quoting.
+    z_text, when given, is the z column already rendered, repr of each
+    grid point.
     """
     grid = snapshot.field.grid
     vals = snapshot.field.values
     extra_names = sorted(snapshot.extra)
-    columns = [grid.z, vals.real, vals.imag, np.abs(vals) ** 2]
+    columns = [vals.real, vals.imag, np.abs(vals) ** 2]
     columns += [np.asarray(snapshot.extra[name], dtype=float) for name in extra_names]
-    rows = zip(*(map(repr, col.tolist()) for col in columns))
+    z = map(repr, grid.z.tolist()) if z_text is None else z_text
+    rows = zip(z, *(map(repr, col.tolist()) for col in columns))
     with open(path, "w", newline="") as fh:
         fh.write(f"# t = {snapshot.t!r}\n")
         fh.write(f"# n = {grid.n} z_min = {grid.z_min!r} z_max = {grid.z_max!r} dz = {grid.dz!r}\n")
         csv.writer(fh).writerow(["z", "re", "im", "abs2"] + extra_names)
-        fh.write("".join(",".join(row) + "\r\n" for row in rows))
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def read_snapshot_csv(path: Path) -> tuple[float, dict[str, np.ndarray]]:
@@ -111,25 +114,32 @@ def write_json(path: Path, obj) -> None:
         fh.write(text)
 
 
-def write_report(report: RunReport, out_dir: Path) -> list[Path]:
-    """Write report.json and snapshots/*.csv; returns the created paths."""
+def write_report(report: RunReport, out_dir: Path, text: str | None = None) -> list[Path]:
+    """Write report.json and snapshots/*.csv; returns the created paths.
+    text, when given, is report.json already serialised by strict_json."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     report_path = out_dir / "report.json"
-    write_json(report_path, report.summary_dict())
-    paths.append(report_path)
+    if text is None:
+        text = strict_json(report_path, report.summary_dict())
+    report_path.write_text(text)
+    paths = [report_path]
     if report.snapshots:
         paths.extend(write_snapshots(report.snapshots, out_dir / "snapshots"))
     return paths
 
 
 def write_snapshots(snapshots: list[Snapshot], snap_dir: Path) -> list[Path]:
-    """Write snap_dir/snapshot-NNNN.csv, one per snapshot; returns the paths."""
+    """Write snap_dir/snapshot-NNNN.csv, one per snapshot; returns the paths.
+    Each grid's z column is rendered once per call."""
     snap_dir.mkdir(exist_ok=True)
+    z_text: dict[Grid1D, list[str]] = {}
     paths = []
     for i, snap in enumerate(snapshots):
+        grid = snap.field.grid
+        if grid not in z_text:
+            z_text[grid] = list(map(repr, grid.z.tolist()))
         p = snap_dir / f"snapshot-{i:04d}.csv"
-        write_snapshot_csv(p, snap)
+        write_snapshot_csv(p, snap, z_text[grid])
         paths.append(p)
     return paths

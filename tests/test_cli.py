@@ -138,15 +138,25 @@ def _breather_run(out: Path, overrides: list[str]) -> tuple[dict, float, int]:
 
 
 def test_shipped_breather_beats_strang_at_equal_error(tmp_path):
-    # the shipped order-4 run at dt 1e-2 against the Strang run at dt 1e-3
-    # it replaced, on the same packet and outputs: no larger error, at most
-    # a third of the FFTs
+    # the shipped order-6 run at dt 5e-2 against the Strang run at dt 1e-3
+    # and the Yoshida run at dt 1e-2 it replaced, on the same packet and
+    # outputs: no larger error than either, at most a third of Strang's
+    # FFTs, and at most 0.6 of Yoshida's 3 000 FFT pairs
     _, error, ffts = _breather_run(tmp_path / "shipped", [])
     strang = ["solver.order=2", "solver.dt=0.001", "solver.snapshot_every=5000",
               "solver.observe_every=100"]
     _, strang_error, strang_ffts = _breather_run(tmp_path / "strang", strang)
     assert error <= strang_error
     assert 3 * ffts <= strang_ffts
+    yoshida = ["solver.order=4", "solver.dt=0.01", "solver.snapshot_every=500",
+               "solver.observe_every=10"]
+    _, yoshida_error, yoshida_ffts = _breather_run(tmp_path / "yoshida", yoshida)
+    assert error <= yoshida_error
+    # both runs make the same set-up and record transforms, so their FFT
+    # counts differ only by their steps' pairs, two FFTs each
+    yoshida_pairs = 1000 * 3
+    saved_pairs = (yoshida_ffts - ffts) / 2
+    assert 5 * saved_pairs >= 2 * yoshida_pairs
 
 
 def test_shipped_breather_output_layout(tmp_path):
@@ -155,7 +165,15 @@ def test_shipped_breather_output_layout(tmp_path):
     times = np.array(report["series"]["t"])
     assert len(times) == 101 and times[0] == 0.0
     assert np.diff(times) == pytest.approx(np.full(100, 0.1))
-    assert report["config"]["order"] == 4
+    assert report["config"]["order"] == 6
+
+
+def test_breather_order_six_rejects_a_coarse_dt(tmp_path, capsys):
+    # at dt 0.1 the largest sub-step phase 2 max|w| max|phi0|^2 dt is 0.16
+    overrides = ["solver.dt=0.1", "solver.snapshot_every=50", "solver.observe_every=1"]
+    assert main(_argv("breather-v1.json", overrides) + ["--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "dt" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_experiment(tmp_path, capsys):

@@ -21,6 +21,7 @@ from solitonlab import (
     write_snapshot_csv,
 )
 from solitonlab.grid import MAX_GRID_POINTS, row_observables
+from solitonlab.report import write_snapshots
 
 SECH_RMS = math.pi / (2 * math.sqrt(3))  # sqrt(pi^2/12), second moment of sech^2
 
@@ -234,3 +235,20 @@ def test_snapshot_csv_bytes_match_row_loop(tmp_path):
         write_snapshot_csv(tmp_path / "fast.csv", snapshot)
         _row_loop_csv(tmp_path / "loop.csv", snapshot)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_write_snapshots_bytes_match_row_loop(tmp_path):
+    # snapshots on two grids, interleaved, some with extra columns: each
+    # grid's z column is rendered once and reused, which must not show
+    rng = np.random.default_rng(7)
+    grids = (Grid1D(16, -0.8, 0.8), Grid1D(32, -np.pi, 1.0 / 3.0))
+    snapshots = []
+    for i, grid in enumerate(grids * 2):
+        psi = ComplexField(grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
+        extra = {} if i == 1 else {"R": np.abs(psi.values), "Q": rng.normal(size=grid.n) * 1e-9}
+        snapshots.append(Snapshot(0.1 * i, psi, extra))
+    paths = write_snapshots(snapshots, tmp_path / "snapshots")
+    assert [p.name for p in paths] == [f"snapshot-{i:04d}.csv" for i in range(4)]
+    for path, snapshot in zip(paths, snapshots):
+        _row_loop_csv(tmp_path / "loop.csv", snapshot)
+        assert path.read_bytes() == (tmp_path / "loop.csv").read_bytes()

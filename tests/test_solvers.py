@@ -182,6 +182,28 @@ class TestNLS:
         for coarse, fine in zip(errors, errors[1:]):
             assert 13.0 <= coarse / fine <= 19.0
 
+    def test_kahan_li_weights(self):
+        # symmetric, consistent, and free of the dt^3 and dt^5 error terms
+        weights = solvers.ORDERS[6]
+        assert len(weights) == 9 and weights == weights[::-1]
+        for power, expected in ((1, 1.0), (3, 0.0), (5, 0.0)):
+            assert abs(math.fsum(w**power for w in weights) - expected) <= 1e-14
+
+    def test_kahan_li_order_six(self):
+        # the moving breather on a domain wide enough that the wrap-around
+        # floor sits near 3e-11: at dt 5e-2 and 2.5e-2 the errors (5.2e-7,
+        # 2.9e-9) are time-step errors, and the observed order is above 6
+        grid = Grid1D(1024, -51.2, 51.2)
+        psi0 = ComplexField(grid, nls_breather_exact(grid.z, 0.0, 1.0, 1.0, z0=-5.0))
+        exact = nls_breather_exact(grid.z, 10.0, 1.0, 1.0, z0=-5.0)
+        errors = []
+        for dt in (5e-2, 2.5e-2):
+            rep = evolve_nls(psi0, SolverConfig(scheme=Scheme.NLS, dt=dt, t_final=10.0,
+                                                observe_every=0, order=6))
+            errors.append(l2_error(rep.final_field(), exact))
+        assert errors[1] >= 1e-9
+        assert math.log2(errors[0] / errors[1]) >= 5.5
+
     def test_rejects_potential(self, grid512):
         config = SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=1.0,
                               potential=np.ones(grid512.n))
@@ -289,11 +311,12 @@ def test_only_klein_gordon_echoes_omega0_and_c(grid512, scheme):
         assert "omega0" not in echo and "c" not in echo
 
 
-@pytest.mark.parametrize("order", [0, 1, 3, 6])
+# orders outside ORDERS, whose keys are 2, 4 and 6
+@pytest.mark.parametrize("order", [0, 1, 3, 5, 8])
 def test_order_is_two_or_four(grid512, order):
     config = SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=0.1, order=order)
     assert validate_solver_config(config, grid512) == [
-        f"order must be one of [2, 4], got {order}"]
+        f"order must be one of [2, 4, 6], got {order}"]
 
 
 @pytest.mark.parametrize("scheme", [s for s in Scheme if s is not Scheme.NLS])
@@ -301,6 +324,13 @@ def test_only_nls_steps_at_order_four(grid512, scheme):
     config = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, order=4)
     assert validate_solver_config(config, grid512) == [
         f"{scheme.value} has only a second-order step; order must be 2, got 4"]
+
+
+@pytest.mark.parametrize("scheme", [s for s in Scheme if s is not Scheme.NLS])
+def test_only_nls_steps_at_order_six(grid512, scheme):
+    config = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, order=6)
+    assert validate_solver_config(config, grid512) == [
+        f"{scheme.value} has only a second-order step; order must be 2, got 6"]
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))

@@ -166,21 +166,30 @@ def test_merged_nls_matches_unmerged_loop(grid512, n_steps, observe_every, snaps
         assert np.max(np.abs(snap.field.values - states[step])) <= 1e-10
 
 
-@pytest.mark.parametrize("n_steps,observe_every,snapshot_every", [
-    (12, 0, 0),
-    (12, 1, 0),
-    (12, 5, 3),
-    (1, 1, 1),
+_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+#: the composed steps' weights, written out: Yoshida's, and Kahan & Li's s9odr6a
+COMPOSITIONS = {
+    4: (_W1, 1.0 - 2.0 * _W1, _W1),
+    6: (0.39216144400731413928, 0.33259913678935943860, -0.70624617255763935981,
+        0.08221359629355080023, 0.79854399093482996340, 0.08221359629355080023,
+        -0.70624617255763935981, 0.33259913678935943860, 0.39216144400731413928),
+}
+
+
+# order 4 keeps the ids it had before order 6 was added
+@pytest.mark.parametrize("order,n_steps,observe_every,snapshot_every", [
+    pytest.param(order, *cadence,
+                 id="-".join(map(str, cadence if order == 4 else (f"order{order}",) + cadence)))
+    for order in (4, 6) for cadence in ((12, 0, 0), (12, 1, 0), (12, 5, 3), (1, 1, 1))
 ])
-def test_merged_yoshida_matches_unmerged_composition(grid512, n_steps, observe_every,
+def test_merged_yoshida_matches_unmerged_composition(grid512, order, n_steps, observe_every,
                                                      snapshot_every):
     dt = 1e-2
     psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 1.0, z0=-5.0))
-    config = SolverConfig(scheme=Scheme.NLS, dt=dt, t_final=n_steps * dt, order=4,
+    config = SolverConfig(scheme=Scheme.NLS, dt=dt, t_final=n_steps * dt, order=order,
                           observe_every=observe_every, snapshot_every=snapshot_every)
     report = evolve_nls(psi0, config)
-    w1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-    states = _unmerged_nls_states(psi0.values, grid512, dt, n_steps, (w1, 1.0 - 2.0 * w1, w1))
+    states = _unmerged_nls_states(psi0.values, grid512, dt, n_steps, COMPOSITIONS[order])
     observed, snapped = _cadence(n_steps, observe_every), _cadence(n_steps, snapshot_every)
     assert [round(t / dt) for t in report.times] == observed
     for i, step in enumerate(observed):
@@ -210,6 +219,17 @@ def test_yoshida_makes_three_fft_pairs_per_step(monkeypatch, grid512):
         evolve_nls(psi0, SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=n_steps * 1e-3,
                                       observe_every=0, snapshot_every=0, order=4))
         assert counts["fft"] + counts["ifft"] == 6 * n_steps + 2
+        assert counts["rfft"] + counts["irfft"] == 0
+
+
+def test_kahan_li_makes_nine_fft_pairs_per_step(monkeypatch, grid512):
+    counts = _count_ffts(monkeypatch)
+    psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 0.0))
+    for n_steps in (1, 2, 25):
+        counts.clear()
+        evolve_nls(psi0, SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=n_steps * 1e-3,
+                                      observe_every=0, snapshot_every=0, order=6))
+        assert counts["fft"] + counts["ifft"] == 18 * n_steps + 2
         assert counts["rfft"] + counts["irfft"] == 0
 
 
