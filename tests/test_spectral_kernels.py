@@ -1,13 +1,13 @@
 """The FFT-bound step kernels: cached grid arrays, the real-FFT derivative,
-the batched transport RK4, the merged NLS Strang and Yoshida steps, the
-Klein-Gordon exact propagator in blocks of record rows and the linear
-Schrodinger step, how many FFTs each step or block makes, and that no
-reused step buffer reaches a record.
+the batched transport RK4, the merged NLS Strang, Yoshida and sixth-order
+Kahan-Li steps, the Klein-Gordon exact propagator in blocks of record rows
+and the linear Schrodinger step, how many FFTs each step or block makes,
+and that no reused step buffer reaches a record.
 
 The references here are written out in the tests (the unmerged Strang
-and Yoshida loops, the Klein-Gordon closed form one record at a time, the
-tuple-form transport RK4 with complex-FFT derivatives) so the kernels are
-checked against the straightforward form of the same arithmetic.
+loop and compositions, the Klein-Gordon closed form one record at a time,
+the tuple-form transport RK4 with complex-FFT derivatives) so the kernels
+are checked against the straightforward form of the same arithmetic.
 """
 
 import dataclasses
@@ -176,7 +176,7 @@ COMPOSITIONS = {
 }
 
 
-# order 4 keeps the ids it had before order 6 was added
+# the order-4 ids are the bare cadence, so they stay put as orders are added
 @pytest.mark.parametrize("order,n_steps,observe_every,snapshot_every", [
     pytest.param(order, *cadence,
                  id="-".join(map(str, cadence if order == 4 else (f"order{order}",) + cadence)))
