@@ -381,6 +381,14 @@ def _prepare_dichotomy(config: dict) -> DichotomySettings:
     return settings
 
 
+def _plan_dichotomy(settings: DichotomySettings) -> list[str]:
+    """One line per leg: its scheme, dt, stride m over the settings' dt,
+    order and step count."""
+    return [f"  {name:10s} {leg.scheme.value:24s} dt {leg.dt:.6g}  "
+            f"stride {round(leg.dt / settings.dt)}  order {leg.order}  {leg.n_steps()} steps"
+            for name, leg in settings.legs().items()]
+
+
 def _run_dichotomy(settings: DichotomySettings, args) -> tuple[dict, list[RunReport]]:
     result = run_dispersion_vs_soliton(settings)
     print("width ratios at t_final:")
@@ -617,12 +625,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            problems = validate(apply_overrides(load_config(args.config), args.overrides))
+            config = apply_overrides(load_config(args.config), args.overrides)
+            problems = validate(config)
             for problem in problems:
                 print(f"invalid: {problem}", file=sys.stderr)
             if problems:
                 return EXIT_CONFIG
             print("config is runnable")
+            if config["experiment"] == "soliton-vs-dispersion":
+                print("plan:", *_plan_dichotomy(_prepare(config["experiment"], config)[0]),
+                      sep="\n")
             return EXIT_OK
 
         inputs, record = _prepare(args.command, _config_from_args(args))

@@ -29,9 +29,11 @@ import numpy as np
 
 from .dispersion import evanescent_kappa
 from .errors import ConfigurationError, DomainError, NumericalError
-from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet
+from .grid import (ComplexField, Grid1D, PacketKind, PacketSpec, build_packet,
+                   real_spectral_derivative)
 from .kinematics import KinematicState, electron_constants, kinematic_state
-from .madelung import dispersionless_initial, evolve_dispersionless
+from .madelung import (MadelungField, _extract_linear_slope, dispersionless_initial,
+                       evolve_dispersionless)
 from .report import RunReport
 from .solvers import (
     MAX_POTENTIAL_PHASE_PER_STEP,
@@ -59,14 +61,26 @@ MAX_TRIALS = 10**10
 DISPERSED_MIN_RATIO = 3.0
 SOLITON_BAND = 0.01
 TRANSPORT_BAND = 0.001
-#: largest step of the dichotomy's RK4 transport and fourth-order cubic
-#: legs.  Transport equal-error table, max|R - R0(z - vt)| of a sech a=1,
-#: v=1, centre -5 at t=10, dz = 0.1:
-#:     grid     dt 1e-3   dt 1e-2   dt 2e-2
-#:     n=512    1.2e-8    2.3e-8    3.6e-7
-#:     n=1024   2.3e-8    2.5e-8    3.6e-7
-#: up to 1e-2 the error sits at the spatial floor; width and density drift
-#: stay at 1e-12 or below at every step size.  The cubic leg's stride m
+#: each dichotomy leg steps at the largest multiple m dt of the settings'
+#: dt that keeps its own error at the equal-error level (see _strided).  The free linear leg has no potential, so its split step is
+#: exact at any step (Hochbruck & Ostermann 2010, Acta Numerica 19:209)
+#: and it steps at the record cadence.  The transport leg's step is set by
+#: its Courant number dt max|S_z| / dz <= TRANSPORT_COURANT (Courant,
+#: Friedrichs & Lewy 1928, Math. Ann. 100:32).  Transport equal-error
+#: table, max|R - R0(z - vt)| of a sech a=1, centre -5 at t=10, dz = 0.1,
+#: by Courant number dt v / dz:
+#:     grid     v    0.01      0.1       0.2
+#:     n=512    1    1.2e-8    2.3e-8    3.6e-7
+#:     n=1024   1    2.3e-8    2.5e-8    3.6e-7
+#:     n=1024   3    4.3e-8    6.8e-8    1.1e-6
+#: up to Courant 0.1 the error stays within 2x of the spatial floor, while
+#: the fixed dt 1e-2 of a v=1 table reads 5.5e-6 at v=3 (Courant 0.3);
+#: the width drifts 1e-11 or less and the density by roundoff at every
+#: step.  Without a potential S_z is constant along characteristics, so
+#: the initial max|S_z| bounds the run, and a packet at rest steps at the
+#: record cadence.
+TRANSPORT_COURANT = 0.1
+#: largest step of the dichotomy's fourth-order cubic leg.  Its stride m
 #: also keeps its largest sub-step phase 2 |w0| a^2 m dt within
 #: MAX_POTENTIAL_PHASE_PER_STEP.  Cubic equal-error table, L2 error against
 #: the stationary breather of amplitude a at t=10, n=1024, z in +-51.2:
@@ -77,7 +91,7 @@ TRANSPORT_BAND = 0.001
 #:     3     1.27e-2           1.49e-4 (m=2)
 #: without the phase bound, a=3 at m=10 reads 1.0e-1, with its width
 #: ratio off by 8%
-TRANSPORT_MAX_DT = 1e-2
+CUBIC_MAX_DT = 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -90,11 +104,11 @@ class DichotomySettings:
 
     ``scale`` defaults to the amplitude (the cubic equation's
     amplitude-width locking); setting it separately builds a deliberate
-    non-soliton as a negative control.  The three runs share one
+    non-soliton as a negative control.  The three runs stride one base
     SolverConfig, checked at construction, so t_final must be a positive
-    multiple of dt.  ``dt`` is the linear step; the cubic and transport
-    steps are derived from the settings (see run_dispersion_vs_soliton),
-    not fields.
+    multiple of dt.  ``dt`` is the unit of the record cadence and the
+    cubic leg's base step; every leg's step is derived from the settings
+    (see legs), not a field.
     """
 
     n: int = 1024
@@ -118,23 +132,48 @@ class DichotomySettings:
         return Grid1D(self.n, self.z_min, self.z_max)
 
     def solver_config(self) -> SolverConfig:
-        """The linear run's config; the other two differ only in scheme."""
+        """The shared base config at dt; each leg strides it (see legs)."""
         return SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=self.dt,
                             t_final=self.t_final, observe_every=self.observe_every)
 
     def cubic_config(self) -> SolverConfig:
-        """The cubic run's config: the linear one on the stride of _strided,
-        whose bound also keeps the largest Yoshida sub-step phase
-        2 |w0| amplitude^2 m dt within MAX_POTENTIAL_PHASE_PER_STEP.
+        """The cubic run's config: the base on the stride of _strided, with
+        m dt <= CUBIC_MAX_DT, whose bound also keeps the largest Yoshida
+        sub-step phase 2 |w0| amplitude^2 m dt within
+        MAX_POTENTIAL_PHASE_PER_STEP.
 
         The leg stays at order 4 although ORDERS has 6: order 6's nine
         sub-steps make more FFT pairs at its own phase-bound stride from
         amplitude 1.5 up (3 600 against 3 000 at 1.5), and under the
-        TRANSPORT_MAX_DT cap at amplitude 1 too (9 000 against 3 000)."""
+        CUBIC_MAX_DT cap at amplitude 1 too (9 000 against 3 000).  A
+        coarser cap does not restore equal error: order 6 at m dt = 5e-2
+        reads an L2 error of 2.94e-6 at amplitude 1.1, against 2.47e-6 for
+        this leg."""
         widest_phase = max(abs(w) for w in ORDERS[4])
-        max_dt = min(TRANSPORT_MAX_DT,
+        max_dt = min(CUBIC_MAX_DT,
                      MAX_POTENTIAL_PHASE_PER_STEP / (2.0 * widest_phase * self.amplitude**2))
         return _strided(self.solver_config(), Scheme.NLS, max_dt)
+
+    def transport_initial(self) -> MadelungField:
+        """The transport leg's polar initial state: the sech envelope at rest."""
+        return dispersionless_initial(self.grid(), self.amplitude, self.sech_scale)
+
+    def legs(self) -> dict[str, SolverConfig]:
+        """Each leg's config: the base on the largest stride m its own
+        error rule allows (see _strided), so all three record at the
+        base's times.
+        - linear: no potential, so its step is exact and takes no cap:
+          one step per record when observe_every divides the step count.
+        - nls: cubic_config, Strang at dt when m = 1.
+        - transport: m dt max|S_z| <= TRANSPORT_COURANT dz
+          (transport_max_dt); the dichotomy's packet is at rest, so no
+          cap either.
+        """
+        base = self.solver_config()
+        return {"linear": _strided(base, Scheme.LINEAR_SCHRODINGER, math.inf),
+                "nls": self.cubic_config(),
+                "transport": _strided(base, Scheme.DISPERSIONLESS_TRANSPORT,
+                                      transport_max_dt(self.transport_initial()))}
 
     def initial_field(self) -> ComplexField:
         """The sech packet all three schemes start from."""
@@ -163,16 +202,31 @@ class DichotomyReport:
         }
 
 
+def transport_max_dt(initial: MadelungField) -> float:
+    """The transport's largest step at Courant number TRANSPORT_COURANT,
+    TRANSPORT_COURANT dz / max|S_z|, and inf for a state at rest.
+
+    S_z is the velocity the solver's CFL guard reads, the action slope
+    plus the spectral derivative of the periodic remainder.  Without a
+    potential it is constant along characteristics, so its initial maximum
+    holds for the whole run."""
+    slope, remainder = _extract_linear_slope(initial)
+    speed = float(np.max(np.abs(slope + real_spectral_derivative(remainder, initial.grid))))
+    return math.inf if speed == 0.0 else TRANSPORT_COURANT * initial.grid.dz / speed
+
+
 def _strided(base: SolverConfig, scheme: Scheme, max_dt: float) -> SolverConfig:
     """base for scheme on a step of m dt, recording at base's times.
 
     m is the largest divisor of both observe_every and the step count with
     m dt <= max_dt (compared with step_count's relative tolerance), and 1
-    when none fits.  On m > 1 the cubic scheme steps at fourth order; on
-    m = 1 every scheme keeps base's step and order.
+    when none fits; an unbounded max_dt (inf) takes their greatest common
+    divisor.  On m > 1 the cubic scheme steps at fourth order; on m = 1
+    every scheme keeps base's step and order.
     """
     common = math.gcd(base.observe_every, base.n_steps())
-    widest = min(common, int(max_dt * (1.0 + 1e-6) / base.dt))
+    limit = max_dt * (1.0 + 1e-6) / base.dt
+    widest = common if limit >= common else int(limit)
     stride = next((m for m in range(widest, 1, -1) if common % m == 0), 1)
     if stride == 1:
         return replace(base, scheme=scheme)
@@ -186,24 +240,18 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
 
     The same initial data spreads monotonically under the linear solver,
     holds its width under the cubic solver (amplitude-width locking), and
-    is transported rigidly by the curvature-cancelled solver.  The linear
-    run steps at ``settings.dt``; the other two step at m dt (see
-    _strided), with m dt <= TRANSPORT_MAX_DT, so both record at exactly
-    the linear run's times.  The transport's RK4 takes any m.  The cubic
-    run steps Yoshida's fourth-order composition on m > 1, and its m also
-    keeps the largest sub-step phase 2 |w0| amplitude^2 m dt within
-    MAX_POTENTIAL_PHASE_PER_STEP; on m = 1 it is the Strang run at
-    ``settings.dt``, which evolve_nls rejects when its phase 2 amplitude^2
-    dt exceeds that bound.
+    is transported rigidly by the curvature-cancelled solver.  Each leg
+    steps at its own multiple of ``settings.dt``, the largest its error
+    rule allows (see DichotomySettings.legs), so all three record at
+    exactly the same times.  evolve_nls rejects a cubic leg at m = 1
+    whose phase 2 amplitude^2 dt exceeds MAX_POTENTIAL_PHASE_PER_STEP.
     """
     s = settings or DichotomySettings()
     psi0 = s.initial_field()
-    base = s.solver_config()
-    lin = evolve_linear_schrodinger(psi0, base)
-    nls = evolve_nls(psi0, s.cubic_config())
-    transport = evolve_dispersionless(
-        dispersionless_initial(psi0.grid, s.amplitude, s.sech_scale),
-        _strided(base, Scheme.DISPERSIONLESS_TRANSPORT, TRANSPORT_MAX_DT))
+    legs = s.legs()
+    lin = evolve_linear_schrodinger(psi0, legs["linear"])
+    nls = evolve_nls(psi0, legs["nls"])
+    transport = evolve_dispersionless(s.transport_initial(), legs["transport"])
 
     runs = {"linear": lin, "nls": nls, "transport": transport}
     widths = {k: r.observable("rms_width") for k, r in runs.items()}

@@ -61,6 +61,22 @@ def test_validate_subcommand_ok():
     assert main(["validate", "--config", str(CONFIG_DIR / "gaussian-linear.json")]) == EXIT_OK
 
 
+def test_validate_prints_the_dichotomy_plan(capsys):
+    # one line per leg: scheme, dt, stride, order and step count
+    assert main(["validate", "--config", str(CONFIG_DIR / "dichotomy.json")]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    legs = {line.split()[0]: line.split()[1:] for line in lines[lines.index("plan:") + 1:]}
+    assert legs == {
+        "linear": ["linear_schrodinger", "dt", "0.1", "stride", "100", "order", "2",
+                   "100", "steps"],
+        "nls": ["nls", "dt", "0.01", "stride", "10", "order", "4", "1000", "steps"],
+        "transport": ["dispersionless_transport", "dt", "0.1", "stride", "100", "order", "2",
+                      "100", "steps"],
+    }
+    assert main(["validate", "--config", str(CONFIG_DIR / "gaussian-linear.json")]) == EXIT_OK
+    assert capsys.readouterr().out == "config is runnable\n"
+
+
 def test_negative_dt_names_field(capsys):
     code = main(["validate", "--config", str(CONFIG_DIR / "gaussian-linear.json"),
                  "--set", "solver.dt=-0.001"])

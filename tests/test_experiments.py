@@ -18,6 +18,7 @@ from solitonlab import (
     dispersionless_initial,
     electron_constants,
     evolve_dispersionless,
+    evolve_linear_schrodinger,
     evolve_nls,
     kinematic_state,
     linear_barrier_transmission,
@@ -29,7 +30,15 @@ from solitonlab import (
     run_dispersion_vs_soliton,
 )
 from solitonlab import experiments
-from solitonlab.experiments import MAX_TRIALS, TRANSPORT_MAX_DT, _count_chunk, _gap_intervals
+from solitonlab.experiments import (
+    CUBIC_MAX_DT,
+    MAX_TRIALS,
+    TRANSPORT_COURANT,
+    _count_chunk,
+    _gap_intervals,
+    _strided,
+    transport_max_dt,
+)
 from solitonlab.solvers import MAX_POTENTIAL_PHASE_PER_STEP, ORDERS
 
 K = electron_constants()
@@ -107,24 +116,71 @@ class TestDichotomy:
         for key, series in result.widths.items():
             assert np.array_equal(rerun.widths[key], series), key
 
-    @pytest.mark.parametrize("dt, observe_every, t_final, stride", [
-        (1e-3, 100, 1.0, 10),  # the shipped cadence: 1e-2 steps
-        (1e-3, 7, 0.7, 7),     # the largest divisor of 7 that fits
-        (1e-3, 7, 0.5, 1),     # cadence coprime to the 500 steps
-        (1e-3, 0, 0.5, 10),    # ends only: any divisor of the step count
+    @pytest.mark.parametrize("dt, observe_every, t_final, cubic_stride", [
+        (1e-3, 100, 1.0, 10),   # the shipped cadence: cubic steps of 1e-2
+        (1e-3, 7, 0.7, 7),      # the largest divisor of 7 under the cubic cap
+        (1e-3, 7, 0.5, 1),      # cadence coprime to the 500 steps
+        (1e-3, 0, 0.5, 10),     # ends only: any divisor of the step count
         (1e-3, 100, 0.05, 10),  # fewer steps than the cadence
-        (0.02, 5, 1.0, 1),     # dt already above the cap
+        (0.02, 5, 1.0, 1),      # dt already above the cubic cap
     ])
-    def test_transport_step_derived_from_settings(self, dt, observe_every, t_final, stride):
-        result = run_dispersion_vs_soliton(DichotomySettings(
-            n=512, z_min=-25.6, z_max=25.6, dt=dt, observe_every=observe_every,
-            t_final=t_final))
-        lin, transport = result.runs["linear"], result.runs["transport"]
-        assert transport.config["dt"] == pytest.approx(stride * dt, rel=1e-12)
-        assert transport.config["dt"] <= max(dt, TRANSPORT_MAX_DT)
-        assert transport.config["observe_every"] == observe_every // stride
-        assert len(transport.times) == len(lin.times)
-        np.testing.assert_allclose(transport.times, lin.times, rtol=1e-12, atol=0.0)
+    def test_transport_step_derived_from_settings(self, dt, observe_every, t_final,
+                                                  cubic_stride):
+        # the packet is at rest, so the Courant rule sets the transport no
+        # cap: it strides like the free linear leg, by the greatest common
+        # divisor of the cadence and the step count, while the cubic leg
+        # keeps m dt <= CUBIC_MAX_DT
+        settings = DichotomySettings(n=512, z_min=-25.6, z_max=25.6, dt=dt,
+                                     observe_every=observe_every, t_final=t_final)
+        assert transport_max_dt(settings.transport_initial()) == math.inf
+        result = run_dispersion_vs_soliton(settings)
+        stride = math.gcd(observe_every, round(t_final / dt))
+        lin = result.runs["linear"]
+        for name, m in (("linear", stride), ("transport", stride), ("nls", cubic_stride)):
+            leg = result.runs[name]
+            assert leg.config["dt"] == pytest.approx(m * dt, rel=1e-12), name
+            assert leg.config["observe_every"] == observe_every // m, name
+            assert len(leg.times) == len(lin.times)
+            np.testing.assert_allclose(leg.times, lin.times, rtol=1e-12, atol=0.0)
+        assert result.ratios["transport"] == 1.0
+
+    @pytest.mark.parametrize("velocity, base_dt", [(1.0, 1e-3), (3.0, 1.0 / 3000.0)])
+    def test_transport_courant_step_keeps_equal_error(self, velocity, base_dt):
+        # dt max|S_z| <= TRANSPORT_COURANT dz gives 1e-2 at v = 1 and 1/300
+        # at v = 3 (errors 2.5e-8 and 6.8e-8); a fixed 1e-2 reads 5.5e-6 at v = 3
+        grid = Grid1D(1024, -51.2, 51.2)
+        initial = dispersionless_initial(grid, velocity=velocity, center=-5.0)
+        base = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=base_dt, t_final=10.0,
+                            observe_every=100)
+        config = _strided(base, Scheme.DISPERSIONLESS_TRANSPORT, transport_max_dt(initial))
+        assert config.dt == pytest.approx(TRANSPORT_COURANT * grid.dz / velocity, rel=1e-12)
+        assert config.observe_every == 10
+        rep = evolve_dispersionless(initial, config)
+        r_expected = 1.0 / np.cosh(grid.z + 5.0 - velocity * 10.0)
+        assert np.max(np.abs(np.abs(rep.final_field().values) - r_expected)) <= 1e-7
+
+    def test_linear_leg_matches_the_fine_step_run(self):
+        # the free linear step is exact, so one step per record gives the
+        # dt = 1e-3 run's widths and final field to roundoff
+        settings = DichotomySettings()
+        lin = run_dispersion_vs_soliton(settings).runs["linear"]
+        assert (lin.config["dt"], lin.config["observe_every"]) == (0.1, 1)
+        fine = evolve_linear_schrodinger(settings.initial_field(), settings.solver_config())
+        np.testing.assert_allclose(lin.times, fine.times, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(lin.observable("rms_width"), fine.observable("rms_width"),
+                                   rtol=1e-12, atol=0.0)
+        final, reference = lin.final_field().values, fine.final_field().values
+        assert np.linalg.norm(final - reference) <= 1e-12 * np.linalg.norm(reference)
+
+    @pytest.mark.parametrize("observe_every, t_final, stride", [
+        (100, 10.0, 100), (7, 0.7, 7), (0, 0.5, 500), (7, 0.5, 1)])
+    def test_strided_takes_an_unbounded_step(self, observe_every, t_final, stride):
+        base = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=t_final,
+                            observe_every=observe_every)
+        config = _strided(base, Scheme.LINEAR_SCHRODINGER, math.inf)
+        assert config.dt == pytest.approx(stride * base.dt, rel=1e-12)
+        assert config.observe_every == observe_every // stride
+        assert config.n_steps() * stride == base.n_steps()
 
     def test_nls_echo_reproduces_its_run(self):
         # the run-1 config block, as written, rebuilds the cubic leg's
@@ -144,13 +200,14 @@ class TestDichotomy:
 
     @pytest.mark.parametrize("amplitude, stride", [(1.0, 10), (1.5, 10), (2.0, 5), (3.0, 2)])
     def test_nls_stride_bounded_by_step_and_phase(self, amplitude, stride):
-        # m dt <= TRANSPORT_MAX_DT, and the largest sub-step phase
+        # m dt <= CUBIC_MAX_DT, and the largest sub-step phase
         # 2 |w0| a^2 m dt stays within MAX_POTENTIAL_PHASE_PER_STEP
         settings = DichotomySettings(amplitude=amplitude, t_final=1.0)
         result = run_dispersion_vs_soliton(settings)
         nls = result.runs["nls"]
         assert (nls.config["order"], nls.config["observe_every"]) == (4, 100 // stride)
         assert nls.config["dt"] == pytest.approx(stride * settings.dt, rel=1e-12)
+        assert nls.config["dt"] <= CUBIC_MAX_DT
         assert 2.0 * max(map(abs, ORDERS[4])) * amplitude**2 * nls.config["dt"] <= (
             MAX_POTENTIAL_PHASE_PER_STEP)
         np.testing.assert_allclose(nls.times, result.times, rtol=1e-12, atol=0.0)
@@ -180,7 +237,8 @@ class TestDichotomy:
     def test_default_transport_width_is_exact(self):
         result = run_dispersion_vs_soliton(DichotomySettings())
         widths = result.widths["transport"]
-        assert result.runs["transport"].config["dt"] == TRANSPORT_MAX_DT
+        # at rest: one step per record, the record spacing 0.1
+        assert result.runs["transport"].config["dt"] == 0.1
         assert len(widths) == 101
         assert np.all(widths == widths[0])
         assert result.ratios["transport"] == 1.0

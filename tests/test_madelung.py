@@ -38,7 +38,7 @@ from solitonlab import (
     validate_solver_config,
 )
 from solitonlab.cli import main
-from solitonlab.experiments import TRANSPORT_MAX_DT
+from solitonlab.experiments import TRANSPORT_COURANT, _strided, transport_max_dt
 from solitonlab.madelung import _node_gaps
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -316,13 +316,15 @@ class TestDispersionlessTransport:
         assert np.max(np.abs(widths / widths[0] - 1.0)) <= 1e-6
 
     def test_rigid_translation_at_dichotomy_step_cap(self, grid512):
-        # the largest step the dichotomy gives its transport leg meets
-        # test_rigid_translation's bounds
-        config = _transport(dt=TRANSPORT_MAX_DT, t_final=10.0, observe_every=10)
+        # the step the dichotomy's Courant rule gives a v = 1 packet on
+        # test_rigid_translation's cadence, 1e-2, meets its bounds
         initial = dispersionless_initial(grid512, amplitude=1.0, scale=1.0, velocity=1.0,
                                          center=-5.0)
+        config = _strided(_transport(dt=1e-3, t_final=10.0, observe_every=100),
+                          Scheme.DISPERSIONLESS_TRANSPORT, transport_max_dt(initial))
         rep = evolve_dispersionless(initial, config)
-        assert rep.config["dt"] == TRANSPORT_MAX_DT
+        assert rep.config["dt"] == pytest.approx(TRANSPORT_COURANT * grid512.dz, rel=1e-12)
+        assert rep.config["observe_every"] == 10
         r_final = np.abs(rep.final_field().values)
         r_expected = 1.0 / np.cosh(grid512.z - 5.0)
         assert np.max(np.abs(r_final - r_expected)) <= 1e-5
