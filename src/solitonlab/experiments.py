@@ -83,15 +83,19 @@ TRANSPORT_COURANT = 0.1
 #: largest step of the dichotomy's fourth-order cubic leg.  Its stride m
 #: also keeps its largest sub-step phase 2 |w0| a^2 m dt within
 #: MAX_POTENTIAL_PHASE_PER_STEP.  Cubic equal-error table, L2 error against
-#: the stationary breather of amplitude a at t=10, n=1024, z in +-51.2:
-#:     a     Strang, dt 1e-3   Yoshida at the derived stride
-#:     1     1.02e-5           9.25e-7 (m=10)
-#:     1.5   1.41e-4           6.44e-5 (m=10)
-#:     2     9.10e-4           8.23e-5 (m=5)
-#:     3     1.27e-2           1.49e-4 (m=2)
-#: without the phase bound, a=3 at m=10 reads 1.0e-1, with its width
-#: ratio off by 8%
-CUBIC_MAX_DT = 1e-2
+#: the stationary breather of amplitude a at t=10, n=1024, z in +-51.2,
+#: each order-4 run at its derived stride (m, FFT pairs), for Suzuki's
+#: five-stage composition and the Yoshida three-stage one it replaced
+#: (under a 1e-2 cap, its |w0| about 1.702):
+#:     a     Strang, dt 1e-3   Suzuki                   Yoshida
+#:     1     1.02e-5           5.09e-7 (25, 2 000)      9.25e-7 (10, 3 000)
+#:     1.1   1.87e-5           1.36e-6 (25, 2 000)      2.47e-6 (10, 3 000)
+#:     1.5   1.41e-4           3.58e-5 (25, 2 000)      6.44e-5 (10, 3 000)
+#:     2     9.10e-4           1.86e-5 (10, 5 000)      8.23e-5 (5, 6 000)
+#:     3     1.27e-2           8.19e-5 (5, 10 000)      1.49e-4 (2, 15 000)
+#: a cap of 5e-2 is not equal-error (8.62e-6 at a=1); without the phase
+#: bound, Yoshida at a=3 and m=10 reads 1.0e-1, with its width ratio off by 8%
+CUBIC_MAX_DT = 2.5e-2
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +142,17 @@ class DichotomySettings:
 
     def cubic_config(self) -> SolverConfig:
         """The cubic run's config: the base on the stride of _strided, with
-        m dt <= CUBIC_MAX_DT, whose bound also keeps the largest Yoshida
-        sub-step phase 2 |w0| amplitude^2 m dt within
-        MAX_POTENTIAL_PHASE_PER_STEP.
+        m dt <= CUBIC_MAX_DT, whose bound also keeps the largest sub-step
+        phase 2 |w0| amplitude^2 m dt of Suzuki's composition (|w0| about
+        0.658) within MAX_POTENTIAL_PHASE_PER_STEP.
 
         The leg stays at order 4 although ORDERS has 6: order 6's nine
-        sub-steps make more FFT pairs at its own phase-bound stride from
-        amplitude 1.5 up (3 600 against 3 000 at 1.5), and under the
-        CUBIC_MAX_DT cap at amplitude 1 too (9 000 against 3 000).  A
-        coarser cap does not restore equal error: order 6 at m dt = 5e-2
-        reads an L2 error of 2.94e-6 at amplitude 1.1, against 2.47e-6 for
-        this leg."""
+        sub-steps make more FFT pairs at its own phase-bound stride under
+        the CUBIC_MAX_DT cap at every amplitude (3 600 against 2 000 at 1
+        and 1.5, 18 000 against 10 000 at 3).  A coarser cap does not
+        restore equal error: order 6 at m dt = 5e-2 makes 1 800 pairs but
+        reads an L2 error of 6.04e-7 at amplitude 1 and 2.94e-6 at 1.1,
+        against 5.09e-7 and 1.36e-6 for this leg."""
         widest_phase = max(abs(w) for w in ORDERS[4])
         max_dt = min(CUBIC_MAX_DT,
                      MAX_POTENTIAL_PHASE_PER_STEP / (2.0 * widest_phase * self.amplitude**2))

@@ -21,8 +21,8 @@ full step of the inner factor in the other space.  Adjacent outer halves
 are merged (Weideman & Herbst 1986), so a step costs one FFT pair per
 sub-step, in place on buffers allocated once per run; without a potential
 the linear step is a single diagonal multiplication.  At
-SolverConfig.order = 4 the cubic step is Yoshida's symmetric composition
-of three Strang sub-steps (Yoshida 1990), O(dt^4) instead of O(dt^2), and
+SolverConfig.order = 4 the cubic step is Suzuki's symmetric composition
+of five Strang sub-steps (Suzuki 1990), O(dt^4) instead of O(dt^2), and
 at order 6 Kahan & Li's of nine (Kahan & Li 1997), O(dt^6).
 Every factor is a phase, so both schemes are unitary up to roundoff.  The
 second-order equation, diagonal in k with no potential, is not stepped:
@@ -62,17 +62,18 @@ MAX_POTENTIAL_PHASE_PER_STEP = 0.1
 #: complex values in one block of Klein-Gordon record rows (16 rows at n = 512;
 #: one row at a time from n = 2^13 up)
 KG_BLOCK_VALUES = 2**13
-_YOSHIDA_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
+_SUZUKI_W1 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 #: first half and middle of Kahan & Li's nine-stage symmetric sixth-order
 #: composition (Kahan & Li 1997, Math. Comp. 66:1089, scheme s9odr6a)
 _KAHAN_LI_HALF = (0.39216144400731413928, 0.33259913678935943860, -0.70624617255763935981,
                   0.08221359629355080023, 0.79854399093482996340)
 #: the cubic scheme's step per order, as the weights of its Strang sub-steps:
-#: order 4 is Yoshida's symmetric composition (Yoshida 1990), with a
-#: negative middle weight w0 = 1 - 2 w1 (about -1.702); order 6 is Kahan &
-#: Li's, nine symmetric weights with max|w| about 0.799 (Hairer, Lubich &
-#: Wanner 2006, Geometric Numerical Integration, V.3)
-ORDERS = {2: (1.0,), 4: (_YOSHIDA_W1, 1.0 - 2.0 * _YOSHIDA_W1, _YOSHIDA_W1),
+#: order 4 is Suzuki's symmetric five-stage composition (w1, w1, w0, w1, w1)
+#: (Suzuki 1990, Phys. Lett. A 146:319), with w0 = 1 - 4 w1 and max|w| =
+#: |w0| about 0.658, where Yoshida's three-stage one has |w0| about 1.702;
+#: order 6 is Kahan & Li's, nine symmetric weights with max|w| about 0.799
+#: (Hairer, Lubich & Wanner 2006, Geometric Numerical Integration, II.4, V.3)
+ORDERS = {2: (1.0,), 4: (_SUZUKI_W1,) * 2 + (1.0 - 4.0 * _SUZUKI_W1,) + (_SUZUKI_W1,) * 2,
           6: _KAHAN_LI_HALF + _KAHAN_LI_HALF[-2::-1]}
 
 CONVENTIONS = {
@@ -127,7 +128,7 @@ class SolverConfig:
     potential_slope, the transport's only, is the coefficient g of an
     additional linear part V = g z, kept separate because a linear ramp
     has no honest periodic tabulation.  order is the cubic scheme's order
-    of accuracy, a key of ORDERS (2, Strang; 4, Yoshida; or 6, Kahan &
+    of accuracy, a key of ORDERS (2, Strang; 4, Suzuki; or 6, Kahan &
     Li); the other schemes have order 2 only.
     """
 

@@ -69,7 +69,7 @@ def test_validate_prints_the_dichotomy_plan(capsys):
     assert legs == {
         "linear": ["linear_schrodinger", "dt", "0.1", "stride", "100", "order", "2",
                    "100", "steps"],
-        "nls": ["nls", "dt", "0.01", "stride", "10", "order", "4", "1000", "steps"],
+        "nls": ["nls", "dt", "0.025", "stride", "25", "order", "4", "400", "steps"],
         "transport": ["dispersionless_transport", "dt", "0.1", "stride", "100", "order", "2",
                       "100", "steps"],
     }
@@ -153,26 +153,29 @@ def _breather_run(out: Path, overrides: list[str]) -> tuple[dict, float, int]:
     return report, error, sum(counts.values())
 
 
+#: the recorded L2 error and FFT pairs of breather-v1 on Yoshida's
+#: three-stage order-4 composition at dt 1e-2, the run order 6 replaced
+YOSHIDA_L2_ERROR, YOSHIDA_FFT_PAIRS = 9.25e-7, 3000
+
+
 def test_shipped_breather_beats_strang_at_equal_error(tmp_path):
     # the shipped order-6 run at dt 5e-2 against the Strang run at dt 1e-3
-    # and the Yoshida run at dt 1e-2 it replaced, on the same packet and
-    # outputs: no larger error than either, at most a third of Strang's
-    # FFTs, and at most 0.6 of Yoshida's 3 000 FFT pairs
+    # on the same packet and outputs, and against the run it replaced,
+    # Yoshida's three-stage order 4 at dt 1e-2, as recorded (that
+    # composition is gone): no larger error than either, at most a third of
+    # Strang's FFTs, and at most 0.6 of Yoshida's 3 000 FFT pairs
     _, error, ffts = _breather_run(tmp_path / "shipped", [])
     strang = ["solver.order=2", "solver.dt=0.001", "solver.snapshot_every=5000",
               "solver.observe_every=100"]
     _, strang_error, strang_ffts = _breather_run(tmp_path / "strang", strang)
     assert error <= strang_error
     assert 3 * ffts <= strang_ffts
-    yoshida = ["solver.order=4", "solver.dt=0.01", "solver.snapshot_every=500",
-               "solver.observe_every=10"]
-    _, yoshida_error, yoshida_ffts = _breather_run(tmp_path / "yoshida", yoshida)
-    assert error <= yoshida_error
+    assert error <= YOSHIDA_L2_ERROR
     # both runs make the same set-up and record transforms, so their FFT
-    # counts differ only by their steps' pairs, two FFTs each
-    yoshida_pairs = 1000 * 3
-    saved_pairs = (yoshida_ffts - ffts) / 2
-    assert 5 * saved_pairs >= 2 * yoshida_pairs
+    # counts differ only by their steps' pairs, two FFTs each; Strang's
+    # 10 000 steps make one pair each
+    pairs = 10_000 + (ffts - strang_ffts) / 2
+    assert 5 * pairs <= 3 * YOSHIDA_FFT_PAIRS
 
 
 def test_shipped_breather_output_layout(tmp_path):
@@ -182,6 +185,22 @@ def test_shipped_breather_output_layout(tmp_path):
     assert len(times) == 101 and times[0] == 0.0
     assert np.diff(times) == pytest.approx(np.full(100, 0.1))
     assert report["config"]["order"] == 6
+
+
+def test_breather_order_four_at_the_phase_guard(tmp_path, capsys):
+    # dt 0.0625, the coarsest that divides t_final within the guard (phase
+    # 2 max|w| max|phi0|^2 dt = 0.082), keeps criterion 4's L2 error of 1e-4;
+    # dt 0.08 (phase 0.105) exits 2
+    overrides = ["solver.order=4", "solver.dt=0.0625", "solver.snapshot_every=80",
+                 "solver.observe_every=16"]
+    report, error, _ = _breather_run(tmp_path / "guard", overrides)
+    assert (report["config"]["order"], report["config"]["dt"]) == (4, 0.0625)
+    assert error <= 1e-4
+    coarse = ["solver.order=4", "solver.dt=0.08", "solver.snapshot_every=125",
+              "solver.observe_every=25"]
+    out = tmp_path / "coarse"
+    assert main(_argv("breather-v1.json", coarse) + ["--out", str(out)]) == EXIT_CONFIG
+    assert "dt" in capsys.readouterr().err
 
 
 def test_breather_order_six_rejects_a_coarse_dt(tmp_path, capsys):

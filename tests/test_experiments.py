@@ -117,11 +117,11 @@ class TestDichotomy:
             assert np.array_equal(rerun.widths[key], series), key
 
     @pytest.mark.parametrize("dt, observe_every, t_final, cubic_stride", [
-        (1e-3, 100, 1.0, 10),   # the shipped cadence: cubic steps of 1e-2
+        (1e-3, 100, 1.0, 25),   # the shipped cadence: cubic steps of 2.5e-2
         (1e-3, 7, 0.7, 7),      # the largest divisor of 7 under the cubic cap
         (1e-3, 7, 0.5, 1),      # cadence coprime to the 500 steps
-        (1e-3, 0, 0.5, 10),     # ends only: any divisor of the step count
-        (1e-3, 100, 0.05, 10),  # fewer steps than the cadence
+        (1e-3, 0, 0.5, 25),     # ends only: any divisor of the step count
+        (1e-3, 100, 0.05, 25),  # fewer steps than the cadence
         (0.02, 5, 1.0, 1),      # dt already above the cubic cap
     ])
     def test_transport_step_derived_from_settings(self, dt, observe_every, t_final,
@@ -188,7 +188,7 @@ class TestDichotomy:
         settings = DichotomySettings(t_final=0.5)
         nls = run_dispersion_vs_soliton(settings).runs["nls"]
         echo = json.loads(json.dumps(nls.summary_dict()))["config"]
-        assert (echo["order"], echo["dt"], echo["observe_every"]) == (4, 1e-2, 10)
+        assert (echo["order"], echo["dt"], echo["observe_every"]) == (4, 2.5e-2, 4)
         config = SolverConfig(scheme=Scheme(echo["scheme"]), **{
             key: echo[key] for key in ("dt", "t_final", "snapshot_every", "observe_every",
                                        "order")})
@@ -198,7 +198,7 @@ class TestDichotomy:
         assert np.array_equal(rerun.times, nls.times)
         assert np.array_equal(rerun.observable("rms_width"), nls.observable("rms_width"))
 
-    @pytest.mark.parametrize("amplitude, stride", [(1.0, 10), (1.5, 10), (2.0, 5), (3.0, 2)])
+    @pytest.mark.parametrize("amplitude, stride", [(1.0, 25), (1.5, 25), (2.0, 10), (3.0, 5)])
     def test_nls_stride_bounded_by_step_and_phase(self, amplitude, stride):
         # m dt <= CUBIC_MAX_DT, and the largest sub-step phase
         # 2 |w0| a^2 m dt stays within MAX_POTENTIAL_PHASE_PER_STEP
@@ -220,6 +220,22 @@ class TestDichotomy:
             return math.sqrt(np.sum(np.abs(report.final_field().values - exact) ** 2) * grid.dz)
 
         assert error(nls) <= error(strang)
+
+    @pytest.mark.parametrize("amplitude, yoshida_error, yoshida_pairs", [
+        (1.0, 9.25e-7, 3000), (1.1, 2.47e-6, 3000), (1.5, 6.44e-5, 3000),
+        (2.0, 8.23e-5, 6000), (3.0, 1.49e-4, 15000)])
+    def test_cubic_leg_beats_yoshida_at_equal_error(self, amplitude, yoshida_error,
+                                                    yoshida_pairs):
+        # the equal-error table at t = 10: the derived stride's L2 error is no
+        # larger than the recorded one of Yoshida's three-stage composition at
+        # its own derived stride, with fewer FFT pairs
+        settings = DichotomySettings(amplitude=amplitude)
+        config = settings.cubic_config()
+        grid = settings.grid()
+        final = evolve_nls(settings.initial_field(), config).final_field().values
+        exact = nls_breather_exact(grid.z, settings.t_final, amplitude, 0.0)
+        assert math.sqrt(np.sum(np.abs(final - exact) ** 2) * grid.dz) <= yoshida_error
+        assert config.n_steps() * len(ORDERS[config.order]) < yoshida_pairs
 
     @pytest.mark.parametrize("amplitude", [1.0, 3.0])
     def test_coprime_cadence_keeps_the_strang_run(self, amplitude):

@@ -1,8 +1,8 @@
 """The FFT-bound step kernels: cached grid arrays, the real-FFT derivative,
-the batched transport RK4, the merged NLS Strang, Yoshida and sixth-order
-Kahan-Li steps, the Klein-Gordon exact propagator in blocks of record rows
-and the linear Schrodinger step, how many FFTs each step or block makes,
-and that no reused step buffer reaches a record.
+the batched transport RK4, the merged NLS Strang, fourth-order Suzuki and
+sixth-order Kahan-Li steps, the Klein-Gordon exact propagator in blocks
+of record rows and the linear Schrodinger step, how many FFTs each step
+or block makes, and that no reused step buffer reaches a record.
 
 The references here are written out in the tests (the unmerged Strang
 loop and compositions, the Klein-Gordon closed form one record at a time,
@@ -115,7 +115,7 @@ def test_real_derivative_zeroes_nyquist():
 
 
 # ---------------------------------------------------------------------------
-# merged NLS Strang and Yoshida steps
+# merged NLS Strang and composed steps
 # ---------------------------------------------------------------------------
 
 def _unmerged_nls_states(psi0: np.ndarray, grid: Grid1D, dt: float, n_steps: int,
@@ -166,17 +166,18 @@ def test_merged_nls_matches_unmerged_loop(grid512, n_steps, observe_every, snaps
         assert np.max(np.abs(snap.field.values - states[step])) <= 1e-10
 
 
-_W1 = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-#: the composed steps' weights, written out: Yoshida's, and Kahan & Li's s9odr6a
+_W1 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
+#: the composed steps' weights, written out: Suzuki's five-stage, and Kahan & Li's s9odr6a
 COMPOSITIONS = {
-    4: (_W1, 1.0 - 2.0 * _W1, _W1),
+    4: (_W1, _W1, 1.0 - 4.0 * _W1, _W1, _W1),
     6: (0.39216144400731413928, 0.33259913678935943860, -0.70624617255763935981,
         0.08221359629355080023, 0.79854399093482996340, 0.08221359629355080023,
         -0.70624617255763935981, 0.33259913678935943860, 0.39216144400731413928),
 }
 
 
-# the order-4 ids are the bare cadence, so they stay put as orders are added
+# the order-4 ids are the bare cadence, so they stay put as orders are added;
+# the name, from the three-stage composition order 4 once was, stays for the same reason
 @pytest.mark.parametrize("order,n_steps,observe_every,snapshot_every", [
     pytest.param(order, *cadence,
                  id="-".join(map(str, cadence if order == 4 else (f"order{order}",) + cadence)))
@@ -211,14 +212,14 @@ def test_nls_fft_count_with_recording_off(monkeypatch, grid512):
         assert counts["rfft"] + counts["irfft"] == 0
 
 
-def test_yoshida_makes_three_fft_pairs_per_step(monkeypatch, grid512):
+def test_suzuki_makes_five_fft_pairs_per_step(monkeypatch, grid512):
     counts = _count_ffts(monkeypatch)
     psi0 = ComplexField(grid512, nls_breather_exact(grid512.z, 0.0, 1.0, 0.0))
     for n_steps in (1, 2, 25):
         counts.clear()
         evolve_nls(psi0, SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=n_steps * 1e-3,
                                       observe_every=0, snapshot_every=0, order=4))
-        assert counts["fft"] + counts["ifft"] == 6 * n_steps + 2
+        assert counts["fft"] + counts["ifft"] == 10 * n_steps + 2
         assert counts["rfft"] + counts["irfft"] == 0
 
 
