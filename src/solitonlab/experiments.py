@@ -8,14 +8,15 @@
 * the planetary-orbit quantization chain and its phase-accordance law;
 * the frequency-converter relations for a guided photon mode.
 
-Monte Carlo trial i owns draw i of two PCG64 streams spawned from the
-seed: stream 0 gives its bounce phase, stream 1 its tunnel coin (drawn
-below cutoff only).  Each worker advances its streams to its first
-trial, so reports are bit-identical regardless of execution order,
-worker count or buffer size.  The gap is turned once per spec into
-exact intervals of the float draw u = m 2^-53, so a trial is counted
-with plain float compares, giving the same counts as evaluating its
-transverse position trial by trial.
+Monte Carlo trial i takes a 53-bit phase integer m, u = m 2^-53: its top
+32 bits are 32-bit word i of PCG64 stream 0 (two words per draw), its low
+21 bits the top of draw i of stream 2, drawn only for the few words the
+top bits leave undecided; draw i of stream 1 is its tunnel coin (below
+cutoff only).  Each worker advances its streams to its first trial, so
+reports are bit-identical regardless of execution order, worker count or
+buffer size.  The gap is turned once per spec into exact intervals of
+u, so a trial is counted with plain integer compares, giving the same
+counts as evaluating its transverse position trial by trial.
 """
 
 from __future__ import annotations
@@ -45,16 +46,20 @@ from .solvers import (
     validate_solver_config,
 )
 
-#: Generator.random draws u = m 2^-53 for an integer m in [0, 2^53)
+#: a trial's phase is u = m 2^-53 for an integer m in [0, 2^53), the
+#: resolution of Generator.random
 _UNIFORM_BITS = 53
-#: draws per buffer fill of a Monte Carlo worker: sets the buffer size and
-#: the split into worker chunks, never a result
+#: low bits of m below its 32-bit word W: m = (W << _LOW_BITS) | L
+_LOW_BITS = _UNIFORM_BITS - 32
+#: trials per buffer fill of a Monte Carlo worker: sets the buffer size and
+#: the split into worker chunks, never a result.  It must be even: a chunk
+#: starts at a whole draw of stream 0, which holds two trials' words
 _TRIALS_PER_BLOCK = 1 << 16
 #: most Monte Carlo workers; fixed, not the machine's CPU count, so that
 #: whether a worker count is accepted does not depend on the machine
 MAX_PARALLEL_TRIALS = 64
-#: most Monte Carlo trials in one run: about 35 s on one worker at the
-#: 3.5 ns per trial measured on a 2-CPU Xeon
+#: most Monte Carlo trials in one run: about 25 s on one worker at the
+#: 2.5 ns per trial measured on a 2-CPU Xeon
 MAX_TRIALS = 10**10
 
 #: width-ratio bands for the dichotomy verdicts
@@ -293,6 +298,9 @@ class BarrierSpec:
     gap_offset: float = 0.0
 
     def __post_init__(self):
+        for name in ("height", "length", "energy", "gap_offset"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.height <= 0.0 or self.length <= 0.0 or self.energy <= 0.0:
             raise ConfigurationError("height, length and energy must be positive")
         if self.trials < 1:
@@ -339,7 +347,7 @@ class MonteCarloReport:
 
 
 def _stream(seed: int, index: int, first: int) -> np.random.Generator:
-    """Monte Carlo stream `index` (child `index` of SeedSequence(seed).spawn(2))
+    """Monte Carlo stream `index` (child `index` of SeedSequence(seed).spawn(3))
     positioned at its draw `first`: PCG64's advance jumps there exactly."""
     bitgen = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,)))
     bitgen.advance(first)
@@ -381,30 +389,63 @@ def _gap_intervals(width: float, gap_lo: float, gap_hi: float) -> list[tuple[flo
 
 def _count_chunk(seed: int, first: int, stop: int, gaps: list[tuple[float, float]],
                  p_tunnel: float | None) -> int:
-    """Trials in [first, stop) whose phase draw lies in one of the disjoint
-    closed intervals `gaps` and, unless p_tunnel is None (above cutoff),
-    whose coin draw is below p_tunnel.  The generators and buffers are made
-    once and filled in place block by block."""
+    """Trials in [first, stop) whose phase u = m 2^-53 lies in one of the
+    disjoint closed intervals `gaps` and, unless p_tunnel is None (above
+    cutoff), whose coin draw is below p_tunnel; `first` must be even.
+
+    Trial i's m is (W_i << 21) | L_i (see run_barrier_monte_carlo).  The
+    position depends on m only through |m - 2^52|, so m and 2^53 - m land
+    alike, and gaps[0], the interval [a, b] of m <= 2^52, decides every
+    trial.  Folding the word to f = min(W, ~W) maps trial i to an m' =
+    min(m, 2^53 - m) in [f 2^21, (f + 1) 2^21]: the cells f strictly
+    between a >> 21 and (b >> 21) - 1 lie inside [a, b], those below and
+    above the candidate cells (each end's cell, the one below it and cell
+    0) outside.  Only a trial in a candidate cell draws its L and takes the
+    float test.  The generators and buffers are made once per chunk; each
+    block draws its words afresh.
+    """
+    if not gaps:
+        return 0
+    a, b = (int(u * 2.0**_UNIFORM_BITS) for u in gaps[0])
+    low = a >> _LOW_BITS  # the cell of a
+    high = (min(b, 1 << (_UNIFORM_BITS - 1)) >> _LOW_BITS) - 1  # the cell below b's
+    inside = max(high - low - 1, 0)  # cells low + 1 .. high - 1
+    # the candidate cells after both shifts below, which leave f - high
+    edges = [(c - high) % 2**32 for c in (0, low - 1, low, high, high + 1) if c >= 0]
     size = min(_TRIALS_PER_BLOCK, stop - first)
-    draws = np.empty(size)
-    hit, upper, tunnels = (np.empty(size, dtype=bool) for _ in range(3))
-    phase = _stream(seed, 0, first)
+    folded, hit = np.empty(size, dtype=np.uint32), np.empty(size, dtype=bool)
+    phase = _stream(seed, 0, first // 2).bit_generator
     coin = None if p_tunnel is None else _stream(seed, 1, first)
+    if coin is not None:
+        coins, tunnels = np.empty(size), np.empty(size, dtype=bool)
     total = 0
     for start in range(first, stop, size):
         n = min(size, stop - start)
-        u, h, b, t = draws[:n], hit[:n], upper[:n], tunnels[:n]
-        if coin is not None:  # the coins first, so one buffer takes both streams
-            coin.random(out=u)
-            np.less(u, p_tunnel, out=t)
-        phase.random(out=u)
-        for lo, hi in gaps:
-            np.greater_equal(u, lo, out=h)
-            np.less_equal(u, hi, out=b)
-            h &= b
+        f, h = folded[:n], hit[:n]
+        # two words per draw, low half first whatever the machine's byte order
+        w = phase.random_raw((n + 1) // 2).astype("<u8", copy=False).view("<u4")[:n]
+        np.invert(w, out=f)
+        np.minimum(w, f, out=f)
+        near = f.min() == 0  # cell 0
+        np.subtract(f, low + 1, out=f)  # inside -> [0, inside); cells low - 1, low -> the top two
+        np.less(f, inside, out=h)
+        if coin is not None:
+            coin.random(out=coins[:n])
+            np.less(coins[:n], p_tunnel, out=tunnels[:n])
+            h &= tunnels[:n]
+        total += int(np.count_nonzero(h))
+        near |= f.max() >= 2**32 - 2
+        np.subtract(f, (high - low - 1) % 2**32, out=f)  # f - high: cells high, high + 1 -> 0, 1
+        if near or f.min() <= 1:
+            edge = np.isin(f, edges)
             if coin is not None:
-                h &= t
-            total += int(np.count_nonzero(h))
+                edge &= tunnels[:n]
+            for j in np.flatnonzero(edge).tolist():  # PCG64.advance fails on numpy ints
+                low_bits = int(_stream(seed, 2, start + j).bit_generator.random_raw()) >> (
+                    64 - _LOW_BITS)
+                u = ((int(w[j]) << _LOW_BITS) | low_bits) * 2.0**-_UNIFORM_BITS
+                total += any(lo <= u <= hi for lo, hi in gaps)
+        del w  # free this block's draws before the next block's are made
     return total
 
 
@@ -422,13 +463,18 @@ def run_barrier_monte_carlo(spec: BarrierSpec, *, parallel_trials: int = 1) -> M
     The analytic transmission of the linear equation for the same
     rectangular barrier rides along as the comparator.
 
-    Trial i owns draw i of stream 0 (its phase) and of stream 1 (its coin,
-    drawn below cutoff only); see ``_stream``.  The trials split into at
-    most ``parallel_trials`` contiguous chunks of whole _TRIALS_PER_BLOCK
-    blocks, each with its own generators and buffers, so no count depends
-    on the worker count or the block size.  The gap is at most two exact
-    intervals of the draw u (``_gap_intervals``), so the compares give the
-    counts of the float formulation; the coin is u < p.
+    Trial i's phase is u = m 2^-53 with m = (W_i << 21) | L_i: W_i is
+    32-bit word i of stream 0, whose draw j holds W_2j in its low half and
+    W_2j+1 in its high half, and L_i the top 21 bits of draw i of stream 2,
+    drawn only when W_i lies in a cell next to an end of the gap (at most
+    10 words in 2^32).
+    Draw i of stream 1 is its coin, drawn below cutoff only; see
+    ``_stream``.  The trials split into at most ``parallel_trials``
+    contiguous chunks of whole _TRIALS_PER_BLOCK blocks, each with its own
+    generators and buffers, so no count depends on the worker count or the
+    block size.  The gap is at most two exact intervals of u
+    (``_gap_intervals``), so the compares give the counts of the float
+    formulation on u; the coin is u < p.
     """
     if not 1 <= parallel_trials <= MAX_PARALLEL_TRIALS:
         raise ConfigurationError(f"parallel_trials must be between 1 and "
@@ -491,8 +537,11 @@ def run_barrier_monte_carlo(spec: BarrierSpec, *, parallel_trials: int = 1) -> M
             "above_cutoff": above_cutoff,
             "evanescent_kappa_per_m": kappa,
             "tunnel_probability": p_tunnel,
-            "rng": "PCG64 streams 0 and 1 of SeedSequence(seed).spawn(2), phase and "
-                   "tunnel coin: trial i takes draw i of each; the coin below cutoff only",
+            "rng": "PCG64 streams 0, 1 and 2 of SeedSequence(seed).spawn(3): trial i's "
+                   "phase is m 2^-53, m = (W << 21) | L, W its 32-bit half-word i of stream "
+                   "0 (low half of each draw first), L the top 21 bits of draw i of stream 2, "
+                   "drawn only where W lies next to an end of the gap; its tunnel coin is "
+                   "draw i of stream 1, below cutoff only",
         },
     )
 

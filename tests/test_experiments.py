@@ -123,7 +123,8 @@ class TestDichotomy:
         (1e-3, 0, 0.5, 25),     # ends only: any divisor of the step count
         (1e-3, 100, 0.05, 25),  # fewer steps than the cadence
         (0.02, 5, 1.0, 1),      # dt already above the cubic cap
-    ])
+    ], ids=["0.001-100-1.0", "0.001-7-0.7", "0.001-7-0.5", "0.001-0-0.5", "0.001-100-0.05",
+            "0.02-5-1.0"])  # the inputs only: a new cubic cap renames no case
     def test_transport_step_derived_from_settings(self, dt, observe_every, t_final,
                                                   cubic_stride):
         # the packet is at rest, so the Courant rule sets the transport no
@@ -198,7 +199,8 @@ class TestDichotomy:
         assert np.array_equal(rerun.times, nls.times)
         assert np.array_equal(rerun.observable("rms_width"), nls.observable("rms_width"))
 
-    @pytest.mark.parametrize("amplitude, stride", [(1.0, 25), (1.5, 25), (2.0, 10), (3.0, 5)])
+    @pytest.mark.parametrize("amplitude, stride", [(1.0, 25), (1.5, 25), (2.0, 10), (3.0, 5)],
+                             ids=["1.0", "1.5", "2.0", "3.0"])
     def test_nls_stride_bounded_by_step_and_phase(self, amplitude, stride):
         # m dt <= CUBIC_MAX_DT, and the largest sub-step phase
         # 2 |w0| a^2 m dt stays within MAX_POTENTIAL_PHASE_PER_STEP
@@ -305,11 +307,16 @@ class TestBarrierMonteCarlo:
         assert serial == parallel
 
     def test_blocked_stream_matches_single_stream(self):
-        # regression canary for the advanced phase stream
+        # regression canary for the advanced phase stream: trial i's phase
+        # is (W_i 2^21 + L_i) 2^-53, W_i the i-th 32-bit half of stream 0's
+        # draws (low half first), L_i the top 21 bits of stream 2's draw i
         spec = _spec_gap_08(trials=150_000, seed=12345)
         report = run_barrier_monte_carlo(spec)
-        phase_seed = np.random.SeedSequence(spec.seed).spawn(2)[0]
-        draws = np.random.Generator(np.random.PCG64(phase_seed)).random(spec.trials)
+        phase_seed, _, low_seed = np.random.SeedSequence(spec.seed).spawn(3)
+        raw = np.random.PCG64(phase_seed).random_raw(spec.trials // 2)
+        words = np.stack([raw & 0xFFFFFFFF, raw >> 32], axis=1).ravel()
+        low = np.random.PCG64(low_seed).random_raw(spec.trials) >> 43
+        draws = (words * 2**21 + low).astype(float) * 2.0**-53
         w = K.c / (2 * K.cutoff_frequency)
         w_narrow = w / 1.25
         x = w * (1 - np.abs(1 - 2 * draws))
@@ -330,7 +337,7 @@ class TestBarrierMonteCarlo:
         # the criterion-12 spec: above cutoff, the expectation is w'/w
         spec = _spec_gap_08(trials=10**6, seed=20240817)
         report = run_barrier_monte_carlo(spec)
-        assert report.transmitted == 799845  # pins the RNG stream layout
+        assert report.transmitted == 799898  # pins the RNG stream layout
         assert report.expected_fraction == report.geometric_gap_fraction
         sigma = math.sqrt(0.8 * 0.2 / spec.trials)
         assert report.z_score == pytest.approx(
@@ -386,6 +393,13 @@ class TestBarrierMonteCarlo:
         sigma = math.sqrt(0.8 * 0.2 / spec.trials)
         assert abs(report.transmission_fraction - 0.8) <= 4 * sigma
 
+    @pytest.mark.parametrize("field", ["height", "length", "energy", "gap_offset"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field(self, field, value):
+        fields = dict(height=1.0, length=1e-12, energy=1.0, trials=10, seed=0, gap_offset=0.0)
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            BarrierSpec(**{**fields, field: value})
+
     def test_invalid_spec(self):
         with pytest.raises(ConfigurationError):
             BarrierSpec(height=-1.0, length=1e-12, energy=1.0, trials=10, seed=0)
@@ -435,35 +449,99 @@ def _vanishing_spec(trials=10, seed=3) -> BarrierSpec:
                        trials=trials, seed=seed)
 
 
+def _layout_phases(seed: int, first: int, count: int) -> np.ndarray:
+    """m of trials [first, first + count), first even, drawn unblocked: the
+    32-bit half-words of stream 0's raw draws (low half first) over the top
+    21 bits of stream 2's raw draw of each trial, drawn for every trial."""
+    phase_seed, _, low_seed = np.random.SeedSequence(seed).spawn(3)
+    phase, low = np.random.PCG64(phase_seed), np.random.PCG64(low_seed)
+    phase.advance(first // 2)
+    low.advance(first)
+    raw = phase.random_raw((count + 1) // 2)
+    m = raw.astype("<u8").view("<u4")[:count].astype(np.uint64) << 21
+    m |= low.random_raw(count) >> 43
+    return m
+
+
 def _float_counts(spec: BarrierSpec, p_tunnel: float | None) -> tuple[int, int]:
-    """(transmitted, tunneled) from one unblocked Generator.random sequence per
-    stream of SeedSequence(seed).spawn(2): the float formulation of the
-    Monte Carlo; p_tunnel None above cutoff."""
+    """(transmitted, tunneled) of the float formulation on the unblocked
+    layout: trial i's phase u = m 2^-53 (_layout_phases) through the float
+    position formula, its coin stream 1's Generator.random draw i.
+    p_tunnel is None above cutoff."""
     _, width, _, gap_lo, gap_hi = spec.geometry()
-    phase_seed, coin_seed = np.random.SeedSequence(spec.seed).spawn(2)
-    u = np.random.Generator(np.random.PCG64(phase_seed)).random(spec.trials)
+    u = _layout_phases(spec.seed, 0, spec.trials).astype(float) * 2.0**-53
     position = width * (1.0 - np.abs(1.0 - 2.0 * u))
     in_gap = (position >= gap_lo) & (position <= gap_hi)
     if p_tunnel is None:
         return int(np.count_nonzero(in_gap)), 0
+    coin_seed = np.random.SeedSequence(spec.seed).spawn(3)[1]
     coin = np.random.Generator(np.random.PCG64(coin_seed)).random(spec.trials)
     return 0, int(np.count_nonzero(in_gap & (coin < p_tunnel)))
 
 
-def _replay_streams(monkeypatch, phases, coins=()) -> None:
-    """Make experiments._stream replay the given draws (stream 0 the phases,
-    stream 1 the coins) from trial `first` on."""
-    draws = {0: np.array(phases, dtype=float), 1: np.array(coins, dtype=float)}
+def _replay_streams(monkeypatch, phases, coins=()) -> list[tuple[int, int]]:
+    """Make experiments._stream replay the given draws from trial `first`
+    on: each phase m in [0, 2^53) as its word m >> 21 in stream 0 (two
+    words a draw, low half first) and its low bits in the top 21 bits of
+    stream 2's draw (under junk bits the run must drop), stream 1 the
+    coins.  Returns the list of streams built, as (index, first)."""
+    words = [m >> 21 for m in phases] + [0] * (len(phases) % 2)
+    draws = {0: np.array([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])],
+                         dtype=np.uint64),
+             1: np.array(coins, dtype=float),
+             2: np.array([(m & (2**21 - 1)) << 43 | 0x2A5A5A5A5A5 for m in phases],
+                         dtype=np.uint64)}
+
+    built = []
 
     class Replay:
         def __init__(self, index, first):
-            self.pos, self.values = first, draws[index]
+            built.append((index, first))
+            self.pos, self.values, self.bit_generator = first, draws[index], self
 
         def random(self, out):
             out[:] = self.values[self.pos:self.pos + len(out)]
             self.pos += len(out)
 
+        def random_raw(self, size=None):
+            values = self.values[self.pos:self.pos + (size or 1)]
+            self.pos += size or 1
+            return values if size else values[0]
+
     monkeypatch.setattr(experiments, "_stream", lambda seed, index, first: Replay(index, first))
+    return built
+
+
+def _in_gap(geometry, m: int) -> bool:
+    # the float formulation: the position of the draw u = m 2^-53 in the gap
+    width, gap_lo, gap_hi = geometry
+    return gap_lo <= _position(width, m) <= gap_hi
+
+
+def _cells(gaps) -> tuple[list[int], list[int]]:
+    """(candidate cells, decided cells next to them) of the folded word
+    f = min(W, ~W): the cell of each end of the rising interval [a, b], the
+    one below it and cell 0; and the cells just past them, both sides."""
+    lo_cell, hi_cell = (min(_m(u), HALF_M) >> 21 for u in gaps[0])
+    candidates = {c for c in (0, lo_cell - 1, lo_cell, hi_cell - 1, hi_cell) if 0 <= c < 2**31}
+    decided = {c for c in (lo_cell - 2, lo_cell + 1, hi_cell - 2, hi_cell + 1, 1)
+               if 0 <= c < 2**31} - candidates
+    return sorted(candidates), sorted(decided)
+
+
+GAP_GEOMETRIES = [
+    *[(width, gap_lo, gap_hi) for _, width, _, gap_lo, gap_hi in (
+        spec.geometry() for spec in (
+            _above_spec(0.0), _above_spec(0.0999999), _above_spec(-0.0999999),
+            BarrierSpec(height=0.25 * K.rest_energy, length=1e-12, energy=0.5 * K.rest_energy,
+                        trials=10, seed=1, gap_offset=1.09e-13)))],
+    (1.0, 0.0, 0.5),  # gap_lo is 0: m = 0 is in the gap
+    (1.0, 0.25, 0.75),  # a = 2^50 and b = 3 2^50 start cells: ~W at L = 0 reaches them
+    (1.0, 0.5, 1.0),  # the gap reaches the far wall: one interval around u = 1/2
+    (1.0, 0.0, 1.0),  # the whole guide
+]
+GAP_IDS = ["gap08", "+0.0999999w", "-0.0999999w", "wall+1.09e-13m", "lo-zero", "cell-aligned",
+           "peak-inside", "whole-guide"]
 
 
 class TestBarrierWordThresholds:
@@ -521,7 +599,7 @@ class TestBarrierWordThresholds:
             last = math.ceil(p * 2.0**53) - 1  # the last coin draw m 2^-53 below p
             coins = [m * 2.0**-53 for m in (last, last + 1) * 4]
             with monkeypatch.context() as patch:
-                _replay_streams(patch, [m * 2.0**-53 for m in ends], coins)
+                _replay_streams(patch, ends, coins)
                 report = run_barrier_monte_carlo(spec)
             if model["above_cutoff"]:
                 assert (report.transmitted, report.tunneled) == (4, 0)
@@ -529,10 +607,60 @@ class TestBarrierWordThresholds:
                 assert (report.transmitted, report.tunneled) == (0, 2)
                 assert sum(g and c < p for g, c in zip(in_gap, coins)) == 2
 
+    @pytest.mark.parametrize("geometry", GAP_GEOMETRIES, ids=GAP_IDS)
+    def test_candidate_words_resolve_exactly(self, geometry, monkeypatch):
+        # every word of a candidate cell, W = f or ~f, with its low bits L
+        # at 0, 1, the cell's top and on both sides of each interval end in
+        # it: each trial draws its L and counts as the float formulation on
+        # m = W 2^21 + L
+        gaps = _gap_intervals(*geometry)
+        candidates, _ = _cells(gaps)
+        ends = [_m(u) for interval in gaps for u in interval]
+        phases = set()
+        for f in candidates:
+            for word in (f, 2**32 - 1 - f):
+                base = word << 21
+                phases |= {base, base + 1, base + 2**21 - 1}
+                phases |= {e + d for e in ends for d in (-1, 0, 1) if e + d >> 21 == word}
+        assert set(ends) <= phases  # each end's word is a candidate
+        for m in sorted(phases):
+            with monkeypatch.context() as patch:
+                built = _replay_streams(patch, [m])
+                assert _count_chunk(0, 0, 1, gaps, None) == _in_gap(geometry, m), m
+            assert (2, 0) in built, m
+
+    @pytest.mark.parametrize("geometry", GAP_GEOMETRIES, ids=GAP_IDS)
+    def test_decided_words_draw_no_low_bits(self, geometry, monkeypatch):
+        # words of the cells next to the candidates lie wholly inside or
+        # outside the gap at every L: they count without a stream 2 draw
+        gaps = _gap_intervals(*geometry)
+        _, decided = _cells(gaps)
+        for m in [word << 21 | low for f in decided for word in (f, 2**32 - 1 - f)
+                  for low in (0, 2**21 - 1)]:
+            with monkeypatch.context() as patch:
+                built = _replay_streams(patch, [m])
+                assert _count_chunk(0, 0, 1, gaps, None) == _in_gap(geometry, m), m
+            assert built == [(0, 0)], m
+
+    @pytest.mark.parametrize("first", [0, 2 * BLOCK])
+    def test_candidate_words_draw_their_own_low_bits(self, first):
+        # the real streams: a gap whose low end a sits in the folded cell of
+        # one of four trials, at its m' = min(m, 2^53 - m) or one above, so
+        # that trial lands by its L from stream 2's draw first + k
+        ms = [int(m) for m in _layout_phases(77, first, 4)]
+        b = HALF_M - 2**40
+        for k, m in enumerate(ms):
+            m_r = min(m, 2**53 - m)
+            for a in (m_r, m_r + 1):
+                gaps = [(a * 2.0**-53, b * 2.0**-53),
+                        ((2**53 - b) * 2.0**-53, (2**53 - a) * 2.0**-53)]
+                expected = sum(any(lo <= x * 2.0**-53 <= hi for lo, hi in gaps) for x in ms)
+                assert _count_chunk(77, first, first + 4, gaps, None) == expected, (k, a)
+
     def test_tunnel_bound_at_a_dyadic_probability(self, monkeypatch):
         below, at = (1 << 52) - 1, 1 << 52
         assert below * 2.0**-53 < 0.5 <= at * 2.0**-53
-        _replay_streams(monkeypatch, [0.5, 0.5], [below * 2.0**-53, at * 2.0**-53])
+        _replay_streams(monkeypatch, [HALF_M, HALF_M], [below * 2.0**-53, at * 2.0**-53])
         assert _count_chunk(0, 0, 2, [(0.0, 1.0)], 0.5) == 1
 
     @pytest.mark.parametrize("p, last_m", [
@@ -542,7 +670,7 @@ class TestBarrierWordThresholds:
     def test_tunnel_bound_edges(self, p, last_m, monkeypatch):
         # coin draws m 2^-53 at the last one below p and the next: only the first tunnels
         coins = [m for m in (last_m, last_m + 1) if 0 <= m <= TOP_M]
-        _replay_streams(monkeypatch, [0.5] * len(coins), [m * 2.0**-53 for m in coins])
+        _replay_streams(monkeypatch, [HALF_M] * len(coins), [m * 2.0**-53 for m in coins])
         assert _count_chunk(0, 0, len(coins), [(0.0, 1.0)], p) == int(last_m >= 0)
         if last_m >= 0:
             assert last_m * 2.0**-53 < p
@@ -568,8 +696,12 @@ class TestBarrierWordThresholds:
         _below_spec(0.0, trials=70_001, length=1e-30),  # p = 1: every gap draw tunnels
         _below_spec(0.0, trials=70_001, length=1e-9),  # p = 0: none does
         _above_spec(0.0, trials=1, seed=16),
+        # the CI case: the gap 0.01 w from the far wall, an odd trial count
+        BarrierSpec(height=0.25 * K.rest_energy, length=1e-12, energy=0.5 * K.rest_energy,
+                    trials=3_000_001, seed=20240817, gap_offset=1.09e-13),
     ], ids=["gap08", "+0.05w", "-0.05w", "+0.0999999w", "-0.0999999w", "vanishing",
-            "below", "below+0.05w", "below-0.0999999w", "below-p1", "below-p0", "one-trial"])
+            "below", "below+0.05w", "below-0.0999999w", "below-p1", "below-p0", "one-trial",
+            "wall+1.09e-13m"])
     def test_counts_match_the_float_block_loop(self, spec, workers):
         report = run_barrier_monte_carlo(spec, parallel_trials=workers)
         model = report.model
@@ -596,11 +728,13 @@ class TestBarrierWordThresholds:
                 assert run_barrier_monte_carlo(spec, parallel_trials=workers) == serial
 
     @pytest.mark.parametrize("spec, streams", [
-        (_above_spec(trials=3 * BLOCK + 7), [0]),
-        (_below_spec(trials=3 * BLOCK + 7), [0, 1]),
+        (_above_spec(trials=3 * BLOCK + 7), [(0, 2)]),
+        (_below_spec(trials=3 * BLOCK + 7), [(0, 2), (1, 1)]),
     ], ids=["above", "below"])
     def test_coin_stream_built_below_cutoff_only(self, spec, streams, monkeypatch):
-        # three chunks over four blocks: each builds its streams at its first trial
+        # three chunks over four blocks: each builds its streams at its first
+        # trial, stream 0 at its draw first / 2 (two trials a draw); no word
+        # of these seeds leaves its gap test open, so stream 2 is never built
         built = []
 
         def spy(seed, index, first, stream=experiments._stream):
@@ -609,7 +743,8 @@ class TestBarrierWordThresholds:
 
         monkeypatch.setattr(experiments, "_stream", spy)
         report = run_barrier_monte_carlo(spec, parallel_trials=3)
-        assert sorted(built) == [(j, first) for j in streams for first in (0, BLOCK, 2 * BLOCK)]
+        assert sorted(built) == [(j, first // per_draw) for j, per_draw in streams
+                                 for first in (0, BLOCK, 2 * BLOCK)]
         p_tunnel = None if report.model["above_cutoff"] else report.model["tunnel_probability"]
         assert (report.transmitted, report.tunneled) == _float_counts(spec, p_tunnel)
 
