@@ -116,9 +116,6 @@ class ComplexField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def scaled(self, factor: complex) -> "ComplexField":
-        return ComplexField(self.grid, factor * self.values)
-
 
 class PacketKind(enum.Enum):
     SECH_BREATHER = "sech_breather"

@@ -351,7 +351,6 @@ def evolve_dispersionless(initial: MadelungField, config: SolverConfig) -> RunRe
         raise ConfigurationError("initial envelope is empty")
     v_per = (np.zeros(grid.n) if config.potential is None
              else np.asarray(config.potential, dtype=float))
-    n_steps = config.n_steps()
     dt = config.dt
     n = grid.n
     minus_ik = -grid._ik_half  # real-FFT half spectrum of -d/dz, Nyquist zeroed
@@ -383,52 +382,43 @@ def evolve_dispersionless(initial: MadelungField, config: SolverConfig) -> RunRe
         np.fft.irfft(spec, n, out=out[::2])  # rho_t and u_t
         np.negative(pair[1], out=out[1])
 
-    def check_cfl(step):
-        u_max = float(np.max(np.abs(s_z)))
-        if u_max * dt > cfl_limit:
-            raise NumericalError(
-                f"advective CFL violated at step {step} (t = {step * dt:.6g}): "
-                f"max|S_z| dt = {u_max * dt:.3g} > {TRANSPORT_CFL} dz = {cfl_limit:.3g}; "
-                "the classical flow may be forming a shock"
-            )
-
-    rec = _Recorder(config, grid)
-
-    def record(step, rho_c, s_c, kappa_c):
-        r_now = np.sqrt(np.clip(rho_c, 0.0, None))
-        s_full = kappa_c * z + s_c
+    def advance(done, block):
+        nonlocal kappa
+        for step in range(done + 1, block.steps[0] + 1):
+            rhs(y, kappa, k[0])
+            u_max = float(np.max(np.abs(s_z)))
+            if u_max * dt > cfl_limit:
+                raise NumericalError(
+                    f"advective CFL violated at step {step} (t = {step * dt:.6g}): "
+                    f"max|S_z| dt = {u_max * dt:.3g} > {TRANSPORT_CFL} dz = {cfl_limit:.3g}; "
+                    "the classical flow may be forming a shock")
+            for j, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+                np.multiply(k[j - 1], h, out=tmp)
+                np.add(tmp, y, out=tmp)
+                rhs(tmp, kappa + h * dkappa, k[j])
+            # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
+            np.multiply(k[1], 2.0, out=acc)
+            np.add(acc, k[0], out=acc)
+            np.multiply(k[2], 2.0, out=tmp)
+            np.add(acc, tmp, out=acc)
+            np.add(acc, k[3], out=acc)
+            np.multiply(acc, dt / 6.0, out=acc)
+            np.add(y, acc, out=y)
+            kappa = kappa + dt / 6.0 * (dkappa + 2.0 * dkappa + 2.0 * dkappa + dkappa)
+            if not np.all(np.isfinite(y)):
+                raise NumericalError(f"transport state blew up at step {step}")
+        r_now = np.sqrt(np.clip(y[0], 0.0, None))
+        s_full = kappa * z + y[1]
         columns = None
-        if rec.snapshot_now(step):
+        if block.snapped:
             fld = MadelungField(grid, r_now, s_full,
                                 support=r_now >= DEFAULT_NODE_THRESHOLD * float(r_now.max()))
             columns = {"R": r_now, "S": s_full, "Q": quantum_potential(fld)}
-        extra = {"rho_integral": float(np.sum(rho_c) * grid.dz)} if rec.observe_now(step) else None
+        extra = {"rho_integral": float(np.sum(y[0]) * grid.dz)} if block.observed else None
         # recompose as a one-row block: the recorder copies it only for a snapshot
-        rec.record(step, r_now * np.exp(1j * s_full), extra=extra, snapshot_extra=columns)
+        return r_now * np.exp(1j * s_full), extra, columns
 
-    record(0, y[0], y[1], kappa)
-    for step in range(1, n_steps + 1):
-        rhs(y, kappa, k[0])
-        check_cfl(step)
-        for j, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-            np.multiply(k[j - 1], h, out=tmp)
-            tmp += y
-            rhs(tmp, kappa + h * dkappa, k[j])
-        # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
-        np.multiply(k[1], 2.0, out=acc)
-        acc += k[0]
-        np.multiply(k[2], 2.0, out=tmp)
-        acc += tmp
-        acc += k[3]
-        acc *= dt / 6.0
-        y += acc
-        kappa = kappa + dt / 6.0 * (dkappa + 2.0 * dkappa + 2.0 * dkappa + dkappa)
-        if not np.all(np.isfinite(y)):
-            raise NumericalError(f"transport state blew up at step {step}")
-        if step == rec.next:
-            record(step, y[0], y[1], kappa)
-
-    return rec.build()
+    return _Recorder(config, grid).run(advance)
 
 
 @dataclass(frozen=True)

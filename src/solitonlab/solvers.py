@@ -33,23 +33,27 @@ two Cauchy data.
 
 Observable extraction and snapshot recording run on a configurable
 cadence decoupled from stepping; only a record step transforms a
-spectral state back to z.  The recorder takes a block of rows (one row
-from a stepping scheme) and copies only the snapshot rows, so a reused
-step buffer never reaches a record.  A record step whose field or
-recorded quantity is not finite raises NumericalError.  The recorder
-also builds the report: each scheme names the observable it conserves
-(the norm, the energy for the second-order equation, the density
-integral for the transport), and the report's conservation block is
-that series' drift.
+spectral state back to z.  The recorder alone knows the record plan, and
+one record loop serves all four schemes: it walks the plan in blocks of
+rows (one row for a stepping scheme), asks the scheme to advance to a
+block's steps and return their fields, with the extra quantities its
+observation and snapshot flags ask for, and records them.  The recorder
+copies only the snapshot rows, so a reused step buffer never reaches a
+record.  A record step whose field or recorded quantity is not finite
+raises NumericalError.  The recorder also builds the report: each scheme
+names the observable it conserves (the norm, the energy for the
+second-order equation, the density integral for the transport), and the
+report's conservation block is that series' drift.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,71 +228,66 @@ def require_nonlinear_phase(psi0: ComplexField, config: SolverConfig) -> None:
             f"accuracy guard {MAX_POTENTIAL_PHASE_PER_STEP}; reduce dt = {config.dt}")
 
 
-class _Recorder:
-    """Accumulates a run's record on the set cadence and builds its report.
+class _Block(NamedTuple):
+    """Ascending record steps with the indices of their observation and snapshot rows."""
 
-    The config gives dt, the step count, the two cadences, the probe and
-    the scheme.  The scheme names the report and its CONSERVED series
-    (norm, energy or rho_integral), whose drift backs the run: build
-    reports its initial and final values and max |x - x0| / x0 over the
-    reported series, under the keys {conserved}_initial,
-    {conserved}_final and max_relative_{w}_drift, with w the first word
-    of the name.  A record step whose field or recorded quantity is not
-    finite raises NumericalError, so a run that blew up cannot report
-    success.  next is the first record step not yet recorded, worked out
-    once per record, so a stepping loop compares one integer per step.
+    steps: list[int]
+    observed: list[int]
+    snapped: list[int]
+
+
+class _Recorder:
+    """Owns a run's record plan, keeps its record and builds its report.
+
+    The plan, from the config's step count and two cadences, is step 0,
+    every multiple of either cadence and the final step; a step observes
+    when it is 0, final or a multiple of observe_every, and snapshots
+    likewise with snapshot_every.  build names the report after the
+    config's scheme and backs it with the drift of its CONSERVED series
+    (norm, energy or rho_integral): the initial and final values and
+    max |x - x0| / x0 over the reported series, under the keys
+    {conserved}_initial, {conserved}_final and max_relative_{w}_drift, w
+    the first word of the name.  A record step whose field or recorded
+    quantity is not finite raises NumericalError, so a run that blew up
+    cannot report success.
     """
 
     def __init__(self, config: SolverConfig, grid: Grid1D):
         self.config = config
-        self.n_steps = config.n_steps()
         self.grid = grid
         self.conserved = CONSERVED[config.scheme]
         self.times: list[float] = []
         self.series: dict[str, list[float]] = {}
         self.snapshots: list[Snapshot] = []
-        self.cadences = [e for e in (config.observe_every, config.snapshot_every) if e > 0]
-        self.next = 0
 
-    def observe_now(self, step: int) -> bool:
-        if step == 0 or step == self.n_steps:
-            return True
-        return self.config.observe_every > 0 and step % self.config.observe_every == 0
+    def blocks(self, rows: int) -> Iterator[_Block]:
+        """The plan: step 0 alone, then blocks of up to rows later steps,
+        each with its observation and snapshot rows."""
+        n = self.config.n_steps()
+        # a cadence of 0 records only the first and final steps, as n would
+        observe, snapshot = self.config.observe_every or n, self.config.snapshot_every or n
+        steps = sorted({n}.union(range(observe, n, observe), range(snapshot, n, snapshot)))
+        yield _Block([0], [0], [0])
+        for first in range(0, len(steps), rows):
+            block = steps[first:first + rows]
+            yield _Block(block, [i for i, s in enumerate(block) if s == n or s % observe == 0],
+                         [i for i, s in enumerate(block) if s == n or s % snapshot == 0])
 
-    def snapshot_now(self, step: int) -> bool:
-        if step == 0 or step == self.n_steps:
-            return True
-        return self.config.snapshot_every > 0 and step % self.config.snapshot_every == 0
-
-    def _after(self, step: int) -> int:
-        """The first record step after step: the next multiple of either
-        cadence, or the final step."""
-        after = self.n_steps
-        for every in self.cadences:
-            after = min(after, (step // every + 1) * every)
-        return after
-
-    def record_steps(self) -> list[int]:
-        """Every record step of the run, ascending."""
-        return sorted({0, self.n_steps}.union(*(range(e, self.n_steps, e) for e in self.cadences)))
-
-    def record(self, steps: int | list[int], rows: np.ndarray, extra: dict | None = None,
+    def record(self, block: _Block, rows: np.ndarray, extra: dict | None = None,
                snapshot_extra: dict[str, np.ndarray] | None = None) -> None:
-        """Record rows[i], the field at record step steps[i] (ascending; a
-        step and a 1-D field make a one-row block), with extra quantities,
-        a value per observation row, and snapshot_extra columns, a row per
-        snapshot row.  Only the snapshot rows are copied.  The block is
-        checked before anything is kept: the first row that is not finite
-        raises NumericalError naming its step and first failing quantity,
-        in the order field, extra, observables, probe.  A row that is not
-        finite has a norm that is not, and ComplexField checks the snapshot
-        rows, so no row is scanned twice."""
-        if rows.ndim == 1:
-            steps, rows = [steps], rows[None]
+        """Record rows[i], the field at record step block.steps[i] (a 1-D
+        field makes a one-row block), with extra quantities, a value per
+        observation row, and snapshot_extra columns, a row per snapshot
+        row.  Only the snapshot rows are copied.  The block is checked
+        before anything is kept: the first row that is not finite raises
+        NumericalError naming its step and first failing quantity, in the
+        order field, extra, observables, probe.  A row that is not finite
+        has a norm that is not, and ComplexField checks the snapshot rows,
+        so no row is scanned twice."""
+        steps, observed, snapped = block
+        rows = rows.reshape(len(steps), -1)
         dt = self.config.dt
         extra = extra or {}
-        observed = [i for i, step in enumerate(steps) if self.observe_now(step)]
-        snapped = [i for i, step in enumerate(steps) if self.snapshot_now(step)]
         series = {}
         if observed:
             at = rows if len(observed) == len(rows) else rows[observed]
@@ -319,7 +318,17 @@ class _Recorder:
         for name, values in series.items():
             self.series.setdefault(name, []).extend(values)
         self.snapshots.extend(snapshots)
-        self.next = self._after(steps[-1])
+
+    def run(self, advance: Callable, rows: int = 1) -> RunReport:
+        """The record loop of every scheme: walk the plan in blocks of up to
+        rows; advance(done, block) goes on from record step done and returns
+        the block's rows, extra and snapshot_extra, as its flags ask; record
+        them, and build the report."""
+        done = 0
+        for block in self.blocks(rows):
+            self.record(block, *advance(done, block))
+            done = block.steps[-1]
+        return self.build()
 
     def build(self) -> RunReport:
         series = {k: np.array(v) for k, v in self.series.items()}
@@ -366,26 +375,29 @@ def _split_step(psi0: ComplexField, config: SolverConfig,
         merged = [np.exp(-1j * outer * (0.5 * (w + w_next) * dt))
                   for w, w_next in zip(weights, weights[1:] + weights[:1])]
 
-    rec = _Recorder(config, psi0.grid)
-    rec.record(0, psi0.values)
     state = np.fft.fft(psi0.values) if outer_in_k else psi0.values
     state = to_inner(state if half is None else half * state)
     buf = np.empty_like(state)
-    for step in range(1, n_steps + 1):
-        for j, w in enumerate(weights):
-            inner(state, w)
-            recording = j == last and step == rec.next
-            if merged is None and not recording:
-                continue
-            to_outer(state, out=buf)
-            if recording:
-                closed = buf if half is None else half * buf
-                rec.record(step, np.fft.ifft(closed) if outer_in_k else closed)
-            if merged is None or (j == last and step == n_steps):
-                continue
-            np.multiply(merged[j], buf, out=state)
-            to_inner(state, out=state)
-    return rec.build()
+
+    def advance(done: int, block: _Block):
+        target = block.steps[0]
+        for step in range(done + 1, target + 1):
+            for j, w in enumerate(weights):
+                inner(state, w)
+                closing = j == last and step == target
+                if merged is None and not closing:
+                    continue
+                to_outer(state, out=buf)
+                if closing:
+                    closed = buf if half is None else half * buf
+                    row = np.fft.ifft(closed) if outer_in_k else closed
+                if merged is None or (closing and step == n_steps):
+                    continue
+                np.multiply(merged[j], buf, out=state)
+                to_inner(state, out=state)
+        return psi0.values if target == 0 else row, None, None
+
+    return _Recorder(config, psi0.grid).run(advance)
 
 
 def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunReport:
@@ -476,20 +488,18 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
         raise ConfigurationError("psi0 and dpsi0_dt must share a grid")
     omega = np.hypot(1.0, grid.k)
     spec0, vel0 = np.fft.fft(psi0.values), np.fft.fft(dpsi0_dt.values)
-    rec = _Recorder(config, grid)
-    rec.record(0, psi0.values, extra={"energy": _spectral_energy(spec0, vel0, omega**2, grid.dz)})
-    steps = rec.record_steps()[1:]
-    rows = max(1, KG_BLOCK_VALUES // grid.n)
-    for first in range(0, len(steps), rows):
-        block = steps[first:first + rows]
-        phase = np.multiply.outer(np.array(block) * config.dt, omega)
+
+    def advance(done: int, block: _Block):
+        if block.steps == [0]:
+            return psi0.values, {"energy": _spectral_energy(spec0, vel0, omega**2, grid.dz)}, None
+        phase = np.multiply.outer(np.array(block.steps) * config.dt, omega)
         cos, sin = np.cos(phase), np.sin(phase)
         spec = cos * spec0 + sin * (vel0 / omega)
-        observed = [i for i, step in enumerate(block) if rec.observe_now(step)]
-        spec_t = cos[observed] * vel0 - sin[observed] * (omega * spec0)
-        energy = _spectral_energy(spec[observed], spec_t, omega**2, grid.dz)
-        rec.record(block, np.fft.ifft(spec), extra={"energy": energy})
-    return rec.build()
+        spec_t = cos[block.observed] * vel0 - sin[block.observed] * (omega * spec0)
+        energy = _spectral_energy(spec[block.observed], spec_t, omega**2, grid.dz)
+        return np.fft.ifft(spec), {"energy": energy}, None
+
+    return _Recorder(config, grid).run(advance, rows=max(1, KG_BLOCK_VALUES // grid.n))
 
 
 def nls_breather_exact(z, t: float, a: float, v: float, z0: float = 0.0):

@@ -95,6 +95,8 @@ def test_kg_dt_is_only_the_record_cadence(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     packet, t = report["config"]["packet"], report["snapshot_times"][-1]
     assert (report["config"]["dt"], t) == (0.2, 10.0)
+    # and the energy holds to roundoff
+    assert report["conservation"]["max_relative_energy_drift"] <= 1e-12
     final = sorted((tmp_path / "snapshots").glob("snapshot-*.csv"))[-1]
     z, re, im = np.loadtxt(final, delimiter=",", skiprows=3, usecols=(0, 1, 2)).T
     omega = np.hypot(1.0, packet["k0"])

@@ -345,17 +345,18 @@ def test_recorder_rejects_non_finite_records(grid512):
     config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.01,
                           observe_every=5)
     rec = _Recorder(config, grid512)
+    at0, at5, at10 = rec.blocks(1)
     field = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0), grid512).values
-    rec.record(0, field, extra={"energy": 1.0})
+    rec.record(at0, field, extra={"energy": 1.0})
     blown = field.copy()
     blown[3] = complex(math.nan, 0.0)
     with pytest.raises(NumericalError, match=r"field is not finite at step 5 \(t = 0.005\)"):
-        rec.record(5, blown)
+        rec.record(at5, blown)
     with pytest.raises(NumericalError, match="energy is not finite at step 5"):
-        rec.record(5, field, extra={"energy": math.inf})
+        rec.record(at5, field, extra={"energy": math.inf})
     # the observables of a finite field can overflow
     with pytest.raises(NumericalError, match="norm is not finite at step 10"):
-        rec.record(10, field * 1e200)
+        rec.record(at10, field * 1e200)
     assert rec.times == [0.0]
 
 
@@ -427,13 +428,34 @@ def test_kg_energy_summed_only_on_observation_steps(monkeypatch):
 # the one record path: blocks of rows
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_every_scheme_records_on_one_plan(grid512, scheme):
+    # observe_every 3 and snapshot_every 4 over 12 steps: every scheme
+    # observes at steps 0, 3, 6, 9, 12 and snapshots at 0, 4, 8, 12
+    dt = 1e-3
+    config = SolverConfig(scheme=scheme, dt=dt, t_final=12 * dt, observe_every=3,
+                          snapshot_every=4)
+    psi0 = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0, k0=1.0), grid512)
+    run = {
+        Scheme.LINEAR_SCHRODINGER: lambda: evolve_linear_schrodinger(psi0, config),
+        Scheme.NLS: lambda: evolve_nls(psi0, config),
+        Scheme.KLEIN_GORDON: lambda: evolve_klein_gordon(
+            psi0, one_branch_time_derivative(psi0), config),
+        Scheme.DISPERSIONLESS_TRANSPORT: lambda: evolve_dispersionless(
+            dispersionless_initial(grid512, velocity=1.0), config),
+    }
+    report = run[scheme]()
+    assert report.times.tolist() == [step * dt for step in (0, 3, 6, 9, 12)]
+    assert [snap.t for snap in report.snapshots] == [step * dt for step in (0, 4, 8, 12)]
+
+
 def _record_rows(grid):
     """A config whose record steps 0, 3, 4, 6, 8, 9, 12 mix observation,
     snapshot-only and both, and one distinct finite field per record step."""
     config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.012,
                           observe_every=3, snapshot_every=4, probe_index=100)
     rng = np.random.default_rng(7)
-    steps = _Recorder(config, grid).record_steps()
+    steps = [step for block in _Recorder(config, grid).blocks(1) for step in block.steps]
     rows = rng.normal(size=(len(steps), grid.n)) + 1j * rng.normal(size=(len(steps), grid.n))
     return config, steps, rows
 
@@ -444,12 +466,16 @@ def test_recording_rows_one_at_a_time_or_as_a_block_gives_one_report(grid512):
     observed = [i for i, s in enumerate(steps) if s % 3 == 0]
     energy = np.linspace(1.0, 2.0, len(observed))
     one_by_one = _Recorder(config, grid512)
-    for i, step in enumerate(steps):
+    for i, block in enumerate(one_by_one.blocks(1)):
         extra = {"energy": energy[observed.index(i)]} if i in observed else None
-        one_by_one.record(step, rows[i], extra=extra)
+        one_by_one.record(block, rows[i], extra=extra)
     blocks = _Recorder(config, grid512)
-    blocks.record(steps[:1], rows[:1], extra={"energy": energy[:1]})
-    blocks.record(steps[1:], rows[1:], extra={"energy": energy[1:]})
+    first, rest = blocks.blocks(len(steps))
+    # the plan flags observation steps 3, 6, 9, 12 and snapshot steps 4, 8, 12
+    assert first == ([0], [0], [0])
+    assert rest == ([3, 4, 6, 8, 9, 12], [0, 2, 4, 5], [1, 3, 5])
+    blocks.record(first, rows[:1], extra={"energy": energy[:1]})
+    blocks.record(rest, rows[1:], extra={"energy": energy[1:]})
     a, b = one_by_one.build(), blocks.build()
     assert np.array_equal(a.times, b.times) and a.conservation == b.conservation
     assert list(a.observables) == list(b.observables) == [
@@ -474,14 +500,15 @@ def test_recording_rows_one_at_a_time_or_as_a_block_gives_one_report(grid512):
 def test_block_with_a_non_finite_row_names_its_step(grid512, bad, message):
     config, steps, rows = _record_rows(grid512)
     rec = _Recorder(config, grid512)
-    rec.record(steps[0], rows[0])
+    first, rest = rec.blocks(len(steps))
+    rec.record(first, rows[0])
     for step, value in bad.items():
         if math.isfinite(value):
             rows[steps.index(step)] *= value
         else:
             rows[steps.index(step), 17] = value
     with pytest.raises(NumericalError, match=message):
-        rec.record(steps[1:], rows[1:])
+        rec.record(rest, rows[1:])
     # nothing of the failed block is kept
     assert rec.times == [0.0] and len(rec.snapshots) == 1
 
@@ -489,7 +516,9 @@ def test_block_with_a_non_finite_row_names_its_step(grid512, bad, message):
 def test_block_extra_fails_before_the_observables_of_its_row(grid512):
     config, steps, rows = _record_rows(grid512)
     rec = _Recorder(config, grid512)
+    first, rest = rec.blocks(len(steps))
+    rec.record(first, rows[0], extra={"energy": 1.0})
     rows[steps.index(6)] *= 1e200  # its norm overflows, and so does its energy
-    energy = np.array([1.0, 1.0, math.inf, 1.0, 1.0])  # observation steps 0, 3, 6, 9, 12
+    energy = np.array([1.0, math.inf, 1.0, 1.0])  # observation steps 3, 6, 9, 12
     with pytest.raises(NumericalError, match="energy is not finite at step 6"):
-        rec.record(steps, rows, extra={"energy": energy})
+        rec.record(rest, rows[1:], extra={"energy": energy})

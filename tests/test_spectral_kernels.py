@@ -11,7 +11,6 @@ are checked against the straightforward form of the same arithmetic.
 """
 
 import dataclasses
-import sys
 from collections import Counter
 
 import numpy as np
@@ -150,12 +149,7 @@ def test_merged_nls_matches_unmerged_loop(grid512, n_steps, observe_every, snaps
                           observe_every=observe_every, snapshot_every=snapshot_every)
     report = evolve_nls(psi0, config)
     states = _unmerged_nls_states(psi0.values, grid512, dt, n_steps)
-
-    def cadence(every):
-        return [s for s in range(n_steps + 1)
-                if s in (0, n_steps) or (every > 0 and s % every == 0)]
-
-    observed, snapped = cadence(observe_every), cadence(snapshot_every)
+    observed, snapped = _cadence(n_steps, observe_every), _cadence(n_steps, snapshot_every)
     assert np.allclose(report.times, np.array(observed) * dt, rtol=0.0, atol=1e-15)
     for i, step in enumerate(observed):
         expected = observables(ComplexField(grid512, states[step]))
@@ -621,12 +615,17 @@ def test_carried_slope_tracks_the_action_derivative(monkeypatch, grid512):
     carried = []
 
     class Capture(madelung._Recorder):
-        def record(self, step, values, **kwargs):
-            # caller: the nested record of evolve_dispersionless, whose
-            # caller holds the RK4 state y
-            y = sys._getframe(2).f_locals["y"]
-            carried.append((y[1].copy(), y[2].copy()))
-            super().record(step, values, **kwargs)
+        def run(self, advance, rows=1):
+            # the transport's advance keeps its RK4 state y in a closure
+            # cell; read (s, u) from it once each record step is reached
+            y = advance.__closure__[advance.__code__.co_freevars.index("y")].cell_contents
+
+            def advance_and_capture(done, block):
+                fields = advance(done, block)
+                carried.append((y[1].copy(), y[2].copy()))
+                return fields
+
+            return super().run(advance_and_capture, rows)
 
     monkeypatch.setattr(madelung, "_Recorder", Capture)
     v = 0.05 * np.cos(2 * np.pi * grid512.z / grid512.length)
