@@ -356,8 +356,6 @@ def _prepare_madelung(config: dict) -> tuple[tuple, float]:
     inputs = _prepare_evolve(config)
     if inputs[0].scheme is not Scheme.LINEAR_SCHRODINGER:
         raise ConfigurationError("madelung diagnostics apply to scheme = linear_schrodinger")
-    if inputs[0].snapshot_every < 1:
-        raise ConfigurationError("madelung needs solver.snapshot_every >= 1 for residual pairs")
     return inputs, check_node_threshold(
         _get(config, "node_threshold", float, DEFAULT_NODE_THRESHOLD))
 

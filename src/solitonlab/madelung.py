@@ -153,37 +153,19 @@ def _current(field: MadelungField) -> np.ndarray:
     return np.imag(np.conj(psi) * spectral_derivative(psi, field.grid, order=1))
 
 
-def _phase_gradient(field: MadelungField) -> np.ndarray:
-    """S_z = Im(psi* psi_z) / R^2 on the support, zeros outside it."""
-    current = _current(field)
-    s_z = np.zeros(field.grid.n)
-    sup = field.support & (field.R > 0.0)
-    s_z[sup] = current[sup] / field.R[sup] ** 2
-    return s_z
-
-
-def _align_actions(before: MadelungField, after: MadelungField,
-                   support: np.ndarray) -> np.ndarray:
-    """after.S shifted by the 2 pi multiple that makes dS small.
-
-    Independent unwrapping of two snapshots can differ by a global
-    2 pi integer; remove the median multiple before differencing.
-    """
-    two_pi = 2.0 * math.pi
-    delta = after.S - before.S
-    offset = two_pi * np.round(np.median(delta[support]) / two_pi)
-    return after.S - offset
-
-
 def _pair_midpoint(before: MadelungField, after: MadelungField,
                    dt: float) -> tuple[MadelungField, np.ndarray, np.ndarray]:
-    """Midpoint field, dS/dt and d(R^2)/dt from a centered snapshot pair."""
+    """Midpoint field, dS/dt and d(R^2)/dt from a centered snapshot pair.
+
+    after.S drops the median 2 pi multiple by which separate unwraps differ.
+    """
     if before.grid != after.grid:
         raise ConfigurationError("snapshot pair must share a grid")
     if dt <= 0.0:
         raise ConfigurationError("pair separation dt must be positive")
     support = before.support & after.support
-    s_after = _align_actions(before, after, support)
+    two_pi = 2.0 * math.pi
+    s_after = after.S - two_pi * np.round(np.median((after.S - before.S)[support]) / two_pi)
     s_dot = (s_after - before.S) / dt
     rho_dot = (after.R**2 - before.R**2) / dt
     mid = MadelungField(
@@ -204,7 +186,9 @@ def hj_residual_from_rate(field: MadelungField, s_dot: np.ndarray,
     equation zero this residual; without it, solutions of the classical
     transport system do.  Zeros outside the support.
     """
-    s_z = _phase_gradient(field)
+    s_z = np.zeros(field.grid.n)
+    nonzero = field.support & (field.R > 0.0)
+    s_z[nonzero] = _current(field)[nonzero] / field.R[nonzero] ** 2
     residual = np.zeros(field.grid.n)
     sup = field.support
     v = np.broadcast_to(np.asarray(potential, dtype=float), (field.grid.n,))
@@ -254,9 +238,11 @@ def polar_residuals(report: RunReport, config: SolverConfig,
     config is the run's SolverConfig.  Each snapshot field is advanced two
     more steps, so the residuals use a tight centered pair (gap 2 dt, the
     same order as the scheme) instead of the coarse snapshot cadence.
-    Returns one residual row per snapshot (midpoint time, pair gap and the
-    max |.| of the Hamilton-Jacobi and continuity residuals) and the
-    snapshots with R, S and Q columns added.
+    Each pair's midpoint field and rates are built once, and both
+    residuals are evaluated on them.  Returns one residual row per
+    snapshot (midpoint time, pair gap and the max |.| of the
+    Hamilton-Jacobi and continuity residuals) and the snapshots with R,
+    S and Q columns added.
     """
     potential = config.potential if config.potential is not None else 0.0
     pair_config = replace(config, t_final=2.0 * config.dt,
@@ -268,8 +254,9 @@ def polar_residuals(report: RunReport, config: SolverConfig,
         before = decompose(snap.field, node_threshold=node_threshold)
         after_field = evolve_linear_schrodinger(snap.field, pair_config).final_field()
         after = decompose(after_field, node_threshold=node_threshold)
-        hj = hj_residual(before, after, gap, potential=potential, include_q=True)
-        cont = continuity_residual(before, after, gap)
+        mid, s_dot, rho_dot = _pair_midpoint(before, after, gap)
+        hj = hj_residual_from_rate(mid, s_dot, potential, include_q=True)
+        cont = continuity_residual_from_rate(mid, rho_dot)
         rows.append({
             "t_mid": snap.t + config.dt,
             "pair_gap": gap,

@@ -269,6 +269,18 @@ def test_madelung_run_emits_residuals(tmp_path):
     assert all(r["max_hj_residual"] < 1e-2 for r in report["residuals"])
 
 
+def test_madelung_without_mid_run_snapshots(tmp_path):
+    # step 0 and the final step are always snapshots, so two residual rows
+    out = tmp_path / "m"
+    assert main(["madelung", "--config", str(CONFIG_DIR / "madelung-gaussian.json"),
+                 "--set", "solver.snapshot_every=0", "--out", str(out)]) == EXIT_OK
+    rows = json.loads((out / "report.json").read_text())["residuals"]
+    assert [r["t_mid"] for r in rows] == [0.001, 1.001]
+    # criterion 7's bound
+    assert all(r["max_hj_residual"] <= 5e-4 and r["max_continuity_residual"] <= 5e-4
+               for r in rows)
+
+
 def test_node_error_maps_to_numerical_exit(tmp_path, capsys):
     # a packet reflecting off a tall barrier develops interference nodes;
     # decomposing with a coarse node threshold is a numerical failure

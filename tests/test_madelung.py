@@ -295,6 +295,33 @@ def test_polar_residuals_bound_every_row(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "report.json").read_text())["residuals"] == rows
 
 
+@pytest.mark.parametrize("slope", [None, 0.05])
+def test_polar_residuals_match_the_pair_functions(slope):
+    # each row's one-midpoint pass equals, bit for bit, the public pair
+    # functions that criterion 7 and the demo call on the same pair
+    cfg = json.loads((CONFIG_DIR / "madelung-gaussian.json").read_text())
+    grid = Grid1D(**cfg["grid"])
+    packet = dict(cfg["packet"])
+    psi0 = build_packet(PacketSpec(PacketKind(packet.pop("kind")), **packet), grid)
+    potential = None if slope is None else slope * grid.z
+    config = SolverConfig(scheme=Scheme(cfg["scheme"]), potential=potential, **cfg["solver"])
+    threshold = cfg["node_threshold"]
+    report = evolve_linear_schrodinger(psi0, config)
+    rows, _ = polar_residuals(report, config, threshold)
+    pair_config = SolverConfig(scheme=config.scheme, dt=config.dt, t_final=2 * config.dt,
+                               observe_every=0, potential=potential)
+    gap = 2 * config.dt
+    assert len(rows) == len(report.snapshots) == 3
+    for row, snap in zip(rows, report.snapshots):
+        before = decompose(snap.field, node_threshold=threshold)
+        after = decompose(evolve_linear_schrodinger(snap.field, pair_config).final_field(),
+                          node_threshold=threshold)
+        hj = hj_residual(before, after, gap, potential=0.0 if slope is None else potential)
+        cont = continuity_residual(before, after, gap)
+        assert row["max_hj_residual"] == float(np.max(np.abs(hj)))
+        assert row["max_continuity_residual"] == float(np.max(np.abs(cont)))
+
+
 # ---------------------------------------------------------------------------
 # curvature-cancelled transport
 # ---------------------------------------------------------------------------
