@@ -68,7 +68,6 @@ from .solvers import (
     nls_breather_exact,
     nls_residual,
     one_branch_time_derivative,
-    validate_solver_config,
 )
 
 __version__ = "0.1.0"

@@ -294,12 +294,7 @@ def _potential(config: dict, grid: Grid1D) -> np.ndarray | None:
     if kind == "linear":
         return _get(section, "slope", float, where="potential") * z
     if kind == "tabulated":
-        values = np.array(_get(section, "values", list, where="potential", of=float))
-        if values.shape != (grid.n,):
-            raise ConfigurationError(
-                f"potential.values must have grid length {grid.n}, got {values.shape}"
-            )
-        return values
+        return np.array(_get(section, "values", list, where="potential", of=float))
     raise ConfigurationError(f"unknown potential.kind {kind!r}")
 
 
@@ -332,12 +327,9 @@ def _evolve(inputs) -> RunReport:
         dpsi0 = one_branch_time_derivative(psi0)
         report = evolve_klein_gordon(psi0, dpsi0, solver_config)
     # no silent defaults: the fully resolved packet joins the config echo
-    report.config["packet"] = {
-        "kind": packet.kind.value, "amplitude": packet.amplitude,
-        "center": packet.center, "velocity": packet.velocity,
-        "sigma": packet.sigma, "k0": packet.k0,
-        "scale": packet.sech_scale if packet.kind is PacketKind.SECH_BREATHER else None,
-    }
+    report.config["packet"] = {**dataclasses.asdict(packet), "kind": packet.kind.value}
+    if packet.kind is PacketKind.SECH_BREATHER:
+        report.config["packet"]["scale"] = packet.sech_scale
     if solver_config.scheme is Scheme.KLEIN_GORDON:
         report.config["initial_time_derivative"] = "one_branch"
     return report
@@ -374,9 +366,7 @@ def _run_madelung(inputs, args) -> tuple[dict, list[RunReport]]:
 
 
 def _prepare_dichotomy(config: dict) -> DichotomySettings:
-    settings = DichotomySettings(**_fields(DichotomySettings, config))
-    require_nonlinear_phase(settings.initial_field(), settings.cubic_config())
-    return settings
+    return DichotomySettings(**_fields(DichotomySettings, config))
 
 
 def _plan_dichotomy(settings: DichotomySettings) -> list[str]:
@@ -400,10 +390,8 @@ def _prepare_barrier(config: dict) -> BarrierSpec:
         "height": "height_eV", "length": "length_m", "energy": "energy_eV",
         "gap_offset": "gap_offset_m"})
     eV = electron_constants().eV
-    spec = BarrierSpec(**{**fields, "height": fields["height"] * eV,
+    return BarrierSpec(**{**fields, "height": fields["height"] * eV,
                           "energy": fields["energy"] * eV})
-    spec.geometry()
-    return spec
 
 
 def _run_barrier(spec: BarrierSpec, args) -> tuple[dict, list[RunReport]]:

@@ -43,7 +43,7 @@ from .solvers import (
     SolverConfig,
     evolve_linear_schrodinger,
     evolve_nls,
-    validate_solver_config,
+    require_nonlinear_phase,
 )
 
 #: a trial's phase is u = m 2^-53 for an integer m in [0, 2^53), the
@@ -114,8 +114,9 @@ class DichotomySettings:
     ``scale`` defaults to the amplitude (the cubic equation's
     amplitude-width locking); setting it separately builds a deliberate
     non-soliton as a negative control.  The three runs stride one base
-    SolverConfig, checked at construction, so t_final must be a positive
-    multiple of dt.  ``dt`` is the unit of the record cadence and the
+    SolverConfig, so t_final must be a positive multiple of dt; that config
+    and the cubic leg's nonlinear phase (require_nonlinear_phase) are
+    checked at construction.  ``dt`` is the unit of the record cadence and the
     cubic leg's base step; every leg's step is derived from the settings
     (see legs), not a field.
     """
@@ -130,8 +131,8 @@ class DichotomySettings:
     observe_every: int = 100
 
     def __post_init__(self):
-        if problems := validate_solver_config(self.solver_config(), self.grid()):
-            raise ConfigurationError("; ".join(problems))
+        self.solver_config()
+        require_nonlinear_phase(self.initial_field(), self.cubic_config())
 
     @property
     def sech_scale(self) -> float:
@@ -252,8 +253,9 @@ def run_dispersion_vs_soliton(settings: DichotomySettings | None = None) -> Dich
     is transported rigidly by the curvature-cancelled solver.  Each leg
     steps at its own multiple of ``settings.dt``, the largest its error
     rule allows (see DichotomySettings.legs), so all three record at
-    exactly the same times.  evolve_nls rejects a cubic leg at m = 1
-    whose phase 2 amplitude^2 dt exceeds MAX_POTENTIAL_PHASE_PER_STEP.
+    exactly the same times.  DichotomySettings already rejected a cubic
+    leg at m = 1 whose phase 2 amplitude^2 dt exceeds
+    MAX_POTENTIAL_PHASE_PER_STEP.
     """
     s = settings or DichotomySettings()
     psi0 = s.initial_field()
@@ -287,7 +289,7 @@ class BarrierSpec:
     height (J) raises the effective cutoff inside the barrier; length (m)
     is the barrier extent; energy (J) is the electron kinetic energy;
     gap_offset (m) displaces the narrowed-guide gap from the guide center
-    (default centered).
+    (default centered); construction checks that the gap fits (geometry).
     """
 
     height: float
@@ -309,6 +311,7 @@ class BarrierSpec:
             raise ConfigurationError(f"trials must be <= {MAX_TRIALS}, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise ConfigurationError("seed must fit in 64 bits")
+        self.geometry()
 
     def geometry(self) -> tuple[float, ...]:
         """(shifted cutoff f0', guide width w, narrowed width w', gap_lo, gap_hi);

@@ -12,7 +12,9 @@ factor of two in the kinetic term):
 * dispersionless transport (madelung): the Hamilton-Jacobi and continuity
   pair of the first equation with the curvature term removed
 
-All four schemes take one SolverConfig, checked by validate_solver_config.
+All four schemes take one SolverConfig.  It checks its own fields when it
+is built, and each solver checks the rules that need the grid
+(_require_valid) before it steps.
 
 The Schrodinger-type equations share one Strang split-step loop: half
 steps of an outer factor, diagonal in z for the linear scheme (the
@@ -49,10 +51,11 @@ report's conservation block is that series' drift.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -122,7 +125,10 @@ CONSERVED = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Integrator settings; validated against the grid before any stepping.
+    """Integrator settings.  Building one checks the cadences, the step
+    count, potential_slope and order (ConfigurationError names the first
+    problem); the solvers check potential and probe_index against the grid
+    before any stepping.
 
     snapshot_every / observe_every are step counts (0 disables mid-run
     snapshots; initial and final states are always recorded).
@@ -145,6 +151,21 @@ class SolverConfig:
     probe_index: int | None = None
     potential_slope: float = 0.0
     order: int = 2
+
+    def __post_init__(self):
+        for name in ("snapshot_every", "observe_every"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        step_count(self.dt, self.t_final)
+        if self.potential_slope != 0.0 and self.scheme is not Scheme.DISPERSIONLESS_TRANSPORT:
+            raise ConfigurationError(
+                f"{self.scheme.value} has no linear potential part; "
+                f"potential_slope must be zero, got {self.potential_slope}")
+        if self.order not in ORDERS:
+            raise ConfigurationError(f"order must be one of {sorted(ORDERS)}, got {self.order}")
+        if self.order != 2 and self.scheme is not Scheme.NLS:
+            raise ConfigurationError(f"{self.scheme.value} has only a second-order step; "
+                                     f"order must be 2, got {self.order}")
 
     def n_steps(self) -> int:
         return step_count(self.dt, self.t_final)
@@ -169,49 +190,32 @@ class SolverConfig:
         return echo
 
 
-def validate_solver_config(config: SolverConfig, grid: Grid1D) -> list[str]:
-    """All guard violations for this config on this grid (empty = runnable)."""
-    problems = [f"{name} must be >= 0, got {getattr(config, name)}"
-                for name in ("snapshot_every", "observe_every") if getattr(config, name) < 0]
-    try:
-        config.n_steps()
-    except ConfigurationError as err:
-        problems.append(str(err))
-    if config.potential is not None:
-        pot = np.asarray(config.potential, dtype=float)
-        if pot.shape != (grid.n,):
-            problems.append(
-                f"potential must have grid length {grid.n}, got shape {pot.shape}"
-            )
-        elif config.scheme in (Scheme.NLS, Scheme.KLEIN_GORDON) and np.any(pot != 0.0):
-            problems.append(f"{config.scheme.value} has no potential term; "
-                            "potential must be zero")
-        elif config.dt * float(np.max(np.abs(pot))) > MAX_POTENTIAL_PHASE_PER_STEP:
-            problems.append(
-                f"dt * max|V| = {config.dt * float(np.max(np.abs(pot))):.3g} exceeds the "
-                f"accuracy guard {MAX_POTENTIAL_PHASE_PER_STEP}"
-            )
-    if config.potential_slope != 0.0 and config.scheme is not Scheme.DISPERSIONLESS_TRANSPORT:
-        problems.append(f"{config.scheme.value} has no linear potential part; "
-                        f"potential_slope must be zero, got {config.potential_slope}")
-    if config.order not in ORDERS:
-        problems.append(f"order must be one of {sorted(ORDERS)}, got {config.order}")
-    elif config.order != 2 and config.scheme is not Scheme.NLS:
-        problems.append(f"{config.scheme.value} has only a second-order step; "
-                        f"order must be 2, got {config.order}")
-    if config.probe_index is not None and not (0 <= config.probe_index < grid.n):
-        problems.append(f"probe_index {config.probe_index} outside grid")
-    return problems
-
-
 def _require_valid(config: SolverConfig, grid: Grid1D, scheme: Scheme) -> None:
+    """Raise ConfigurationError unless config is for scheme and its rules
+    that need the grid hold: the potential's shape, checked before any
+    reduction over its values, no nonzero potential on the cubic or
+    second-order scheme, the dt max|V| accuracy guard and probe_index."""
     if config.scheme is not scheme:
         raise ConfigurationError(
             f"config.scheme is {config.scheme.value}, solver needs {scheme.value}"
         )
-    problems = validate_solver_config(config, grid)
-    if problems:
-        raise ConfigurationError("; ".join(problems))
+    if config.potential is not None:
+        pot = np.asarray(config.potential, dtype=float)
+        if pot.shape != (grid.n,):
+            raise ConfigurationError(
+                f"potential must have grid length {grid.n}, got shape {pot.shape}"
+            )
+        if scheme in (Scheme.NLS, Scheme.KLEIN_GORDON) and np.any(pot != 0.0):
+            raise ConfigurationError(f"{scheme.value} has no potential term; "
+                                     "potential must be zero")
+        phase = config.dt * float(np.max(np.abs(pot)))
+        if phase > MAX_POTENTIAL_PHASE_PER_STEP:
+            raise ConfigurationError(
+                f"dt * max|V| = {phase:.3g} exceeds the "
+                f"accuracy guard {MAX_POTENTIAL_PHASE_PER_STEP}"
+            )
+    if config.probe_index is not None and not (0 <= config.probe_index < grid.n):
+        raise ConfigurationError(f"probe_index {config.probe_index} outside grid")
 
 
 def require_nonlinear_phase(psi0: ComplexField, config: SolverConfig) -> None:
@@ -262,14 +266,16 @@ class _Recorder:
 
     def blocks(self, rows: int) -> Iterator[_Block]:
         """The plan: step 0 alone, then blocks of up to rows later steps,
-        each with its observation and snapshot rows."""
+        each with its observation and snapshot rows.  The steps are merged
+        from the two cadences as the blocks are taken, so the plan holds
+        one block at a time, whatever the step count."""
         n = self.config.n_steps()
         # a cadence of 0 records only the first and final steps, as n would
         observe, snapshot = self.config.observe_every or n, self.config.snapshot_every or n
-        steps = sorted({n}.union(range(observe, n, observe), range(snapshot, n, snapshot)))
+        merged = heapq.merge(range(observe, n, observe), range(snapshot, n, snapshot), (n,))
+        steps = (step for step, _ in groupby(merged))
         yield _Block([0], [0], [0])
-        for first in range(0, len(steps), rows):
-            block = steps[first:first + rows]
+        while block := list(islice(steps, rows)):
             yield _Block(block, [i for i, s in enumerate(block) if s == n or s % observe == 0],
                          [i for i, s in enumerate(block) if s == n or s % snapshot == 0])
 

@@ -270,6 +270,10 @@ def _digest_tree(root: Path) -> dict[str, str]:
     }
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not a JSON constant")
+
+
 def test_criterion_13_cli_reproducibility(tmp_path):
     from solitonlab.cli import main
     checked = []
@@ -284,6 +288,9 @@ def test_criterion_13_cli_reproducibility(tmp_path):
             digests.append(_digest_tree(out))
         assert digests[0], f"{config_path.name} produced no outputs"
         assert digests[0] == digests[1], f"{config_path.name} outputs differ between runs"
+        # every report.json is strict JSON: no NaN or Infinity constants
+        for path in (tmp_path / f"{config_path.stem}-a").rglob("report.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)
         checked.append(config_path.name)
     _verdict(13, True,
              f"identical output digests across re-runs for {len(checked)} shipped configs")

@@ -40,6 +40,18 @@ def _digest_tree(root: Path) -> dict[str, str]:
     return out
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-finite constant {token}")
+
+
+def _assert_strict_json(root: Path) -> None:
+    """Every report.json under root, and at least one, parses as strict JSON."""
+    paths = sorted(root.rglob("report.json"))
+    assert paths
+    for path in paths:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+
+
 def test_kinematics_flag_form(capsys):
     assert main(["kinematics", "--set", "v=0.6c"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -252,12 +264,33 @@ def test_manifest_lists_outputs_with_digests(tmp_path):
         assert actual == digest
 
 
+#: barrier-gap08 overrides and the two worker counts whose outputs must agree
+BARRIER_WORKER_CASES = [
+    (["trials=100000"], ("1", "4")),
+    ([], ("1", "2")),
+    # below cutoff (p_tunnel about 0.35): the tunnel coin stream is drawn too
+    (["height_eV=255499.4749980821", "energy_eV=51099.89499961642", "length_m=2e-13",
+      "trials=200000"], ("1", "3")),
+    # the gap 0.09 w off centre, 0.01 w from the far wall, and an odd trial
+    # count: the last chunk ends on half a stream-0 draw
+    (["gap_offset_m=1.09e-13", "trials=3000001"], ("1", "3")),
+]
+
+
 def test_barrier_parallel_trials_identical(tmp_path):
-    config = str(CONFIG_DIR / "barrier-gap08.json")
-    base = ["barrier", "--config", config, "--set", "trials=100000"]
-    assert main(base + ["--out", str(tmp_path / "serial")]) == EXIT_OK
-    assert main(base + ["--parallel-trials", "4", "--out", str(tmp_path / "par")]) == EXIT_OK
-    assert _digest_tree(tmp_path / "serial") == _digest_tree(tmp_path / "par")
+    # the worker count changes wall time only
+    for i, (overrides, workers) in enumerate(BARRIER_WORKER_CASES):
+        digests = []
+        for w in workers:
+            out = tmp_path / f"case-{i}-workers-{w}"
+            argv = _argv("barrier-gap08.json", overrides) + ["--parallel-trials", w]
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            digests.append(_digest_tree(out))
+        assert digests[0] == digests[1], overrides
+    # the last case, the off-centre gap, still agrees with the expected fraction
+    off_centre = json.loads((tmp_path / f"case-{i}-workers-1" / "report.json").read_text())
+    assert abs(off_centre["z_score"]) <= 4
+    assert "half-word" in off_centre["model"]["rng"]
 
 
 def test_madelung_run_emits_residuals(tmp_path):
@@ -321,10 +354,12 @@ def test_grid_point_count_is_capped(n, capsys):
     assert f"n must be a power of two between 16 and 1048576, got {n}" in capsys.readouterr().err
 
 
-def test_dispersion_table(capsys):
-    assert main(["dispersion", "--set", "branch=klein_gordon",
-                 "--set", "k_values=[0,0.75]"]) == EXIT_OK
+def test_dispersion_table(tmp_path, capsys):
+    # the default table of 31 k values (the README's CLI line sets two)
+    assert main(["dispersion", "--set", "branch=klein_gordon", "--out", str(tmp_path)]) == EXIT_OK
     assert "omega" in capsys.readouterr().out
+    _assert_strict_json(tmp_path)
+    assert len(json.loads((tmp_path / "report.json").read_text())["table"]) == 31
 
 
 def test_effective_packet_values_in_echo(tmp_path):
@@ -443,6 +478,10 @@ def _argv(config: str, overrides: list[str]) -> list[str]:
     ("dispersion", ["branch=klein_gordon", "f0=1e308"], "f0"),
     # about 40 days of trials on one worker
     ("barrier-gap08.json", ["trials=1000000000000000"], "trials"),
+    # a tabulated potential off the grid length, empty included
+    ("gaussian-linear.json", ["potential.kind=tabulated", "potential.values=[0.0, 0.0]"],
+     "potential"),
+    ("gaussian-linear.json", ["potential.kind=tabulated", "potential.values=[]"], "potential"),
 ])
 def test_validate_agrees_with_run(config, overrides, field, capsys, monkeypatch):
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
@@ -571,6 +610,8 @@ def test_readme_cli_examples_run(line, tmp_path, monkeypatch):
     if argv[0] != "validate":
         argv += ["--out", str(tmp_path / "run")]
     assert main(argv) == EXIT_OK
+    if argv[0] != "validate":
+        _assert_strict_json(tmp_path / "run")
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -624,10 +665,6 @@ def test_validate_exit_code_property(field, value):
     config, path = field
     code = main(["validate", "--config", str(CONFIG_DIR / config), "--set", f"{path}={value}"])
     assert code in (EXIT_OK, EXIT_CONFIG)
-
-
-def _reject_constant(token):
-    raise ValueError(f"non-finite constant {token}")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True,

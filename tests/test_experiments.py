@@ -80,6 +80,8 @@ class TestDichotomy:
         ({"t_final": 0.0105}, "integer multiple"),
         ({"dt": 0.0}, "dt"),
         ({"t_final": 0.0}, "t_final must be positive"),
+        # the cubic leg at stride 1 is Strang at dt: phase 2 a^2 dt = 0.18
+        ({"amplitude": 3.0, "dt": 0.01}, "nonlinear phase"),
     ])
     def test_settings_checked_at_construction(self, kwargs, match):
         with pytest.raises(ConfigurationError, match=match):
@@ -373,14 +375,11 @@ class TestBarrierMonteCarlo:
         assert json.loads(json.dumps(report.to_dict()))["z_score"] is None
 
     def test_gap_offset_must_fit(self):
+        # the spec checks its geometry when built, not when it first runs
         w = K.c / (2 * K.cutoff_frequency)
-        spec = BarrierSpec(height=0.25 * K.rest_energy, length=1e-12,
-                           energy=0.5 * K.rest_energy, trials=10, seed=1,
-                           gap_offset=0.5 * w)
-        with pytest.raises(ConfigurationError):
-            run_barrier_monte_carlo(spec)
-        with pytest.raises(ConfigurationError):
-            spec.geometry()
+        with pytest.raises(ConfigurationError, match="does not fit inside the guide"):
+            BarrierSpec(height=0.25 * K.rest_energy, length=1e-12,
+                        energy=0.5 * K.rest_energy, trials=10, seed=1, gap_offset=0.5 * w)
 
     def test_offset_shifts_statistics_not_fraction(self):
         # a centered triangle-wave phase is uniform in position, so a

@@ -35,7 +35,6 @@ from solitonlab import (
     quantum_potential,
     recompose,
     soliton_amplitude,
-    validate_solver_config,
 )
 from solitonlab.cli import main
 from solitonlab.experiments import TRANSPORT_COURANT, _strided, transport_max_dt
@@ -385,21 +384,19 @@ class TestDispersionlessTransport:
         assert {"R", "S", "Q"} <= set(rep.snapshots[-1].extra)
 
     @pytest.mark.parametrize("cadence", ["snapshot_every", "observe_every"])
-    def test_negative_cadence_rejected(self, grid512, cadence):
-        config = _transport(dt=1e-3, t_final=0.1, **{cadence: -1})
+    def test_negative_cadence_rejected(self, cadence):
         with pytest.raises(ConfigurationError, match=f"{cadence} must be >= 0, got -1"):
-            evolve_dispersionless(dispersionless_initial(grid512), config)
+            _transport(dt=1e-3, t_final=0.1, **{cadence: -1})
 
     @pytest.mark.parametrize("dt, t_final", [(1e-3, 0.1005), (1e-3, 5e-4), (0.0, 0.1),
                                              (-1e-3, 0.1)])
-    def test_dt_and_t_final_follow_the_shared_step_rule(self, grid512, dt, t_final):
+    def test_dt_and_t_final_follow_the_shared_step_rule(self, dt, t_final):
         # the same message as the other solvers give for the same pair
-        solver = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=dt, t_final=t_final)
-        (expected,) = validate_solver_config(solver, grid512)
+        with pytest.raises(ConfigurationError) as expected:
+            SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=dt, t_final=t_final)
         with pytest.raises(ConfigurationError) as err:
-            evolve_dispersionless(dispersionless_initial(grid512),
-                                  _transport(dt=dt, t_final=t_final))
-        assert str(err.value) == expected
+            _transport(dt=dt, t_final=t_final)
+        assert str(err.value) == str(expected.value)
 
     def test_cfl_abort(self, grid512):
         config = _transport(dt=1e-2, t_final=1.0)

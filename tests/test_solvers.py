@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from solitonlab import (
     nls_breather_exact,
     nls_residual,
     one_branch_time_derivative,
-    validate_solver_config,
 )
 from solitonlab import solvers
 from solitonlab.errors import NumericalError
@@ -106,8 +106,9 @@ class TestLinearSchrodinger:
         v = np.full(grid512.n, 200.0)
         config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3,
                               t_final=1.0, potential=v)
-        problems = validate_solver_config(config, grid512)
-        assert any("accuracy guard" in p for p in problems)
+        psi0 = build_packet(PacketSpec(PacketKind.GAUSSIAN), grid512)
+        with pytest.raises(ConfigurationError, match="accuracy guard"):
+            evolve_linear_schrodinger(psi0, config)
 
     def test_deterministic(self, grid512):
         psi0 = build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0), grid512)
@@ -298,10 +299,10 @@ def test_step_count_rejects_t_final_not_finite(t_final):
 
 
 @pytest.mark.parametrize("cadence", ["snapshot_every", "observe_every"])
-def test_negative_cadence_rejected(grid512, cadence):
-    config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.1,
-                          **{cadence: -1})
-    assert any(cadence in p for p in validate_solver_config(config, grid512))
+def test_negative_cadence_rejected(cadence):
+    with pytest.raises(ConfigurationError, match=f"{cadence} must be >= 0, got -1"):
+        SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.1,
+                     **{cadence: -1})
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -315,24 +316,65 @@ def test_only_klein_gordon_echoes_omega0_and_c(grid512, scheme):
 
 # orders outside ORDERS, whose keys are 2, 4 and 6
 @pytest.mark.parametrize("order", [0, 1, 3, 5, 8])
-def test_order_is_two_or_four(grid512, order):
-    config = SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=0.1, order=order)
-    assert validate_solver_config(config, grid512) == [
-        f"order must be one of [2, 4, 6], got {order}"]
+def test_order_is_two_or_four(order):
+    with pytest.raises(ConfigurationError) as err:
+        SolverConfig(scheme=Scheme.NLS, dt=1e-3, t_final=0.1, order=order)
+    assert str(err.value) == f"order must be one of [2, 4, 6], got {order}"
 
 
 @pytest.mark.parametrize("scheme", [s for s in Scheme if s is not Scheme.NLS])
-def test_only_nls_steps_at_order_four(grid512, scheme):
-    config = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, order=4)
-    assert validate_solver_config(config, grid512) == [
-        f"{scheme.value} has only a second-order step; order must be 2, got 4"]
+def test_only_nls_steps_at_order_four(scheme):
+    with pytest.raises(ConfigurationError) as err:
+        SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, order=4)
+    assert str(err.value) == (
+        f"{scheme.value} has only a second-order step; order must be 2, got 4")
 
 
 @pytest.mark.parametrize("scheme", [s for s in Scheme if s is not Scheme.NLS])
-def test_only_nls_steps_at_order_six(grid512, scheme):
-    config = SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, order=6)
-    assert validate_solver_config(config, grid512) == [
-        f"{scheme.value} has only a second-order step; order must be 2, got 6"]
+def test_only_nls_steps_at_order_six(scheme):
+    with pytest.raises(ConfigurationError) as err:
+        SolverConfig(scheme=scheme, dt=1e-3, t_final=0.1, order=6)
+    assert str(err.value) == (
+        f"{scheme.value} has only a second-order step; order must be 2, got 6")
+
+
+#: every rule of the SolverConfig checks, with a config that breaks it and
+#: its message: the rules that need no grid raise when the config is built,
+#: the others in _require_valid, against a 512-point grid
+SOLVER_CONFIG_RULES = [
+    ({"snapshot_every": -1}, "snapshot_every must be >= 0, got -1"),
+    ({"observe_every": -1}, "observe_every must be >= 0, got -1"),
+    ({"dt": 0.0}, "dt must be positive and finite, got 0.0"),
+    ({"dt": math.inf}, "dt must be positive and finite, got inf"),
+    ({"t_final": -1.0}, "t_final must be positive, got -1.0"),
+    ({"t_final": 0.1005}, "t_final = 0.1005 is not an integer multiple of dt = 0.001"),
+    ({"potential_slope": 0.4},
+     "linear_schrodinger has no linear potential part; potential_slope must be zero, got 0.4"),
+    ({"order": 3}, "order must be one of [2, 4, 6], got 3"),
+    ({"order": 4}, "linear_schrodinger has only a second-order step; order must be 2, got 4"),
+    ({"potential": np.zeros(3)}, "potential must have grid length 512, got shape (3,)"),
+    ({"potential": np.array([])}, "potential must have grid length 512, got shape (0,)"),
+    ({"scheme": Scheme.NLS, "potential": np.ones(512)},
+     "nls has no potential term; potential must be zero"),
+    ({"scheme": Scheme.KLEIN_GORDON, "potential": np.ones(512)},
+     "klein_gordon has no potential term; potential must be zero"),
+    ({"potential": np.full(512, 200.0)},
+     "dt * max|V| = 0.2 exceeds the accuracy guard 0.1"),
+    ({"probe_index": 512}, "probe_index 512 outside grid"),
+    ({"probe_index": -1}, "probe_index -1 outside grid"),
+]
+
+
+@pytest.mark.parametrize("fields, message", SOLVER_CONFIG_RULES,
+                         ids=[message.split(" ")[0] for _, message in SOLVER_CONFIG_RULES])
+def test_every_solver_config_rule_raises_its_message(grid512, fields, message):
+    fields = {"scheme": Scheme.LINEAR_SCHRODINGER, "dt": 1e-3, "t_final": 0.1, **fields}
+    with pytest.raises(ConfigurationError) as err:
+        solvers._require_valid(SolverConfig(**fields), grid512, fields["scheme"])
+    assert str(err.value) == message
+    # the rules that need the grid hold no config back from being built
+    if "potential" in fields or "probe_index" in fields:
+        SolverConfig(**fields)
 
 
 @pytest.mark.parametrize("scheme", list(Scheme))
@@ -489,6 +531,50 @@ def test_recording_rows_one_at_a_time_or_as_a_block_gives_one_report(grid512):
     # only the snapshot rows are copied, and the copies are not the block
     rows[:] = 0.0
     assert np.array_equal(b.snapshots[1].field.values, a.snapshots[1].field.values)
+
+
+def _set_plan(n, observe_every, snapshot_every, rows):
+    """The record plan built whole: the set of every record step, sorted and
+    cut into blocks of rows, after step 0 alone."""
+    observe, snapshot = observe_every or n, snapshot_every or n
+    steps = sorted({n}.union(range(observe, n, observe), range(snapshot, n, snapshot)))
+    plan = [([0], [0], [0])]
+    for first in range(0, len(steps), rows):
+        block = steps[first:first + rows]
+        plan.append((block, [i for i, s in enumerate(block) if s == n or s % observe == 0],
+                     [i for i, s in enumerate(block) if s == n or s % snapshot == 0]))
+    return plan
+
+
+@pytest.mark.parametrize("n, observe_every, snapshot_every, rows", [
+    (12, 3, 4, 1), (12, 3, 4, 4), (12, 3, 4, 100),
+    (100, 0, 0, 1), (100, 0, 7, 3), (100, 7, 0, 2), (100, 7, 7, 5), (100, 10, 20, 16),
+    (101, 10, 25, 16), (97, 96, 98, 2), (50, 50, 100, 1), (1, 10, 100, 1),
+    (1000, 1, 3, 64), (1000, 6, 4, 7),
+])
+def test_blocks_equal_the_whole_plan(grid512, n, observe_every, snapshot_every, rows):
+    # cadences of 0 and cadences that do not divide n included
+    config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1.0, t_final=float(n),
+                          observe_every=observe_every, snapshot_every=snapshot_every)
+    blocks = [tuple(block) for block in _Recorder(config, grid512).blocks(rows)]
+    assert blocks == _set_plan(n, observe_every, snapshot_every, rows)
+
+
+def test_plan_memory_does_not_grow_with_the_step_count(grid512):
+    # 2e6 steps at the gaussian-linear cadences: the plan built whole peaked
+    # at 3.1 MiB before its first block; merged as the blocks are taken it
+    # holds one block
+    config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-6, t_final=2.0,
+                          observe_every=100, snapshot_every=1000)
+    assert config.n_steps() == 2_000_000
+    tracemalloc.start()
+    try:
+        blocks = _Recorder(config, grid512).blocks(1)
+        assert [next(blocks).steps, next(blocks).steps] == [[0], [100]]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
 
 
 @pytest.mark.parametrize("bad, message", [
