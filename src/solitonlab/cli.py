@@ -51,7 +51,7 @@ from .dispersion import BranchKind, DispersionBranch, group_velocity, omega
 from .grid import ComplexField, Grid1D, PacketKind, PacketSpec, build_packet
 from .kinematics import KinematicState, electron_constants, kinematic_state
 from .madelung import DEFAULT_NODE_THRESHOLD, check_node_threshold, polar_residuals
-from .report import RunReport, strict_json, write_json, write_report, write_snapshots
+from .report import RunReport, strict_json, write_report
 from .solvers import (
     Scheme,
     SolverConfig,
@@ -526,24 +526,21 @@ def _resolve_out_dir(explicit: str | None, experiment: str, seed) -> Path | None
 
 def _emit(record: dict, result: dict, reports: list[RunReport],
           out_dir: Path | None, started: str) -> None:
+    """Serialise every report.json, then, given out_dir, write them with
+    write_report and a manifest: a non-finite value exits 3 with or without
+    out_dir, and leaves nothing behind.  One run's snapshots join the
+    top-level report.json, which holds its summary; several get a directory
+    each."""
+    root = out_dir or Path()
+    single = reports[0] if len(reports) == 1 else None
+    entries = [(single, root, result)] + [
+        (run, root / f"run-{i}-{run.scheme}", run.summary_dict())
+        for i, run in enumerate(reports) if single is None]
+    texts = [strict_json(run_dir / "report.json", obj) for _, run_dir, obj in entries]
     if out_dir is None:
         return
-    report_path = out_dir / "report.json"
-    run_dirs = [] if len(reports) == 1 else [
-        out_dir / f"run-{i}-{run.scheme}" for i, run in enumerate(reports)]
-    # every JSON output is serialised before the first directory is made, so
-    # a non-finite value (exit 3) leaves nothing behind
-    text = strict_json(report_path, result)
-    run_texts = [strict_json(run_dir / "report.json", run.summary_dict())
-                 for run_dir, run in zip(run_dirs, reports)]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report_path.write_text(text)
-    outputs = [report_path]
-    if len(reports) == 1:
-        # the run summary is already embedded in report.json; emit snapshots only
-        outputs.extend(write_snapshots(reports[0].snapshots, out_dir / "snapshots"))
-    for run_dir, run, run_text in zip(run_dirs, reports, run_texts):
-        outputs.extend(write_report(run, run_dir, run_text))
+    outputs = [path for (run, run_dir, _), text in zip(entries, texts)
+               for path in write_report(run, run_dir, text)]
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
     manifest = {
         "tool_version": __version__,
@@ -558,7 +555,8 @@ def _emit(record: dict, result: dict, reports: list[RunReport],
             for p in sorted(set(outputs))
         ],
     }
-    write_json(out_dir / "manifest.json", manifest)
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.write_text(strict_json(manifest_path, manifest))
     print(f"wrote {len(outputs)} output file(s) + manifest to {out_dir}")
 
 
@@ -625,9 +623,12 @@ def main(argv: list[str] | None = None) -> int:
 
         inputs, record = _prepare(args.command, _config_from_args(args))
         run = _EXPERIMENTS[args.command][2]
+        out_dir = _resolve_out_dir(args.out, record["experiment"], record.get("seed", 0))
+        if out_dir is not None and out_dir.is_dir() and any(out_dir.iterdir()):
+            # a rerun would leave the old run's files beside the new ones
+            raise OSError(f"output directory {out_dir} is not empty")
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         result, reports = run(inputs, args)
-        out_dir = _resolve_out_dir(args.out, record["experiment"], record.get("seed", 0))
         _emit(record, result, reports, out_dir, started)
         return EXIT_OK
     except (ConfigurationError, DomainError, FileNotFoundError, json.JSONDecodeError) as err:

@@ -6,6 +6,9 @@ scheme, to keep factor-of-2 mistakes visible), the observable series and
 the conservation drift metrics; snapshots go to one CSV per recorded
 time with the grid metadata in comment lines.  Reports contain no
 timestamps, so identical runs produce byte-identical files.
+
+write_report is the one writer of a report directory: its report.json,
+serialised beforehand by strict_json, and the snapshots of its run.
 """
 
 from __future__ import annotations
@@ -107,24 +110,16 @@ def strict_json(path: Path, obj) -> str:
         raise NumericalError(f"{path}: {err}") from None
 
 
-def write_json(path: Path, obj) -> None:
-    """Write strict_json(path, obj) to path, which is not opened if it raises."""
-    text = strict_json(path, obj)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def write_report(report: RunReport, out_dir: Path, text: str | None = None) -> list[Path]:
-    """Write report.json and snapshots/*.csv; returns the created paths.
-    text, when given, is report.json already serialised by strict_json."""
-    out_dir = Path(out_dir)
+def write_report(report: RunReport | None, out_dir: Path, text: str) -> list[Path]:
+    """Write out_dir/report.json and, if report is given, its snapshots as
+    out_dir/snapshots/*.csv; returns the created paths.  text is report.json
+    already serialised by strict_json, so a non-finite value has failed
+    before any directory is made."""
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    if text is None:
-        text = strict_json(report_path, report.summary_dict())
     report_path.write_text(text)
     paths = [report_path]
-    if report.snapshots:
+    if report is not None and report.snapshots:
         paths.extend(write_snapshots(report.snapshots, out_dir / "snapshots"))
     return paths
 

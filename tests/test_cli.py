@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from solitonlab.cli import (
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_NUMERICAL,
     EXIT_OK,
     _emit,
@@ -252,16 +253,62 @@ def test_evolve_reproducible_digests(tmp_path):
     assert any(name.startswith("snapshots/") for name in da)
 
 
-def test_manifest_lists_outputs_with_digests(tmp_path):
+@pytest.mark.parametrize("argv, experiment", [
+    # no run, one run with its snapshots at the top level, three run directories
+    (["bohr", "--set", "n_max=3"], "bohr"),
+    (["evolve", "--config", str(CONFIG_DIR / "breather-v1.json")], "evolve"),
+    (["soliton-vs-dispersion", "--config", str(CONFIG_DIR / "dichotomy.json"),
+      "--set", "t_final=0.5"], "soliton-vs-dispersion"),
+], ids=["no-run", "one-run", "three-runs"])
+def test_manifest_lists_outputs_with_digests(argv, experiment, tmp_path):
     out = tmp_path / "run"
-    assert main(["bohr", "--set", "n_max=3", "--out", str(out)]) == EXIT_OK
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["experiment"] == "bohr"
+    assert manifest["experiment"] == experiment
     assert manifest["config_digest"]
     listed = {entry["path"]: entry["sha256"] for entry in manifest["outputs"]}
+    # every file but the manifest is listed, and nothing else
+    assert set(listed) == set(_digest_tree(out))
     for rel, digest in listed.items():
         actual = hashlib.sha256((out / rel).read_bytes()).hexdigest()
         assert actual == digest
+
+
+def test_rerun_into_a_used_directory_exits_4(tmp_path, capsys):
+    # a second run would leave the first run's snapshot-0002.csv beside its
+    # own two snapshots, where a reader of the last snapshot would take it
+    out = tmp_path / "run"
+    assert main(_argv("breather-v1.json", []) + ["--out", str(out)]) == EXIT_OK
+    first = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    capsys.readouterr()
+    rerun = _argv("breather-v1.json", ["solver.snapshot_every=0"]) + ["--out", str(out)]
+    assert main(rerun) == EXIT_IO
+    captured = capsys.readouterr()
+    assert f"i/o error: output directory {out} is not empty" in captured.err
+    assert captured.out == ""  # refused before any stepping
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == first
+
+
+def test_dichotomy_legs_step_as_derived(tmp_path):
+    # the free linear leg and the transport leg at rest step once per record
+    # (dt 0.1); the cubic leg steps Suzuki's order 4 at dt 0.025, and its
+    # final field is at least as accurate as that of the Yoshida run at
+    # dt 0.01 it replaced, read back from the written snapshot
+    out = tmp_path / "run"
+    assert main(["soliton-vs-dispersion", "--config", str(CONFIG_DIR / "dichotomy.json"),
+                 "--out", str(out)]) == EXIT_OK
+    config = {i: json.loads(next(out.glob(f"run-{i}-*/report.json")).read_text())["config"]
+              for i in range(3)}
+    assert config[0]["dt"] == config[2]["dt"] == 0.1
+    assert (config[1]["order"], config[1]["dt"]) == (4, 0.025)
+    top = json.loads((out / "report.json").read_text())
+    assert top["width_ratios"]["transport"] == 1.0
+    final = sorted(out.glob("run-1-*/snapshots/snapshot-*.csv"))[-1]
+    z, re, im = np.loadtxt(final, delimiter=",", skiprows=3, usecols=(0, 1, 2)).T
+    a, t = top["settings"]["amplitude"], top["settings"]["t_final"]
+    exact = a * np.exp(1j * a * a * t) / np.cosh(a * z)
+    error = np.sqrt(np.sum(np.abs(re + 1j * im - exact) ** 2) * config[1]["grid"]["dz"])
+    assert error <= YOSHIDA_L2_ERROR
 
 
 #: barrier-gap08 overrides and the two worker counts whose outputs must agree
@@ -532,6 +579,20 @@ def test_failed_serialisation_leaves_no_directory(tmp_path, capsys):
     argv = ["photon", "--set", "f_hz=1e308", "--set", "f0_hz=1e308", "--out", str(out)]
     assert main(argv) == EXIT_NUMERICAL
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["photon", "--set", "f_hz=1e-320", "--set", "f0_hz=1e300"],
+    ["dispersion", "--set", "branch=schrodinger_approx", "--set", "k_values=[1e200]"],
+    ["photon", "--set", "f_hz=1e308", "--set", "f0_hz=1e308"],
+])
+def test_non_finite_results_exit_3_without_out(argv, tmp_path, capsys, monkeypatch):
+    # the result is serialised whether or not there is a directory to write to
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
+    assert main(argv) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_emit_serialises_every_run_report_first(tmp_path):
