@@ -253,15 +253,7 @@ def test_evolve_reproducible_digests(tmp_path):
     assert any(name.startswith("snapshots/") for name in da)
 
 
-@pytest.mark.parametrize("argv, experiment", [
-    # no run, one run with its snapshots at the top level, three run directories
-    (["bohr", "--set", "n_max=3"], "bohr"),
-    (["evolve", "--config", str(CONFIG_DIR / "breather-v1.json")], "evolve"),
-    (["soliton-vs-dispersion", "--config", str(CONFIG_DIR / "dichotomy.json"),
-      "--set", "t_final=0.5"], "soliton-vs-dispersion"),
-], ids=["no-run", "one-run", "three-runs"])
-def test_manifest_lists_outputs_with_digests(argv, experiment, tmp_path):
-    out = tmp_path / "run"
+def _check_manifest(argv: list[str], experiment: str, out: Path) -> None:
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["experiment"] == experiment
@@ -272,6 +264,21 @@ def test_manifest_lists_outputs_with_digests(argv, experiment, tmp_path):
     for rel, digest in listed.items():
         actual = hashlib.sha256((out / rel).read_bytes()).hexdigest()
         assert actual == digest
+
+
+def test_manifest_lists_outputs_with_digests(tmp_path):
+    # no run: report.json and the tables only
+    _check_manifest(["bohr", "--set", "n_max=3"], "bohr", tmp_path / "run")
+
+
+@pytest.mark.parametrize("argv, experiment", [
+    # one run with its snapshots at the top level, three run directories
+    (["evolve", "--config", str(CONFIG_DIR / "breather-v1.json")], "evolve"),
+    (["soliton-vs-dispersion", "--config", str(CONFIG_DIR / "dichotomy.json"),
+      "--set", "t_final=0.5"], "soliton-vs-dispersion"),
+], ids=["one-run", "three-runs"])
+def test_manifest_lists_run_outputs_with_digests(argv, experiment, tmp_path):
+    _check_manifest(argv, experiment, tmp_path / "run")
 
 
 def test_rerun_into_a_used_directory_exits_4(tmp_path, capsys):
