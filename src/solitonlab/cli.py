@@ -624,9 +624,16 @@ def main(argv: list[str] | None = None) -> int:
         inputs, record = _prepare(args.command, _config_from_args(args))
         run = _EXPERIMENTS[args.command][2]
         out_dir = _resolve_out_dir(args.out, record["experiment"], record.get("seed", 0))
-        if out_dir is not None and out_dir.is_dir() and any(out_dir.iterdir()):
-            # a rerun would leave the old run's files beside the new ones
-            raise OSError(f"output directory {out_dir} is not empty")
+        if out_dir is not None:
+            # write_report's mkdir would meet a file (or a dangling link) only after the run
+            for nearest in (out_dir, *out_dir.parents):
+                if os.path.lexists(nearest):
+                    break
+            if not nearest.is_dir():
+                raise OSError(f"output path {nearest} is not a directory")
+            if nearest == out_dir and any(out_dir.iterdir()):
+                # a rerun would leave the old run's files beside the new ones
+                raise OSError(f"output directory {out_dir} is not empty")
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         result, reports = run(inputs, args)
         _emit(record, result, reports, out_dir, started)

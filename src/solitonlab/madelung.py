@@ -29,14 +29,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, NodeError, NumericalError
-from .grid import ComplexField, Grid1D, real_spectral_derivative, spectral_derivative
+from .errors import (ConfigurationError, DegenerateFieldError, DomainError, NodeError,
+                     NumericalError)
+from .grid import (ComplexField, Grid1D, real_spectral_derivative, row_observables,
+                   spectral_derivative)
 from .kinematics import electron_constants
 from .report import RunReport, Snapshot
-from .solvers import Scheme, SolverConfig, _Recorder, _require_valid, evolve_linear_schrodinger
+from .solvers import (BLOCK_VALUES, Scheme, SolverConfig, _Recorder, _require_valid,
+                      evolve_linear_schrodinger)
 
 DEFAULT_NODE_THRESHOLD = 1e-6
 #: advective CFL factor of the transport: dt max|S_z| <= TRANSPORT_CFL dz
@@ -54,9 +58,12 @@ def check_node_threshold(node_threshold: float) -> float:
 class MadelungField:
     """Polar form of a wavefunction: amplitude R >= 0 and unwrapped action S.
 
-    ``support`` marks where R is large enough (relative to its peak) for
-    the decomposition to be meaningful; S is continuous there (no 2 pi
-    jumps), and diagnostics are only reported there.
+    R, S and support have the shape (n,) of one field on the grid, or
+    (m, n) for a block of m fields, one per row; the polar functions below
+    act on each row alike.  ``support`` marks where R is large enough
+    (relative to its peak) for the decomposition to be meaningful; S is
+    continuous there (no 2 pi jumps), and diagnostics are only reported
+    there.
     """
 
     grid: Grid1D
@@ -67,14 +74,16 @@ class MadelungField:
     def __post_init__(self):
         r = np.array(self.R, dtype=float, copy=True)
         s = np.array(self.S, dtype=float, copy=True)
-        if r.shape != (self.grid.n,) or s.shape != (self.grid.n,):
-            raise ConfigurationError("R and S must match the grid length")
+        sup = self.support
+        sup = np.ones(r.shape, bool) if sup is None else np.array(sup, bool, copy=True)
+        if r.ndim not in (1, 2) or r.shape[-1] != self.grid.n or s.shape != r.shape \
+                or sup.shape != r.shape:
+            raise ConfigurationError("R, S and support must share one shape, (n,) or (m, n), "
+                                     "with n the grid length")
         if np.any(r < 0.0) or not np.all(np.isfinite(r)):
             raise ConfigurationError("R must be finite and non-negative everywhere")
         if not np.all(np.isfinite(s)):
             raise ConfigurationError("S must be finite")
-        sup = self.support
-        sup = np.ones(self.grid.n, bool) if sup is None else np.array(sup, bool, copy=True)
         for arr in (r, s, sup):
             arr.setflags(write=False)
         object.__setattr__(self, "R", r)
@@ -97,6 +106,32 @@ def _node_gaps(mask: np.ndarray) -> tuple[int, np.ndarray]:
     return int(inner[0]), inner[~mask[inner]]
 
 
+def _decompose_rows(grid: Grid1D, rows: np.ndarray, node_threshold: float) -> MadelungField:
+    """decompose of each row of an (m, n) block of fields on grid, as a
+    block MadelungField; the first row, in row order, that has no polar
+    form raises decompose's NodeError for it."""
+    r = np.abs(rows)
+    peak = r.max(axis=-1, keepdims=True)
+    mask = r >= check_node_threshold(node_threshold) * peak
+    # the first point of each run of the support: a ring with more than
+    # one run has interior nodes (see _node_gaps)
+    rises = mask & ~np.roll(mask, 1, axis=-1)
+    failed = np.flatnonzero((peak[:, 0] == 0.0) | (np.count_nonzero(rises, axis=-1) > 1))
+    if failed.size:
+        if peak[failed[0], 0] == 0.0:
+            raise NodeError("field is identically zero", grid.z)
+        _, gaps = _node_gaps(mask[failed[0]])
+        raise NodeError(
+            f"amplitude crosses the node threshold at {gaps.size} interior point(s)",
+            grid.z[gaps],
+        )
+    # walk each ring from the first point of its one run (0 if it has none)
+    order = (np.arange(grid.n) + np.argmax(rises, axis=-1)[:, None]) % grid.n
+    s = np.empty(r.shape)
+    np.put_along_axis(s, order, np.unwrap(np.angle(np.take_along_axis(rows, order, -1))), -1)
+    return MadelungField(grid, r, s, support=mask)
+
+
 def decompose(psi: ComplexField, node_threshold: float = DEFAULT_NODE_THRESHOLD) -> MadelungField:
     """R = |psi|, S = arg(psi) unwrapped along the grid.
 
@@ -107,22 +142,8 @@ def decompose(psi: ComplexField, node_threshold: float = DEFAULT_NODE_THRESHOLD)
     regions is a node: unwrapping across it is ill-defined, so a NodeError
     carrying the node positions is raised instead.
     """
-    vals = psi.values
-    r = np.abs(vals)
-    peak = float(r.max())
-    if peak == 0.0:
-        raise NodeError("field is identically zero", psi.grid.z)
-    mask = r >= check_node_threshold(node_threshold) * peak
-    start, gaps = _node_gaps(mask)
-    if gaps.size:
-        raise NodeError(
-            f"amplitude crosses the node threshold at {gaps.size} interior point(s)",
-            psi.grid.z[gaps],
-        )
-    order = (np.arange(psi.grid.n) + start) % psi.grid.n
-    s = np.empty(psi.grid.n)
-    s[order] = np.unwrap(np.angle(vals[order]))
-    return MadelungField(psi.grid, r, s, support=mask)
+    block = _decompose_rows(psi.grid, psi.values[None], node_threshold)
+    return MadelungField(psi.grid, block.R[0], block.S[0], support=block.support[0])
 
 
 def recompose(field: MadelungField) -> ComplexField:
@@ -137,7 +158,7 @@ def quantum_potential(field: MadelungField) -> np.ndarray:
     by R would amplify the spectral noise floor).
     """
     rzz = spectral_derivative(field.R, field.grid, order=2).real
-    q = np.zeros(field.grid.n)
+    q = np.zeros(field.R.shape)
     sup = field.support & (field.R > 0.0)
     q[sup] = -0.5 * rzz[sup] / field.R[sup]
     return q
@@ -149,13 +170,14 @@ def _current(field: MadelungField) -> np.ndarray:
     It only ever differentiates the periodic complex field, so it stays
     valid for actions with a linear-in-z part.
     """
-    psi = recompose(field).values
+    psi = field.R * np.exp(1j * field.S)  # recompose's values, of a block too
     return np.imag(np.conj(psi) * spectral_derivative(psi, field.grid, order=1))
 
 
 def _pair_midpoint(before: MadelungField, after: MadelungField,
                    dt: float) -> tuple[MadelungField, np.ndarray, np.ndarray]:
-    """Midpoint field, dS/dt and d(R^2)/dt from a centered snapshot pair.
+    """Midpoint field, dS/dt and d(R^2)/dt from a centered snapshot pair,
+    or from each pair of rows of two blocks.
 
     after.S drops the median 2 pi multiple by which separate unwraps differ.
     """
@@ -165,7 +187,10 @@ def _pair_midpoint(before: MadelungField, after: MadelungField,
         raise ConfigurationError("pair separation dt must be positive")
     support = before.support & after.support
     two_pi = 2.0 * math.pi
-    s_after = after.S - two_pi * np.round(np.median((after.S - before.S)[support]) / two_pi)
+    shift = np.atleast_2d(after.S - before.S)
+    median = [np.median(row[sup]) for row, sup in zip(shift, np.atleast_2d(support))]
+    turns = np.round(np.reshape(median, after.S.shape[:-1] + (1,)) / two_pi)
+    s_after = after.S - two_pi * turns
     s_dot = (s_after - before.S) / dt
     rho_dot = (after.R**2 - before.R**2) / dt
     mid = MadelungField(
@@ -177,6 +202,21 @@ def _pair_midpoint(before: MadelungField, after: MadelungField,
     return mid, s_dot, rho_dot
 
 
+def _hj_residual(field: MadelungField, current: np.ndarray, s_dot: np.ndarray,
+                 potential: np.ndarray | float, include_q: bool) -> np.ndarray:
+    """hj_residual_from_rate with the field's _current given."""
+    s_z = np.zeros(field.R.shape)
+    nonzero = field.support & (field.R > 0.0)
+    s_z[nonzero] = current[nonzero] / field.R[nonzero] ** 2
+    residual = np.zeros(field.R.shape)
+    sup = field.support
+    v = np.broadcast_to(np.asarray(potential, dtype=float), field.R.shape)
+    residual[sup] = s_dot[sup] + s_z[sup] ** 2 / 2.0 + v[sup]
+    if include_q:
+        residual[sup] += quantum_potential(field)[sup]
+    return residual
+
+
 def hj_residual_from_rate(field: MadelungField, s_dot: np.ndarray,
                           potential: np.ndarray | float = 0.0,
                           include_q: bool = True) -> np.ndarray:
@@ -186,16 +226,7 @@ def hj_residual_from_rate(field: MadelungField, s_dot: np.ndarray,
     equation zero this residual; without it, solutions of the classical
     transport system do.  Zeros outside the support.
     """
-    s_z = np.zeros(field.grid.n)
-    nonzero = field.support & (field.R > 0.0)
-    s_z[nonzero] = _current(field)[nonzero] / field.R[nonzero] ** 2
-    residual = np.zeros(field.grid.n)
-    sup = field.support
-    v = np.broadcast_to(np.asarray(potential, dtype=float), (field.grid.n,))
-    residual[sup] = s_dot[sup] + s_z[sup] ** 2 / 2.0 + v[sup]
-    if include_q:
-        residual[sup] += quantum_potential(field)[sup]
-    return residual
+    return _hj_residual(field, _current(field), s_dot, potential, include_q)
 
 
 def hj_residual(before: MadelungField, after: MadelungField, dt: float,
@@ -210,17 +241,23 @@ def hj_residual(before: MadelungField, after: MadelungField, dt: float,
     return hj_residual_from_rate(mid, s_dot, potential, include_q)
 
 
+def _continuity_residual(field: MadelungField, current: np.ndarray,
+                         rho_dot: np.ndarray) -> np.ndarray:
+    """continuity_residual_from_rate with the field's _current given."""
+    div = spectral_derivative(current, field.grid, order=1).real
+    residual = np.zeros(field.R.shape)
+    sup = field.support
+    residual[sup] = rho_dot[sup] + div[sup]
+    return residual
+
+
 def continuity_residual_from_rate(field: MadelungField, rho_dot: np.ndarray) -> np.ndarray:
     """Pointwise d(R^2)/dt + d/dz(R^2 S_z), conservation form.
 
     The flux R^2 S_z is the current Im(psi* psi_z), which is periodic even
     when S itself is not, so its divergence is spectral.
     """
-    div = spectral_derivative(_current(field), field.grid, order=1).real
-    residual = np.zeros(field.grid.n)
-    sup = field.support
-    residual[sup] = rho_dot[sup] + div[sup]
-    return residual
+    return _continuity_residual(field, _current(field), rho_dot)
 
 
 def continuity_residual(before: MadelungField, after: MadelungField,
@@ -228,6 +265,39 @@ def continuity_residual(before: MadelungField, after: MadelungField,
     """continuity_residual_from_rate with d(R^2)/dt from a snapshot pair."""
     mid, _, rho_dot = _pair_midpoint(before, after, dt)
     return continuity_residual_from_rate(mid, rho_dot)
+
+
+def _pair_partners(grid: Grid1D, rows: np.ndarray, config: SolverConfig) -> np.ndarray:
+    """Each row of an (m, n) block of fields advanced two linear split steps
+    of config.dt: bit for bit the final field of evolve_linear_schrodinger
+    at t_final = 2 dt, whose steps these are, the two half potential
+    phases between them merged into one, as in solvers._split_step."""
+    dt = config.dt
+    kinetic = np.exp(-0.5j * grid.k**2 * dt)
+    if config.potential is None:
+        spectrum = np.fft.fft(rows)
+        spectrum *= kinetic
+        spectrum *= kinetic
+        return np.fft.ifft(spectrum)
+    potential = np.asarray(config.potential, dtype=float)
+    half, merged = np.exp(-0.5j * potential * dt), np.exp(-1j * potential * dt)
+    spectrum = np.fft.fft(half * rows)
+    spectrum *= kinetic
+    spectrum = np.fft.fft(merged * np.fft.ifft(spectrum))
+    spectrum *= kinetic
+    return half * np.fft.ifft(spectrum)
+
+
+def _recordable(grid: Grid1D, rows: np.ndarray) -> bool:
+    """Whether a run's recorder takes every row of an (m, n) block: the row
+    is finite, and its observables are finite with a positive norm."""
+    if not np.isfinite(rows).all():
+        return False
+    try:
+        series = row_observables(grid, rows)
+    except DegenerateFieldError:
+        return False
+    return all(map(math.isfinite, chain.from_iterable(series.values())))
 
 
 def polar_residuals(report: RunReport, config: SolverConfig,
@@ -238,34 +308,70 @@ def polar_residuals(report: RunReport, config: SolverConfig,
     config is the run's SolverConfig.  Each snapshot field is advanced two
     more steps, so the residuals use a tight centered pair (gap 2 dt, the
     same order as the scheme) instead of the coarse snapshot cadence.
-    Each pair's midpoint field and rates are built once, and both
-    residuals are evaluated on them.  Returns one residual row per
-    snapshot (midpoint time, pair gap and the max |.| of the
-    Hamilton-Jacobi and continuity residuals) and the snapshots with R,
-    S and Q columns added.
+    Returns one residual row per snapshot (midpoint time, pair gap and
+    the max |.| of the Hamilton-Jacobi and continuity residuals) and the
+    snapshots with R, S and Q columns added.
+
+    The snapshots, which share one grid, go in blocks of up to
+    max(1, BLOCK_VALUES // (2 n)) (8 at n = 512), so that a block's
+    snapshots and their partners hold at most BLOCK_VALUES values.  A
+    block makes one two-step advance, one decompose of its snapshots and
+    one of their partners, one midpoint with its current, one pass of
+    each residual and one Q for the columns, each over all its rows,
+    with the code of the one-pair functions, so every row equals
+    hj_residual and continuity_residual of its pair bit for bit.  Both
+    fields of each pair are checked as the pair run's recorder checks
+    them.  A block that fails that check or has a node runs the one-pair
+    path (decompose, evolve_linear_schrodinger for two steps, decompose)
+    on its snapshots in time order, so the first failing one raises
+    that path's error.
     """
+    snapshots = report.snapshots
+    if not snapshots:
+        return [], []
+    grid = snapshots[0].field.grid
+    if any(snap.field.grid != grid for snap in snapshots):
+        raise ConfigurationError("snapshots must share a grid")
     potential = config.potential if config.potential is not None else 0.0
     pair_config = replace(config, t_final=2.0 * config.dt,
                           snapshot_every=0, observe_every=0, probe_index=None)
+    _require_valid(pair_config, grid, Scheme.LINEAR_SCHRODINGER)
     gap = 2.0 * config.dt
+    size = max(1, BLOCK_VALUES // (2 * grid.n))
     rows = []
     enriched = []
-    for snap in report.snapshots:
-        before = decompose(snap.field, node_threshold=node_threshold)
-        after_field = evolve_linear_schrodinger(snap.field, pair_config).final_field()
-        after = decompose(after_field, node_threshold=node_threshold)
+    for first in range(0, len(snapshots), size):
+        block = snapshots[first:first + size]
+        fields = np.array([snap.field.values for snap in block])
+        partners = _pair_partners(grid, fields, pair_config)
+        try:
+            if not (_recordable(grid, fields) and _recordable(grid, partners)):
+                raise NumericalError("a snapshot pair fails the pair run's check")
+            before = _decompose_rows(grid, fields, node_threshold)
+            after = _decompose_rows(grid, partners, node_threshold)
+        except (NodeError, NumericalError):
+            # the one-pair path, one snapshot at a time, raises the first failing one's error
+            for snap in block:
+                decompose(snap.field, node_threshold=node_threshold)
+                partner = evolve_linear_schrodinger(snap.field, pair_config).final_field()
+                decompose(partner, node_threshold=node_threshold)
+            raise
         mid, s_dot, rho_dot = _pair_midpoint(before, after, gap)
-        hj = hj_residual_from_rate(mid, s_dot, potential, include_q=True)
-        cont = continuity_residual_from_rate(mid, rho_dot)
-        rows.append({
-            "t_mid": snap.t + config.dt,
-            "pair_gap": gap,
-            "max_hj_residual": float(np.max(np.abs(hj))),
-            "max_continuity_residual": float(np.max(np.abs(cont))),
-        })
-        enriched.append(Snapshot(snap.t, snap.field, {
-            "R": before.R, "S": before.S, "Q": quantum_potential(before),
-        }))
+        current = _current(mid)
+        hj = _hj_residual(mid, current, s_dot, potential, include_q=True)
+        cont = _continuity_residual(mid, current, rho_dot)
+        q = quantum_potential(before)
+        hj_max, cont_max = np.max(np.abs(hj), axis=-1), np.max(np.abs(cont), axis=-1)
+        for i, snap in enumerate(block):
+            rows.append({
+                "t_mid": snap.t + config.dt,
+                "pair_gap": gap,
+                "max_hj_residual": float(hj_max[i]),
+                "max_continuity_residual": float(cont_max[i]),
+            })
+            enriched.append(Snapshot(snap.t, snap.field, {
+                "R": before.R[i], "S": before.S[i], "Q": q[i],
+            }))
     return rows, enriched
 
 
@@ -334,6 +440,8 @@ def evolve_dispersionless(initial: MadelungField, config: SolverConfig) -> RunRe
     """
     grid = initial.grid
     _require_valid(config, grid, Scheme.DISPERSIONLESS_TRANSPORT)
+    if initial.R.ndim != 1:
+        raise ConfigurationError("the transport takes one initial field, not a block")
     if not initial.support.any():
         raise ConfigurationError("initial envelope is empty")
     v_per = (np.zeros(grid.n) if config.potential is None

@@ -4,8 +4,11 @@ Every evolution run emits a :class:`RunReport`.  The JSON summary echoes
 the effective configuration (including the unit conventions of the
 scheme, to keep factor-of-2 mistakes visible), the observable series and
 the conservation drift metrics; snapshots go to one CSV per recorded
-time with the grid metadata in comment lines.  Reports contain no
-timestamps, so identical runs produce byte-identical files.
+time with the grid metadata in comment lines and the columns z, re, im,
+plus any extra ones (R, S and Q for the polar runs).  |psi|^2 is not
+written: it is re^2 + im^2, or np.abs(re + 1j*im)**2 bit for bit.
+Reports contain no timestamps, so identical runs produce byte-identical
+files.
 
 write_report is the one writer of a report directory: its report.json,
 serialised beforehand by strict_json, and the snapshots of its run.
@@ -65,7 +68,7 @@ class RunReport:
 
 
 def write_snapshot_csv(path: Path, snapshot: Snapshot, z_text: list[str] | None = None) -> None:
-    """CSV with columns (z, re, im, abs2) plus any extra columns.
+    """CSV with columns (z, re, im) plus any extra columns, sorted by name.
 
     Grid metadata and the snapshot time ride in '#' comment lines before
     the header row.  Values are written as repr(float) and rows end in
@@ -76,14 +79,14 @@ def write_snapshot_csv(path: Path, snapshot: Snapshot, z_text: list[str] | None 
     grid = snapshot.field.grid
     vals = snapshot.field.values
     extra_names = sorted(snapshot.extra)
-    columns = [vals.real, vals.imag, np.abs(vals) ** 2]
+    columns = [vals.real, vals.imag]
     columns += [np.asarray(snapshot.extra[name], dtype=float) for name in extra_names]
     z = map(repr, grid.z.tolist()) if z_text is None else z_text
     rows = zip(z, *(map(repr, col.tolist()) for col in columns))
     with open(path, "w", newline="") as fh:
         fh.write(f"# t = {snapshot.t!r}\n")
         fh.write(f"# n = {grid.n} z_min = {grid.z_min!r} z_max = {grid.z_max!r} dz = {grid.dz!r}\n")
-        csv.writer(fh).writerow(["z", "re", "im", "abs2"] + extra_names)
+        csv.writer(fh).writerow(["z", "re", "im"] + extra_names)
         fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 

@@ -66,9 +66,10 @@ from .report import RunReport, Snapshot
 
 #: accuracy guard for split-step potential phases
 MAX_POTENTIAL_PHASE_PER_STEP = 0.1
-#: complex values in one block of Klein-Gordon record rows (16 rows at n = 512;
-#: one row at a time from n = 2^13 up)
-KG_BLOCK_VALUES = 2**13
+#: complex values in one block of rows: Klein-Gordon record steps (16 rows at
+#: n = 512; one row at a time from n = 2^13 up) or the polar layer's snapshots
+#: and their pair partners (8 of each at n = 512)
+BLOCK_VALUES = 2**13
 _SUZUKI_W1 = 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))
 #: first half and middle of Kahan & Li's nine-stage symmetric sixth-order
 #: composition (Kahan & Li 1997, Math. Comp. 66:1089, scheme s9odr6a)
@@ -484,7 +485,7 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
       psi^(t)   = psi^_0 cos(omega t) + psi^_t0 sin(omega t) / omega
       psi^_t(t) = psi^_t0 cos(omega t) - psi^_0 omega sin(omega t),
     so dt is only the unit of the record cadence.  After step 0 (psi0
-    itself) the record steps go in blocks of max(1, KG_BLOCK_VALUES // n)
+    itself) the record steps go in blocks of max(1, BLOCK_VALUES // n)
     rows, one inverse FFT each.  The "energy" observable is summed over
     the spectra by Parseval, dz/n sum(|psi_t^|^2 + omega^2 |psi^|^2).
     """
@@ -505,7 +506,7 @@ def evolve_klein_gordon(psi0: ComplexField, dpsi0_dt: ComplexField,
         energy = _spectral_energy(spec[block.observed], spec_t, omega**2, grid.dz)
         return np.fft.ifft(spec), {"energy": energy}, None
 
-    return _Recorder(config, grid).run(advance, rows=max(1, KG_BLOCK_VALUES // grid.n))
+    return _Recorder(config, grid).run(advance, rows=max(1, BLOCK_VALUES // grid.n))
 
 
 def nls_breather_exact(z, t: float, a: float, v: float, z0: float = 0.0):

@@ -296,6 +296,24 @@ def test_rerun_into_a_used_directory_exits_4(tmp_path, capsys):
     assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == first
 
 
+@pytest.mark.parametrize("out", ["F", "F/sub", "L/sub"])
+def test_out_path_under_a_file_exits_4(tmp_path, capsys, out):
+    # --out names a file, or a path below a file or a dangling link:
+    # refused before the run, which used to step the whole breather and
+    # fail at the end
+    file = tmp_path / "F"
+    file.write_bytes(b"not a directory\n")
+    (tmp_path / "L").symlink_to(tmp_path / "nowhere")
+    assert main(_argv("breather-v1.json", []) + ["--out", str(tmp_path / out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    blocker = tmp_path / out.split("/")[0]
+    assert f"i/o error: output path {blocker} is not a directory" in captured.err
+    assert captured.out == ""
+    assert file.read_bytes() == b"not a directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["F", "L"]
+    assert not (tmp_path / "nowhere").exists()
+
+
 def test_dichotomy_legs_step_as_derived(tmp_path):
     # the free linear leg and the transport leg at rest step once per record
     # (dt 0.1); the cubic leg steps Suzuki's order 4 at dt 0.025, and its

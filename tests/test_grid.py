@@ -195,7 +195,9 @@ def test_snapshot_csv_round_trip(tmp_path, grid512):
     assert t == 1.25
     assert np.allclose(cols["z"], grid512.z)
     assert np.allclose(cols["re"] + 1j * cols["im"], f.values)
-    assert np.allclose(cols["abs2"], np.abs(f.values) ** 2)
+    # |psi|^2 is not a column: re and im give it back bit for bit
+    assert "abs2" not in cols
+    assert np.array_equal(np.abs(cols["re"] + 1j * cols["im"]) ** 2, np.abs(f.values) ** 2)
     assert np.allclose(cols["R"], extra["R"])
 
 
@@ -209,11 +211,9 @@ def _row_loop_csv(path, snapshot):
         fh.write(f"# t = {snapshot.t!r}\n")
         fh.write(f"# n = {grid.n} z_min = {grid.z_min!r} z_max = {grid.z_max!r} dz = {grid.dz!r}\n")
         writer = csv.writer(fh)
-        writer.writerow(["z", "re", "im", "abs2"] + names)
-        abs2 = np.abs(vals) ** 2
+        writer.writerow(["z", "re", "im"] + names)
         for j in range(grid.n):
-            row = [repr(float(grid.z[j])), repr(float(vals[j].real)),
-                   repr(float(vals[j].imag)), repr(float(abs2[j]))]
+            row = [repr(float(grid.z[j])), repr(float(vals[j].real)), repr(float(vals[j].imag))]
             writer.writerow(row + [repr(float(snapshot.extra[name][j])) for name in names])
 
 

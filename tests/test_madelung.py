@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from solitonlab import (
     ComplexField,
     ConfigurationError,
+    DegenerateFieldError,
     DomainError,
     Grid1D,
     MadelungField,
@@ -36,9 +38,13 @@ from solitonlab import (
     recompose,
     soliton_amplitude,
 )
+from solitonlab import madelung
 from solitonlab.cli import main
 from solitonlab.experiments import TRANSPORT_COURANT, _strided, transport_max_dt
 from solitonlab.madelung import _node_gaps
+from solitonlab.report import Snapshot
+from solitonlab.solvers import BLOCK_VALUES
+from test_spectral_kernels import _count_ffts
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -153,6 +159,20 @@ class TestMadelungFieldValidation:
     def test_length_mismatch(self, grid512):
         with pytest.raises(ConfigurationError):
             MadelungField(grid512, np.ones(17), np.zeros(17))
+
+    @pytest.mark.parametrize("shapes", [((3, 512), (3, 512), (512,)), ((3, 512), (2, 512), None),
+                                        ((2, 3, 512),) * 3])
+    def test_block_shapes_must_agree(self, grid512, shapes):
+        r, s, sup = (None if shape is None else np.ones(shape) for shape in shapes)
+        with pytest.raises(ConfigurationError, match="must share one shape"):
+            MadelungField(grid512, r, s, support=sup)
+
+    def test_transport_takes_one_field(self, grid512):
+        one = dispersionless_initial(grid512)
+        block = MadelungField(grid512, np.stack([one.R] * 2), np.stack([one.S] * 2),
+                              support=np.stack([one.support] * 2))
+        with pytest.raises(ConfigurationError, match="one initial field"):
+            evolve_dispersionless(block, _transport(dt=1e-3, t_final=0.01))
 
 
 # ---------------------------------------------------------------------------
@@ -294,31 +314,140 @@ def test_polar_residuals_bound_every_row(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "report.json").read_text())["residuals"] == rows
 
 
-@pytest.mark.parametrize("slope", [None, 0.05])
-def test_polar_residuals_match_the_pair_functions(slope):
-    # each row's one-midpoint pass equals, bit for bit, the public pair
-    # functions that criterion 7 and the demo call on the same pair
+def _gaussian_linear_run(slope=None, **solver):
+    """The madelung-gaussian run, with the potential slope * z if slope is
+    given and solver settings overridden: (report, config, node_threshold)."""
     cfg = json.loads((CONFIG_DIR / "madelung-gaussian.json").read_text())
     grid = Grid1D(**cfg["grid"])
     packet = dict(cfg["packet"])
     psi0 = build_packet(PacketSpec(PacketKind(packet.pop("kind")), **packet), grid)
     potential = None if slope is None else slope * grid.z
-    config = SolverConfig(scheme=Scheme(cfg["scheme"]), potential=potential, **cfg["solver"])
-    threshold = cfg["node_threshold"]
-    report = evolve_linear_schrodinger(psi0, config)
+    config = SolverConfig(scheme=Scheme(cfg["scheme"]), potential=potential,
+                          **{**cfg["solver"], **solver})
+    return evolve_linear_schrodinger(psi0, config), config, cfg["node_threshold"]
+
+
+def _pair_config(config: SolverConfig) -> SolverConfig:
+    return SolverConfig(scheme=config.scheme, dt=config.dt, t_final=2 * config.dt,
+                        observe_every=0, potential=config.potential)
+
+
+@pytest.mark.parametrize("slope", [None, 0.05])
+def test_polar_residuals_match_the_pair_functions(slope):
+    # each row equals, bit for bit, the public pair functions that criterion
+    # 7 and the demo call on the same pair, and each snapshot's columns are
+    # decompose and quantum_potential of its field: on the shipped cadence
+    # (3 snapshots, one partial block) and at snapshot_every = 10 (101
+    # snapshots, twelve full blocks of 8 and a partial one)
+    for every, count in ((None, 3), (10, 101)):
+        report, config, threshold = _gaussian_linear_run(
+            slope, **({} if every is None else {"snapshot_every": every}))
+        rows, enriched = polar_residuals(report, config, threshold)
+        gap = 2 * config.dt
+        assert len(rows) == len(enriched) == len(report.snapshots) == count
+        for row, snap, out in zip(rows, report.snapshots, enriched):
+            before = decompose(snap.field, node_threshold=threshold)
+            after = decompose(
+                evolve_linear_schrodinger(snap.field, _pair_config(config)).final_field(),
+                node_threshold=threshold)
+            potential = 0.0 if slope is None else config.potential
+            hj = hj_residual(before, after, gap, potential=potential)
+            cont = continuity_residual(before, after, gap)
+            assert row == {"t_mid": snap.t + config.dt, "pair_gap": gap,
+                           "max_hj_residual": float(np.max(np.abs(hj))),
+                           "max_continuity_residual": float(np.max(np.abs(cont)))}
+            assert (out.t, out.field) == (snap.t, snap.field)
+            assert set(out.extra) == {"R", "S", "Q"}
+            assert np.array_equal(out.extra["R"], before.R)
+            assert np.array_equal(out.extra["S"], before.S)
+            assert np.array_equal(out.extra["Q"], quantum_potential(before))
+
+
+@pytest.mark.parametrize("slope", [None, 0.05])
+def test_polar_residuals_work_in_blocks(monkeypatch, slope):
+    # 101 snapshots at n = 512 go in 13 blocks of up to 8 (BLOCK_VALUES //
+    # (2 n)), with no solver call: a block makes at most 12 FFT calls (two
+    # steps, 4 with a potential; the current, its divergence and the two Q,
+    # 2 each), where a pass per snapshot made 12 or more per snapshot
+    report, config, threshold = _gaussian_linear_run(slope, snapshot_every=10)
+    assert len(report.snapshots) == 101
+    assert BLOCK_VALUES // (2 * report.snapshots[0].field.grid.n) == 8
+    solver_calls = []
+    monkeypatch.setattr(madelung, "evolve_linear_schrodinger",
+                        lambda *args: solver_calls.append(args))
+    counts = _count_ffts(monkeypatch)
     rows, _ = polar_residuals(report, config, threshold)
-    pair_config = SolverConfig(scheme=config.scheme, dt=config.dt, t_final=2 * config.dt,
-                               observe_every=0, potential=potential)
-    gap = 2 * config.dt
-    assert len(rows) == len(report.snapshots) == 3
-    for row, snap in zip(rows, report.snapshots):
-        before = decompose(snap.field, node_threshold=threshold)
-        after = decompose(evolve_linear_schrodinger(snap.field, pair_config).final_field(),
-                          node_threshold=threshold)
-        hj = hj_residual(before, after, gap, potential=0.0 if slope is None else potential)
-        cont = continuity_residual(before, after, gap)
-        assert row["max_hj_residual"] == float(np.max(np.abs(hj)))
-        assert row["max_continuity_residual"] == float(np.max(np.abs(cont)))
+    assert len(rows) == 101
+    assert solver_calls == []
+    assert counts["rfft"] + counts["irfft"] == 0
+    assert counts["fft"] + counts["ifft"] <= 12 * 13
+
+
+def _bad_field(kind: str, grid: Grid1D) -> ComplexField:
+    z = grid.z
+    if kind == "node":
+        return ComplexField(grid, (z - 1.0) * np.exp(-(z - 1.0) ** 2 / 8.0))
+    if kind == "zero":
+        return ComplexField(grid, np.zeros(grid.n))
+    # no norm the recorder takes: |psi|^2 underflows to zero or overflows to inf
+    amplitude = {"tiny": 1e-170, "huge": 1e160}[kind]
+    return ComplexField(grid, amplitude * np.exp(-z**2 / 8.0))
+
+
+@pytest.mark.parametrize("kind", ["node", "zero", "tiny", "huge"])
+def test_polar_residuals_raise_the_first_failing_pair_error(kind):
+    # snapshot 37 (row 5 of the fifth block) fails; snapshot 60 has a node
+    # elsewhere.  The error is the one the one-pair path raises on snapshot
+    # 37: decompose's NodeError, or the pair run's DegenerateFieldError or
+    # NumericalError, with the same message (and node positions)
+    report, config, threshold = _gaussian_linear_run(snapshot_every=10)
+    grid = report.snapshots[0].field.grid
+    snapshots = list(report.snapshots)
+    bad = _bad_field(kind, grid)
+    snapshots[37] = Snapshot(snapshots[37].t, bad)
+    snapshots[60] = Snapshot(snapshots[60].t, ComplexField(grid, grid.z * np.exp(-grid.z**2)))
+    errors = (NodeError, DegenerateFieldError, NumericalError)
+    with pytest.raises(errors) as expected:
+        decompose(bad, node_threshold=threshold)
+        decompose(evolve_linear_schrodinger(bad, _pair_config(config)).final_field(),
+                  node_threshold=threshold)
+    with pytest.raises(type(expected.value)) as err:
+        polar_residuals(dataclasses.replace(report, snapshots=snapshots), config, threshold)
+    assert str(err.value) == str(expected.value)
+    if kind == "node":
+        assert np.array_equal(err.value.locations, expected.value.locations)
+        assert np.all(np.abs(err.value.locations - 1.0) < 0.2)
+
+
+def test_polar_residuals_check_each_field_before_a_later_one():
+    # snapshot 33 is node-free but its partner is not: it is two humps
+    # that, run backwards, had drifted together, so two steps on deepen
+    # the dip between them below the threshold.  Snapshot 34 has a node of
+    # its own.  The partner of 33 comes first in time, and its NodeError
+    # is the one raised, as the one-pair path raises it
+    report, config, _ = _gaussian_linear_run(snapshot_every=10)
+    grid = report.snapshots[0].field.grid
+    z = grid.z
+    humps = ComplexField(grid, np.exp(-(z - 3.0) ** 2 / 2.0) + np.exp(-(z + 3.0) ** 2 / 2.0))
+    back = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-3, t_final=0.5, observe_every=0)
+    field = ComplexField(grid, np.conj(evolve_linear_schrodinger(humps, back).final_field().values))
+    partner = evolve_linear_schrodinger(field, _pair_config(config)).final_field()
+    dips = [np.min(np.abs(f.values)[np.abs(z) < 3.0]) / np.max(np.abs(f.values))
+            for f in (field, partner)]
+    threshold = 0.5 * (dips[0] + dips[1])
+    assert dips[1] < threshold < dips[0]
+    decompose(field, node_threshold=threshold)
+    with pytest.raises(NodeError) as expected:
+        decompose(partner, node_threshold=threshold)
+    snapshots = list(report.snapshots)
+    snapshots[33] = Snapshot(snapshots[33].t, field)
+    snapshots[34] = Snapshot(snapshots[34].t,
+                             ComplexField(grid, (z - 1.0) * np.exp(-(z - 1.0) ** 2)))
+    with pytest.raises(NodeError) as err:
+        polar_residuals(dataclasses.replace(report, snapshots=snapshots), config, threshold)
+    assert str(err.value) == str(expected.value)
+    assert np.array_equal(err.value.locations, expected.value.locations)
+    assert np.all(np.abs(err.value.locations) < 0.5)  # the dip, not snapshot 34's node at 1
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def test_kg_fft_count_is_two_plus_one_per_block(monkeypatch, n):
     grid = Grid1D(n, -25.6, 25.6)
     psi0 = build_packet(PacketSpec(kind=PacketKind.GAUSSIAN, sigma=3.0, k0=0.5), grid)
     dpsi0 = one_branch_time_derivative(psi0)
-    rows = max(1, solvers.KG_BLOCK_VALUES // n)  # 128, 16 and 1 rows per block
+    rows = max(1, solvers.BLOCK_VALUES // n)  # 128, 16 and 1 rows per block
     counts = _count_ffts(monkeypatch)
 
     def total(records, every):
