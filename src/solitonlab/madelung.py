@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -39,8 +40,8 @@ from .grid import (ComplexField, Grid1D, real_spectral_derivative, row_observabl
                    spectral_derivative)
 from .kinematics import electron_constants
 from .report import RunReport, Snapshot
-from .solvers import (BLOCK_VALUES, Scheme, SolverConfig, _Recorder, _require_valid,
-                      evolve_linear_schrodinger)
+from .solvers import (BLOCK_VALUES, Scheme, SolverConfig, _linear_stepper, _Recorder,
+                      _require_valid, evolve_linear_schrodinger)
 
 DEFAULT_NODE_THRESHOLD = 1e-6
 #: advective CFL factor of the transport: dt max|S_z| <= TRANSPORT_CFL dz
@@ -90,20 +91,30 @@ class MadelungField:
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "support", sup)
 
+    @cached_property
+    def current(self) -> np.ndarray:
+        """Im(psi* psi_z) of recompose(self), which equals R^2 S_z, per row;
+        computed once, read-only.
 
-def _node_gaps(mask: np.ndarray) -> tuple[int, np.ndarray]:
-    """(start, gaps) of a boolean mask on the periodic grid that holds at
-    least one True point.
+        It only ever differentiates the periodic complex field, so it stays
+        valid for actions with a linear-in-z part.
+        """
+        psi = self.R * np.exp(1j * self.S)  # recompose's values, of a block too
+        current = np.imag(np.conj(psi) * spectral_derivative(psi, self.grid, order=1))
+        current.setflags(write=False)
+        return current
 
-    Read the ring from its first False point (from 0 if there is none):
-    start is the index of the first True point and gaps are the False
-    points strictly between the first and the last True point, the
-    interior nodes of the mask.
+
+def _node_gaps(mask: np.ndarray) -> np.ndarray:
+    """The interior nodes of a boolean mask on the periodic grid that holds
+    at least one True point: reading the ring from its first False point
+    (from 0 if there is none), the False points strictly between the first
+    and the last True point.
     """
     order = np.roll(np.arange(mask.size), -int(np.argmin(mask)))
     above = np.flatnonzero(mask[order])
     inner = order[above[0]:above[-1] + 1]
-    return int(inner[0]), inner[~mask[inner]]
+    return inner[~mask[inner]]
 
 
 def _decompose_rows(grid: Grid1D, rows: np.ndarray, node_threshold: float) -> MadelungField:
@@ -120,7 +131,7 @@ def _decompose_rows(grid: Grid1D, rows: np.ndarray, node_threshold: float) -> Ma
     if failed.size:
         if peak[failed[0], 0] == 0.0:
             raise NodeError("field is identically zero", grid.z)
-        _, gaps = _node_gaps(mask[failed[0]])
+        gaps = _node_gaps(mask[failed[0]])
         raise NodeError(
             f"amplitude crosses the node threshold at {gaps.size} interior point(s)",
             grid.z[gaps],
@@ -164,16 +175,6 @@ def quantum_potential(field: MadelungField) -> np.ndarray:
     return q
 
 
-def _current(field: MadelungField) -> np.ndarray:
-    """Im(psi* psi_z) of recompose(field), which equals R^2 S_z.
-
-    It only ever differentiates the periodic complex field, so it stays
-    valid for actions with a linear-in-z part.
-    """
-    psi = field.R * np.exp(1j * field.S)  # recompose's values, of a block too
-    return np.imag(np.conj(psi) * spectral_derivative(psi, field.grid, order=1))
-
-
 def _pair_midpoint(before: MadelungField, after: MadelungField,
                    dt: float) -> tuple[MadelungField, np.ndarray, np.ndarray]:
     """Midpoint field, dS/dt and d(R^2)/dt from a centered snapshot pair,
@@ -202,21 +203,6 @@ def _pair_midpoint(before: MadelungField, after: MadelungField,
     return mid, s_dot, rho_dot
 
 
-def _hj_residual(field: MadelungField, current: np.ndarray, s_dot: np.ndarray,
-                 potential: np.ndarray | float, include_q: bool) -> np.ndarray:
-    """hj_residual_from_rate with the field's _current given."""
-    s_z = np.zeros(field.R.shape)
-    nonzero = field.support & (field.R > 0.0)
-    s_z[nonzero] = current[nonzero] / field.R[nonzero] ** 2
-    residual = np.zeros(field.R.shape)
-    sup = field.support
-    v = np.broadcast_to(np.asarray(potential, dtype=float), field.R.shape)
-    residual[sup] = s_dot[sup] + s_z[sup] ** 2 / 2.0 + v[sup]
-    if include_q:
-        residual[sup] += quantum_potential(field)[sup]
-    return residual
-
-
 def hj_residual_from_rate(field: MadelungField, s_dot: np.ndarray,
                           potential: np.ndarray | float = 0.0,
                           include_q: bool = True) -> np.ndarray:
@@ -226,7 +212,16 @@ def hj_residual_from_rate(field: MadelungField, s_dot: np.ndarray,
     equation zero this residual; without it, solutions of the classical
     transport system do.  Zeros outside the support.
     """
-    return _hj_residual(field, _current(field), s_dot, potential, include_q)
+    s_z = np.zeros(field.R.shape)
+    nonzero = field.support & (field.R > 0.0)
+    s_z[nonzero] = field.current[nonzero] / field.R[nonzero] ** 2
+    residual = np.zeros(field.R.shape)
+    sup = field.support
+    v = np.broadcast_to(np.asarray(potential, dtype=float), field.R.shape)
+    residual[sup] = s_dot[sup] + s_z[sup] ** 2 / 2.0 + v[sup]
+    if include_q:
+        residual[sup] += quantum_potential(field)[sup]
+    return residual
 
 
 def hj_residual(before: MadelungField, after: MadelungField, dt: float,
@@ -241,23 +236,17 @@ def hj_residual(before: MadelungField, after: MadelungField, dt: float,
     return hj_residual_from_rate(mid, s_dot, potential, include_q)
 
 
-def _continuity_residual(field: MadelungField, current: np.ndarray,
-                         rho_dot: np.ndarray) -> np.ndarray:
-    """continuity_residual_from_rate with the field's _current given."""
-    div = spectral_derivative(current, field.grid, order=1).real
-    residual = np.zeros(field.R.shape)
-    sup = field.support
-    residual[sup] = rho_dot[sup] + div[sup]
-    return residual
-
-
 def continuity_residual_from_rate(field: MadelungField, rho_dot: np.ndarray) -> np.ndarray:
     """Pointwise d(R^2)/dt + d/dz(R^2 S_z), conservation form.
 
     The flux R^2 S_z is the current Im(psi* psi_z), which is periodic even
     when S itself is not, so its divergence is spectral.
     """
-    return _continuity_residual(field, _current(field), rho_dot)
+    div = spectral_derivative(field.current, field.grid, order=1).real
+    residual = np.zeros(field.R.shape)
+    sup = field.support
+    residual[sup] = rho_dot[sup] + div[sup]
+    return residual
 
 
 def continuity_residual(before: MadelungField, after: MadelungField,
@@ -265,27 +254,6 @@ def continuity_residual(before: MadelungField, after: MadelungField,
     """continuity_residual_from_rate with d(R^2)/dt from a snapshot pair."""
     mid, _, rho_dot = _pair_midpoint(before, after, dt)
     return continuity_residual_from_rate(mid, rho_dot)
-
-
-def _pair_partners(grid: Grid1D, rows: np.ndarray, config: SolverConfig) -> np.ndarray:
-    """Each row of an (m, n) block of fields advanced two linear split steps
-    of config.dt: bit for bit the final field of evolve_linear_schrodinger
-    at t_final = 2 dt, whose steps these are, the two half potential
-    phases between them merged into one, as in solvers._split_step."""
-    dt = config.dt
-    kinetic = np.exp(-0.5j * grid.k**2 * dt)
-    if config.potential is None:
-        spectrum = np.fft.fft(rows)
-        spectrum *= kinetic
-        spectrum *= kinetic
-        return np.fft.ifft(spectrum)
-    potential = np.asarray(config.potential, dtype=float)
-    half, merged = np.exp(-0.5j * potential * dt), np.exp(-1j * potential * dt)
-    spectrum = np.fft.fft(half * rows)
-    spectrum *= kinetic
-    spectrum = np.fft.fft(merged * np.fft.ifft(spectrum))
-    spectrum *= kinetic
-    return half * np.fft.ifft(spectrum)
 
 
 def _recordable(grid: Grid1D, rows: np.ndarray) -> bool:
@@ -310,21 +278,21 @@ def polar_residuals(report: RunReport, config: SolverConfig,
     same order as the scheme) instead of the coarse snapshot cadence.
     Returns one residual row per snapshot (midpoint time, pair gap and
     the max |.| of the Hamilton-Jacobi and continuity residuals) and the
-    snapshots with R, S and Q columns added.
+    snapshots with S and Q columns added (R is np.abs of the field).
 
     The snapshots, which share one grid, go in blocks of up to
     max(1, BLOCK_VALUES // (2 n)) (8 at n = 512), so that a block's
     snapshots and their partners hold at most BLOCK_VALUES values.  A
-    block makes one two-step advance, one decompose of its snapshots and
-    one of their partners, one midpoint with its current, one pass of
-    each residual and one Q for the columns, each over all its rows,
-    with the code of the one-pair functions, so every row equals
-    hj_residual and continuity_residual of its pair bit for bit.  Both
-    fields of each pair are checked as the pair run's recorder checks
-    them.  A block that fails that check or has a node runs the one-pair
-    path (decompose, evolve_linear_schrodinger for two steps, decompose)
-    on its snapshots in time order, so the first failing one raises
-    that path's error.
+    block makes one two-step advance with the run's own linear stepper,
+    one decompose of its snapshots and one of their partners, one
+    midpoint, whose current both residuals share, one pass of each
+    residual and one Q for the columns, each over all its rows, so every
+    row equals hj_residual and continuity_residual of its pair bit for
+    bit.  Both fields of each pair are checked as the pair run's recorder
+    checks them.  A block that fails that check or has a node runs the
+    one-pair path (decompose, evolve_linear_schrodinger for two steps,
+    decompose) on its snapshots in time order, so the first failing one
+    raises that path's error.
     """
     snapshots = report.snapshots
     if not snapshots:
@@ -343,7 +311,7 @@ def polar_residuals(report: RunReport, config: SolverConfig,
     for first in range(0, len(snapshots), size):
         block = snapshots[first:first + size]
         fields = np.array([snap.field.values for snap in block])
-        partners = _pair_partners(grid, fields, pair_config)
+        partners = _linear_stepper(fields, grid, pair_config)(0, 2)
         try:
             if not (_recordable(grid, fields) and _recordable(grid, partners)):
                 raise NumericalError("a snapshot pair fails the pair run's check")
@@ -357,9 +325,8 @@ def polar_residuals(report: RunReport, config: SolverConfig,
                 decompose(partner, node_threshold=node_threshold)
             raise
         mid, s_dot, rho_dot = _pair_midpoint(before, after, gap)
-        current = _current(mid)
-        hj = _hj_residual(mid, current, s_dot, potential, include_q=True)
-        cont = _continuity_residual(mid, current, rho_dot)
+        hj = hj_residual_from_rate(mid, s_dot, potential, include_q=True)
+        cont = continuity_residual_from_rate(mid, rho_dot)
         q = quantum_potential(before)
         hj_max, cont_max = np.max(np.abs(hj), axis=-1), np.max(np.abs(cont), axis=-1)
         for i, snap in enumerate(block):
@@ -369,9 +336,7 @@ def polar_residuals(report: RunReport, config: SolverConfig,
                 "max_hj_residual": float(hj_max[i]),
                 "max_continuity_residual": float(cont_max[i]),
             })
-            enriched.append(Snapshot(snap.t, snap.field, {
-                "R": before.R[i], "S": before.S[i], "Q": q[i],
-            }))
+            enriched.append(Snapshot(snap.t, snap.field, {"S": before.S[i], "Q": q[i]}))
     return rows, enriched
 
 

@@ -5,8 +5,9 @@ the effective configuration (including the unit conventions of the
 scheme, to keep factor-of-2 mistakes visible), the observable series and
 the conservation drift metrics; snapshots go to one CSV per recorded
 time with the grid metadata in comment lines and the columns z, re, im,
-plus any extra ones (R, S and Q for the polar runs).  |psi|^2 is not
-written: it is re^2 + im^2, or np.abs(re + 1j*im)**2 bit for bit.
+plus any extra ones (S and Q for the polar residuals, R, S and Q for the
+transport).  |psi|^2 and the polar R = |psi| are not written:
+np.abs(re + 1j*im)**2 and np.abs(re + 1j*im) give them bit for bit.
 Reports contain no timestamps, so identical runs produce byte-identical
 files.
 

@@ -356,17 +356,20 @@ class _Recorder:
         )
 
 
-def _split_step(psi0: ComplexField, config: SolverConfig,
-                inner: Callable[[np.ndarray, float], None], outer: np.ndarray | None,
-                outer_in_k: bool) -> RunReport:
-    """The Strang loop of both Schrodinger-type schemes: a step composes the
-    sub-steps O(w dt / 2) I(w dt) O(w dt / 2) over w in ORDERS[config.order].
+def _split_stepper(values: np.ndarray, config: SolverConfig,
+                   inner: Callable[[np.ndarray, float], None], outer: np.ndarray | None,
+                   outer_in_k: bool) -> Callable[[int, int], np.ndarray]:
+    """The Strang loop of both Schrodinger-type schemes, on one field (n,)
+    or on each row of a block (m, n): a step composes the sub-steps
+    O(w dt / 2) I(w dt) O(w dt / 2) over w in ORDERS[config.order].
     O(tau) = exp(-i outer tau) is diagonal in k if outer_in_k, else in z
     (outer None: the identity); inner(state, w) applies I(w dt) in place in
     the other space, where the state is held.  Adjacent outer halves are
     merged, so a sub-step makes one FFT pair, and with outer None the state
-    changes space only on record steps.  A record step reads the closing
-    half off a copy and does not perturb the run.
+    changes space only at a returned step.  Returns advance(done, target),
+    which steps on from step done and returns the field or fields at step
+    target (values at 0), read off a copy of the state, so a returned step
+    does not perturb the run; the returned array may be a reused buffer.
     """
     n_steps, dt = config.n_steps(), config.dt
     weights = ORDERS[config.order]
@@ -382,12 +385,11 @@ def _split_step(psi0: ComplexField, config: SolverConfig,
         merged = [np.exp(-1j * outer * (0.5 * (w + w_next) * dt))
                   for w, w_next in zip(weights, weights[1:] + weights[:1])]
 
-    state = np.fft.fft(psi0.values) if outer_in_k else psi0.values
+    state = np.fft.fft(values) if outer_in_k else values
     state = to_inner(state if half is None else half * state)
     buf = np.empty_like(state)
 
-    def advance(done: int, block: _Block):
-        target = block.steps[0]
+    def advance(done: int, target: int) -> np.ndarray:
         for step in range(done + 1, target + 1):
             for j, w in enumerate(weights):
                 inner(state, w)
@@ -402,26 +404,40 @@ def _split_step(psi0: ComplexField, config: SolverConfig,
                     continue
                 np.multiply(merged[j], buf, out=state)
                 to_inner(state, out=state)
-        return psi0.values if target == 0 else row, None, None
+        return values if target == 0 else row
 
-    return _Recorder(config, psi0.grid).run(advance)
+    return advance
 
 
-def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunReport:
-    """Strang split-step for i psi_t = -(1/2) psi_zz + V psi: the potential
-    phase exp(-i V tau) is the outer factor, in z, and the kinetic step
-    exp(-i k^2 dt / 2) the inner one, on the spectrum.  Without a potential
-    only record steps make an FFT; with one, a step makes one FFT pair.
-    """
-    _require_valid(config, psi0.grid, Scheme.LINEAR_SCHRODINGER)
-    k2 = psi0.grid.k**2
-    kinetic = {w: np.exp(-0.5j * k2 * (w * config.dt)) for w in ORDERS[config.order]}
+def _linear_stepper(values: np.ndarray, grid: Grid1D,
+                    config: SolverConfig) -> Callable[[int, int], np.ndarray]:
+    """_split_stepper of i psi_t = -(1/2) psi_zz + V psi on values, one field
+    or a block on grid: the potential phase exp(-i V tau) is the outer
+    factor, in z, and the kinetic step exp(-i k^2 dt / 2) the inner one, on
+    the spectrum."""
+    kinetic = {w: np.exp(-0.5j * grid.k**2 * (w * config.dt)) for w in ORDERS[config.order]}
 
     def kinetic_step(spectrum: np.ndarray, w: float) -> None:
         spectrum *= kinetic[w]
 
     potential = None if config.potential is None else np.asarray(config.potential, float)
-    return _split_step(psi0, config, kinetic_step, potential, outer_in_k=False)
+    return _split_stepper(values, config, kinetic_step, potential, outer_in_k=False)
+
+
+def _record_steps(psi0: ComplexField, config: SolverConfig,
+                  advance: Callable[[int, int], np.ndarray]) -> RunReport:
+    """The run of a stepper of psi0: the recorder asks it for each record step."""
+    return _Recorder(config, psi0.grid).run(
+        lambda done, block: (advance(done, block.steps[0]), None, None))
+
+
+def evolve_linear_schrodinger(psi0: ComplexField, config: SolverConfig) -> RunReport:
+    """Strang split-step for i psi_t = -(1/2) psi_zz + V psi (_linear_stepper).
+    Without a potential only record steps make an FFT; with one, a step
+    makes one FFT pair.
+    """
+    _require_valid(config, psi0.grid, Scheme.LINEAR_SCHRODINGER)
+    return _record_steps(psi0, config, _linear_stepper(psi0.values, psi0.grid, config))
 
 
 def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
@@ -445,7 +461,8 @@ def evolve_nls(psi0: ComplexField, config: SolverConfig) -> RunReport:
         np.sin(theta, out=phase.imag)
         psi *= phase
 
-    return _split_step(psi0, config, nonlinear_phase, grid.k**2, outer_in_k=True)
+    stepper = _split_stepper(psi0.values, config, nonlinear_phase, grid.k**2, outer_in_k=True)
+    return _record_steps(psi0, config, stepper)
 
 
 def _spectral_energy(spec: np.ndarray, spec_t: np.ndarray, lam: np.ndarray,

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -68,6 +71,21 @@ def test_kinematics_rejects_superluminal(capsys):
 def test_shipped_configs_validate_clean(config):
     problems = validate(json.loads(config.read_text()))
     assert problems == []
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    (["--version"], "0.1.0"),
+    (["validate", "--config", "configs/madelung-gaussian.json"], "config is runnable"),
+])
+def test_module_entry_point(argv, stdout):
+    # python -m solitonlab.cli in a subprocess, with the package found through
+    # PYTHONPATH=src only, as a checkout runs it without installing
+    env = {key: value for key, value in os.environ.items() if key != "SOLITONLAB_OUT"}
+    env["PYTHONPATH"] = "src"
+    done = subprocess.run([sys.executable, "-m", "solitonlab.cli", *argv], cwd=CONFIG_DIR.parent,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert stdout in done.stdout.splitlines()
 
 
 def test_validate_subcommand_ok():

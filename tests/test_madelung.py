@@ -111,15 +111,15 @@ class TestDecompose:
         assert np.max(np.abs(steps - np.median(steps))) < 1.0  # no 2 pi jumps
 
 
-def _reference_node_gaps(mask: list[bool]) -> tuple[int, list[int]]:
+def _reference_node_gaps(mask: list[bool]) -> list[int]:
     """Brute force: read the ring from its first False point; the False
     points strictly between the first and the last True point are nodes."""
     if all(mask):
-        return 0, []
+        return []
     first_false = mask.index(False)
     ring = [(first_false + i) % len(mask) for i in range(len(mask))]
     above = [pos for pos, i in enumerate(ring) if mask[i]]
-    return ring[above[0]], [i for i in ring[above[0]:above[-1] + 1] if not mask[i]]
+    return [i for i in ring[above[0]:above[-1] + 1] if not mask[i]]
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=40).filter(any))
@@ -127,8 +127,8 @@ def _reference_node_gaps(mask: list[bool]) -> tuple[int, list[int]]:
 @example([True, True, False, False, False, True])      # one run joined across the seam
 @example([False, True, False, True, True, False, True])  # several runs
 def test_node_gaps_match_brute_force(mask):
-    start, gaps = _node_gaps(np.array(mask))
-    assert (start, gaps.tolist()) == _reference_node_gaps(mask)
+    gaps = _node_gaps(np.array(mask))
+    assert gaps.tolist() == _reference_node_gaps(mask)
     # interior nodes exist exactly when the ring holds more than one True run
     runs = sum(mask[i] and not mask[i - 1] for i in range(len(mask)))
     assert bool(gaps.size) == (runs > 1)
@@ -142,7 +142,7 @@ def test_decompose_support_is_the_threshold_mask(mask):
     grid = Grid1D(16, -1.6, 1.6)
     r = np.where(mask, 1.0, 1e-9)
     psi = ComplexField(grid, r * np.exp(0.7j * np.arange(grid.n)))
-    _, gaps = _reference_node_gaps(mask)
+    gaps = _reference_node_gaps(mask)
     if gaps:
         with pytest.raises(NodeError) as err:
             decompose(psi)
@@ -173,6 +173,21 @@ class TestMadelungFieldValidation:
                               support=np.stack([one.support] * 2))
         with pytest.raises(ConfigurationError, match="one initial field"):
             evolve_dispersionless(block, _transport(dt=1e-3, t_final=0.01))
+
+    def test_current_is_cached_and_read_only(self, grid512):
+        # one Im(psi* psi_z) per field, shared by both residuals; a block's
+        # rows equal the current of each row's own field
+        fields = [decompose(build_packet(PacketSpec(PacketKind.GAUSSIAN, sigma=1.0, k0=k0),
+                                         grid512)) for k0 in (0.0, 0.7)]
+        block = MadelungField(grid512, np.stack([f.R for f in fields]),
+                              np.stack([f.S for f in fields]),
+                              support=np.stack([f.support for f in fields]))
+        for field in fields + [block]:
+            assert field.current is field.current
+            assert not field.current.flags.writeable
+            with pytest.raises(ValueError):
+                field.current[0] = 1.0
+        assert np.array_equal(block.current, np.stack([f.current for f in fields]))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +323,7 @@ def test_polar_residuals_bound_every_row(tmp_path, monkeypatch):
     assert len(rows) == len(snapshots) == 3
     # criterion 7's bound, on every row rather than the first
     assert all(row["max_continuity_residual"] <= 5e-4 for row in rows)
-    assert all({"R", "S", "Q"} <= set(snap.extra) for snap in snapshots)
+    assert all(set(snap.extra) == {"S", "Q"} for snap in snapshots)
     monkeypatch.delenv("SOLITONLAB_OUT", raising=False)
     assert main(["madelung", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "report.json").read_text())["residuals"] == rows
@@ -357,8 +372,9 @@ def test_polar_residuals_match_the_pair_functions(slope):
                            "max_hj_residual": float(np.max(np.abs(hj))),
                            "max_continuity_residual": float(np.max(np.abs(cont)))}
             assert (out.t, out.field) == (snap.t, snap.field)
-            assert set(out.extra) == {"R", "S", "Q"}
-            assert np.array_equal(out.extra["R"], before.R)
+            assert set(out.extra) == {"S", "Q"}
+            # R is not a column: the snapshot's own |psi| is decompose's R
+            assert np.array_equal(np.abs(snap.field.values), before.R)
             assert np.array_equal(out.extra["S"], before.S)
             assert np.array_equal(out.extra["Q"], quantum_potential(before))
 

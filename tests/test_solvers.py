@@ -117,6 +117,23 @@ class TestLinearSchrodinger:
         b = evolve_linear_schrodinger(psi0, config).final_field().values
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("slope", [None, 0.05])
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_stepper_on_a_block_steps_each_row_as_a_run(self, grid512, m, steps, slope):
+        # the stepper that polar_residuals runs on a block of snapshots: each
+        # row is, bit for bit, the final field of a run from that row alone
+        config = SolverConfig(scheme=Scheme.LINEAR_SCHRODINGER, dt=1e-2, t_final=steps * 1e-2,
+                              potential=None if slope is None else slope * grid512.z)
+        rows = np.array([build_packet(PacketSpec(PacketKind.GAUSSIAN, center=0.5 * i - 1.0,
+                                                 sigma=1.0 + 0.1 * i, k0=0.3 * i),
+                                      grid512).values for i in range(m)])
+        block = solvers._linear_stepper(rows, grid512, config)(0, steps)
+        assert block.shape == (m, grid512.n)
+        for row, stepped in zip(rows, block):
+            run = evolve_linear_schrodinger(ComplexField(grid512, row), config)
+            assert np.array_equal(stepped, run.final_field().values)
+
 
 # ---------------------------------------------------------------------------
 # cubic solver
