@@ -30,18 +30,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
 from .errors import (ConfigurationError, DegenerateFieldError, DomainError, NodeError,
                      NumericalError)
-from .grid import (ComplexField, Grid1D, real_spectral_derivative, row_observables,
-                   spectral_derivative)
+from .grid import ComplexField, Grid1D, real_spectral_derivative, spectral_derivative
 from .kinematics import electron_constants
 from .report import RunReport, Snapshot
-from .solvers import (BLOCK_VALUES, Scheme, SolverConfig, _linear_stepper, _Recorder,
-                      _require_valid, evolve_linear_schrodinger)
+from .solvers import (BLOCK_VALUES, Scheme, SolverConfig, _Block, _linear_stepper, _Recorder,
+                      _require_valid)
 
 DEFAULT_NODE_THRESHOLD = 1e-6
 #: advective CFL factor of the transport: dt max|S_z| <= TRANSPORT_CFL dz
@@ -256,18 +254,6 @@ def continuity_residual(before: MadelungField, after: MadelungField,
     return continuity_residual_from_rate(mid, rho_dot)
 
 
-def _recordable(grid: Grid1D, rows: np.ndarray) -> bool:
-    """Whether a run's recorder takes every row of an (m, n) block: the row
-    is finite, and its observables are finite with a positive norm."""
-    if not np.isfinite(rows).all():
-        return False
-    try:
-        series = row_observables(grid, rows)
-    except DegenerateFieldError:
-        return False
-    return all(map(math.isfinite, chain.from_iterable(series.values())))
-
-
 def polar_residuals(report: RunReport, config: SolverConfig,
                     node_threshold: float = DEFAULT_NODE_THRESHOLD
                     ) -> tuple[list[dict], list[Snapshot]]:
@@ -288,11 +274,13 @@ def polar_residuals(report: RunReport, config: SolverConfig,
     midpoint, whose current both residuals share, one pass of each
     residual and one Q for the columns, each over all its rows, so every
     row equals hj_residual and continuity_residual of its pair bit for
-    bit.  Both fields of each pair are checked as the pair run's recorder
-    checks them.  A block that fails that check or has a node runs the
-    one-pair path (decompose, evolve_linear_schrodinger for two steps,
-    decompose) on its snapshots in time order, so the first failing one
-    raises that path's error.
+    bit.  Both fields of each pair go through the record check of the
+    pair run's own recorder (solvers._Recorder), at steps 0 and 2.  A
+    block that fails that check or has a node replays the one-pair path
+    on its snapshots in time order: decompose the field, the recorder's
+    check of the field and of its partner, decompose the partner.  The
+    partners are the pair run's final fields bit for bit, so the first
+    failing snapshot raises that path's error and no solver runs again.
     """
     snapshots = report.snapshots
     if not snapshots:
@@ -304,6 +292,7 @@ def polar_residuals(report: RunReport, config: SolverConfig,
     pair_config = replace(config, t_final=2.0 * config.dt,
                           snapshot_every=0, observe_every=0, probe_index=None)
     _require_valid(pair_config, grid, Scheme.LINEAR_SCHRODINGER)
+    recorder = _Recorder(pair_config, grid)
     gap = 2.0 * config.dt
     size = max(1, BLOCK_VALUES // (2 * grid.n))
     rows = []
@@ -313,16 +302,18 @@ def polar_residuals(report: RunReport, config: SolverConfig,
         fields = np.array([snap.field.values for snap in block])
         partners = _linear_stepper(fields, grid, pair_config)(0, 2)
         try:
-            if not (_recordable(grid, fields) and _recordable(grid, partners)):
-                raise NumericalError("a snapshot pair fails the pair run's check")
+            # [field_0, partner_0, field_1, ...] at steps 0 and 2, no snapshot rows
+            recorder.record(_Block([0, 2] * len(block), list(range(2 * len(block))), []),
+                            np.stack((fields, partners), axis=1))
             before = _decompose_rows(grid, fields, node_threshold)
             after = _decompose_rows(grid, partners, node_threshold)
-        except (NodeError, NumericalError):
+        except (NodeError, DegenerateFieldError, NumericalError):
             # the one-pair path, one snapshot at a time, raises the first failing one's error
-            for snap in block:
-                decompose(snap.field, node_threshold=node_threshold)
-                partner = evolve_linear_schrodinger(snap.field, pair_config).final_field()
-                decompose(partner, node_threshold=node_threshold)
+            for field, partner in zip(fields, partners):
+                _decompose_rows(grid, field[None], node_threshold)
+                recorder.record(_Block([0], [0], []), field)
+                recorder.record(_Block([2], [0], []), partner)
+                _decompose_rows(grid, partner[None], node_threshold)
             raise
         mid, s_dot, rho_dot = _pair_midpoint(before, after, gap)
         hj = hj_residual_from_rate(mid, s_dot, potential, include_q=True)

@@ -38,7 +38,7 @@ from solitonlab import (
     recompose,
     soliton_amplitude,
 )
-from solitonlab import madelung
+from solitonlab import solvers
 from solitonlab.cli import main
 from solitonlab.experiments import TRANSPORT_COURANT, _strided, transport_max_dt
 from solitonlab.madelung import _node_gaps
@@ -389,7 +389,7 @@ def test_polar_residuals_work_in_blocks(monkeypatch, slope):
     assert len(report.snapshots) == 101
     assert BLOCK_VALUES // (2 * report.snapshots[0].field.grid.n) == 8
     solver_calls = []
-    monkeypatch.setattr(madelung, "evolve_linear_schrodinger",
+    monkeypatch.setattr(solvers, "evolve_linear_schrodinger",
                         lambda *args: solver_calls.append(args))
     counts = _count_ffts(monkeypatch)
     rows, _ = polar_residuals(report, config, threshold)
@@ -433,6 +433,32 @@ def test_polar_residuals_raise_the_first_failing_pair_error(kind):
     if kind == "node":
         assert np.array_equal(err.value.locations, expected.value.locations)
         assert np.all(np.abs(err.value.locations - 1.0) < 0.2)
+
+
+def test_polar_residuals_check_pairs_by_the_recorder_rules(monkeypatch):
+    # a rule added to the pair run's recorder reaches the block path: a
+    # recorder that finds no finite norm for a row with |psi| > 1.5 rejects
+    # snapshot 37, doubled, with the pair run's own message
+    report, config, threshold = _gaussian_linear_run(snapshot_every=10)
+    observables = solvers.row_observables
+
+    def capped(grid, rows):
+        series = observables(grid, rows)
+        peaks = np.abs(rows).max(axis=-1).tolist()
+        series["norm"] = [math.nan if peak > 1.5 else norm
+                          for norm, peak in zip(series["norm"], peaks)]
+        return series
+
+    monkeypatch.setattr(solvers, "row_observables", capped)
+    snapshots = list(report.snapshots)
+    assert max(np.max(np.abs(snap.field.values)) for snap in snapshots) <= 1.0
+    doubled = ComplexField(snapshots[37].field.grid, 2.0 * snapshots[37].field.values)
+    snapshots[37] = Snapshot(snapshots[37].t, doubled)
+    with pytest.raises(NumericalError) as expected:
+        evolve_linear_schrodinger(doubled, _pair_config(config))
+    with pytest.raises(NumericalError) as err:
+        polar_residuals(dataclasses.replace(report, snapshots=snapshots), config, threshold)
+    assert str(err.value) == str(expected.value)
 
 
 def test_polar_residuals_check_each_field_before_a_later_one():
